@@ -44,8 +44,8 @@ $ASTRA verify --system "$workdir/patrol.json" --spec "p2 U p3" \
       --plan "$workdir/plan.json"
 
 echo "== a spec it does not meet prints a counterexample (exit 1)"
-$ASTRA verify --system "$workdir/patrol.json" --spec "G p2" \
-      --plan "$workdir/plan.json" || test $? -eq 1
+if $ASTRA verify --system "$workdir/patrol.json" --spec "G p1" \
+      --plan "$workdir/plan.json"; then exit 1; else test $? -eq 1; fi
 
 echo "== simulate 8 steps under seeded random disturbances"
 $ASTRA simulate --system "$workdir/patrol.json" --spec "p2 U p3" \

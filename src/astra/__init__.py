@@ -8,9 +8,7 @@ round trip from winning controllers back to plans.
 
 from .core import (
     AlternatingTransitionSystem,
-    AgentStep,
     Lasso,
-    ReactiveAgent,
     StateSequence,
     Valuation,
     load_system,
@@ -57,7 +55,6 @@ from .plan import (
     DETACHED,
     ReactivePlan,
     SCR,
-    controller_step,
     dump_plan,
     find_reachable_cycle,
     load_plan,
@@ -78,7 +75,6 @@ from .planner import (
     NOT_FOUND,
     SynthesisResult,
     UNKNOWN,
-    find_reactive_plan,
     solve_buchi_game,
     synthesize,
 )

@@ -188,13 +188,12 @@ def cmd_simulate(args) -> int:
     script = _scripted_disturbances(args) if args.policy == "scripted" else None
     tracker = None
     if args.policy == "adversarial":
-        analysis = planner.analyze(system, start, formula, valuation,
-                                   automaton=automaton)
-        if analysis is None:
+        spec = planner.spec_automaton(formula, valuation, automaton)
+        if spec is None:
             raise AstraError(
                 "the adversarial policy needs a totalizable specification"
             )
-        _, prod, solution = analysis
+        prod, solution = planner.analyze(system, start, spec, valuation)
         tracker = (prod, solution, prod.initial)
 
     def pick(step_index, state, action):

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .buchi import ProductAutomaton, world_projection
+from .buchi import ProductAutomaton
 from .errors import CapExceeded, VerificationFailure
-from .plan import ReactivePlan, SCR, strategy_action
+from .plan import ReactivePlan, SCR
 
 
 def recurrence_index(sequence, accepting) -> int | float:
@@ -64,20 +64,18 @@ def build_accepting_system(product: ProductAutomaton, controller,
     """Enumerate the recurrence-free outcome prefixes of the controller.
 
     The controller is lifted to product-state sequences by acting on their
-    world projections.  Each node extends by every disturbance-resolved
-    successor under its action; an extension whose accepting state recurs
-    folds back to the unique recurrence-free prefix ending in that state.
+    world projections; each node keeps the controller fed with its world
+    states, so extending it costs one ``feed``.  Each node extends by every
+    disturbance-resolved successor under its action; an extension whose
+    accepting state recurs folds back to the unique recurrence-free prefix
+    ending in that state.
     Exceeding ``cap`` (default: the pigeonhole bound) means the controller
     is not actually winning.
     """
     if cap is None:
         cap = pigeonhole_cap(product)
-    plan = controller.plan
-
-    def lifted_action(node):
-        return strategy_action(plan, world_projection(node))
-
     root = (product.initial,)
+    stepped = {root: controller.feed(product.world(product.initial))}
     nodes = [root]
     ids = {root: 0}
     actions = []
@@ -86,7 +84,7 @@ def build_accepting_system(product: ProductAutomaton, controller,
     while queue:
         node = queue.pop(0)
         index = ids[node]
-        action = lifted_action(node)
+        fed, action = stepped[node]
         while len(actions) <= index:
             actions.append(None)
             edge_sets.append([])
@@ -103,6 +101,7 @@ def build_accepting_system(product: ProductAutomaton, controller,
                     ids[extension] = len(nodes)
                     nodes.append(extension)
                     queue.append(extension)
+                    stepped[extension] = fed.feed(product.world(successor))
                 targets.append(ids[extension])
             else:
                 backs = [

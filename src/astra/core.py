@@ -3,9 +3,9 @@
 An alternating transition system splits its transition labels into a
 controllable part (controls) and an uncontrollable part (disturbances).
 This module holds the system model itself, valuation functions mapping
-states to proposition sets, the reactive-agent view used by the planner,
-finite state sequences, and the lasso representation of ultimately
-periodic infinite words.
+states to proposition sets, finite state sequences, closed-loop outcome
+prefixes, and the lasso representation of ultimately periodic infinite
+words.
 
 Indexing on sequences and lassos is 1-based everywhere user-visible.
 """
@@ -156,31 +156,6 @@ class Valuation:
         return lasso.map(self.label)
 
 
-@dataclass(frozen=True)
-class AgentStep:
-    """One entry of a reactive agent's transition function."""
-
-    action: str
-    duration: int
-    successors: tuple
-
-
-@dataclass(frozen=True)
-class ReactiveAgent:
-    """A world-state transition function rooted at an initial state.
-
-    ``succ`` maps every state to one entry per control label, in declared
-    label order, each carrying the non-empty set of nondeterministic
-    successors.  Durations are pinned to 1.
-    """
-
-    initial: str
-    succ: dict
-
-    def entries(self, state) -> tuple:
-        return self.succ[state]
-
-
 class AlternatingTransitionSystem:
     """States, controls, disturbances, transitions, and observations.
 
@@ -202,7 +177,8 @@ class AlternatingTransitionSystem:
             if len(set(seq)) != len(seq):
                 raise SystemValidationError(f"duplicate entries in {name}")
 
-        state_set, control_set = set(self.states), set(self.controls)
+        self._state_set = state_set = frozenset(self.states)
+        self._control_set = control_set = frozenset(self.controls)
         disturbance_set = set(self.disturbances)
         self.transitions = tuple(tuple(t) for t in transitions)
         by_qab = {}
@@ -251,30 +227,16 @@ class AlternatingTransitionSystem:
         if set(self.obs_map.values()) - set(self.observations):
             raise UndeclaredSymbol("observation map uses undeclared observations")
 
-    def state_index(self, q) -> int:
-        return self.states.index(q)
-
     def successors(self, q, a) -> tuple:
         """All states reachable from ``q`` under control ``a`` for some disturbance."""
-        if q not in set(self.states):
+        if q not in self._state_set:
             raise UndeclaredSymbol(f"unknown state {q!r}")
-        if a not in set(self.controls):
+        if a not in self._control_set:
             raise UndeclaredSymbol(f"unknown control {a!r}")
         return self._succ_qa[(q, a)]
 
     def successors_under(self, q, a, b) -> tuple:
         return self._succ_qab[(q, a, b)]
-
-    def reactive_agent(self, initial) -> ReactiveAgent:
-        """The agent view rooted at ``initial``: per state, one entry per
-        control label in declared order, each with duration 1."""
-        if initial not in set(self.states):
-            raise UndeclaredSymbol(f"unknown state {initial!r}")
-        succ = {
-            q: tuple(AgentStep(a, 1, self.successors(q, a)) for a in self.controls)
-            for q in self.states
-        }
-        return ReactiveAgent(initial, succ)
 
 
 def _string_list(raw, key):

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 
 from . import buchi, ltl
-from .core import Lasso, StateSequence
+from .core import Lasso
 from .errors import ExplosionGuard, PlanValidationError, UniquenessViolated
 
 logger = logging.getLogger(__name__)
@@ -412,33 +412,6 @@ class _Detached:
 DETACHED = _Detached()
 
 
-def strategy_action(plan: ReactivePlan, history) -> str:
-    """The action the plan prescribes after observing ``history``.
-
-    Walks the unique plan-state path matching the history from plan state 1
-    and returns the matched rule's action; any mismatch falls back to the
-    action of plan state 1.  Requires per-SCR unique successor worlds.
-    """
-    plan.require_unique_world_successors()
-    states = tuple(history) if not isinstance(history, StateSequence) else history.items
-    if not states:
-        raise ValueError("the observed history must be non-empty")
-    default = plan.by_id[1].action
-    if states[0] != plan.by_id[1].world:
-        return default
-    cursor = 1
-    for observed in states[1:]:
-        match = None
-        for j in sorted(plan.by_id[cursor].successors):
-            if plan.by_id[j].world == observed:
-                match = j
-                break
-        if match is None:
-            return default
-        cursor = match
-    return plan.by_id[cursor].action
-
-
 @dataclass(frozen=True)
 class Controller:
     """Executable, finite-memory form of a simplified plan's strategy.
@@ -453,7 +426,8 @@ class Controller:
     cursor: object = None
 
     def __post_init__(self):
-        self.plan.require_unique_world_successors()
+        if self.cursor is None:
+            self.plan.require_unique_world_successors()
 
     @property
     def default_action(self) -> str:
@@ -480,6 +454,18 @@ class Controller:
         return ctrl, action
 
 
-def controller_step(controller: Controller, observed):
-    """Functional single step; see :meth:`Controller.feed`."""
-    return controller.feed(observed)
+def strategy_action(plan: ReactivePlan, history) -> str:
+    """The action the plan prescribes after observing ``history``.
+
+    Feeds the history, state by state, to a fresh :class:`Controller`: the
+    action of the unique plan-state path matching the history from plan
+    state 1, or the action of plan state 1 after any mismatch.  Requires
+    per-SCR unique successor worlds.
+    """
+    states = tuple(history)
+    if not states:
+        raise ValueError("the observed history must be non-empty")
+    controller = Controller(plan)
+    for observed in states:
+        controller, action = controller.feed(observed)
+    return action

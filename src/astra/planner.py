@@ -2,10 +2,10 @@
 
 For each candidate initial state, the specification automaton is composed
 with the system, the resulting two-player game (control picks actions,
-disturbances pick successors) is solved by the classical nested fixpoint,
-and a winning positional strategy is unfolded into a reactive plan.  Every
-returned plan is re-verified by the independent satisfaction check before
-it leaves this module.
+disturbances pick successors) is solved by the classical nested fixpoint
+over a counter-based attractor, and a winning positional strategy is
+unfolded into a reactive plan.  Every returned plan is re-verified by the
+independent satisfaction check before it leaves this module.
 """
 
 from __future__ import annotations
@@ -50,34 +50,34 @@ class GameArena:
     Control owns the product states and picks a control label; the
     adversary owns the intermediate (state, action) choice nodes and picks
     any disturbance-resolved successor.  Non-blocking transitions plus a
-    total specification automaton make every node live.
+    total specification automaton make every node live.  ``moves`` and
+    ``predecessors`` list the edges forward and backward.
     """
 
     def __init__(self, product_automaton):
         self.product = product_automaton
         self.control_nodes = tuple(("s", s) for s in product_automaton.states)
-        self.choice_nodes = tuple(
-            ("c", s, a)
-            for s in product_automaton.states
-            for a in product_automaton.controls
-            if product_automaton.successors(s, a)
-        )
         self.accepting = frozenset(
             ("s", s) for s in product_automaton.accepting
         )
         moves = {}
         for node in self.control_nodes:
             _, s = node
-            moves[node] = tuple(
-                ("c", s, a)
-                for a in product_automaton.controls
-                if product_automaton.successors(s, a)
-            )
-        for node in self.choice_nodes:
-            _, s, a = node
-            moves[node] = tuple(("s", t) for t in product_automaton.successors(s, a))
+            choices = []
+            for a in product_automaton.controls:
+                targets = product_automaton.successors(s, a)
+                if targets:
+                    choice = ("c", s, a)
+                    moves[choice] = tuple(("s", t) for t in targets)
+                    choices.append(choice)
+            moves[node] = tuple(choices)
         self.moves = moves
+        self.choice_nodes = tuple(c for n in self.control_nodes for c in moves[n])
         self.nodes = self.control_nodes + self.choice_nodes
+        self.predecessors = {node: [] for node in self.nodes}
+        for node in self.nodes:
+            for succ in moves[node]:
+                self.predecessors[succ].append(node)
 
     def is_control(self, node) -> bool:
         return node[0] == "s"
@@ -93,40 +93,29 @@ class GameSolution:
         return self.rank.get(("s", product_state))
 
 
-def _controllable_predecessors(arena, target):
-    """Nodes from which control is sure to be inside ``target`` after one
-    move: control nodes with some move in, adversary nodes with every move in."""
-    out = set()
-    for node in arena.nodes:
-        succs = arena.moves[node]
-        if arena.is_control(node):
-            if any(s in target for s in succs):
-                out.add(node)
-        elif all(s in target for s in succs):
-            out.add(node)
-    return out
-
-
 def _attractor(arena, target):
-    """Control attractor of ``target`` with entry layers as ranks."""
-    rank = {node: 0 for node in target}
-    frontier = set(target)
-    layer = 0
-    while frontier:
-        layer += 1
-        grown = set()
-        for node in arena.nodes:
-            if node in rank:
+    """Control attractor of ``target`` with entry layers as ranks.
+
+    Breadth-first over the predecessor lists in rank order: a control node
+    enters one layer after its first ranked successor, an adversary node
+    one layer after the last of its successors, once its count of unranked
+    successors reaches zero.  Each edge is looked at once, so this costs
+    O(|E|).
+    """
+    rank = dict.fromkeys(target, 0)
+    unranked = {}
+    queue = list(rank)
+    for node in queue:
+        layer = rank[node] + 1
+        for pred in arena.predecessors[node]:
+            if pred in rank:
                 continue
-            succs = arena.moves[node]
-            if arena.is_control(node):
-                if any(s in rank for s in succs):
-                    grown.add(node)
-            elif all(s in rank for s in succs):
-                grown.add(node)
-        for node in grown:
-            rank[node] = layer
-        frontier = grown
+            if not arena.is_control(pred):
+                unranked[pred] = unranked.get(pred, len(arena.moves[pred])) - 1
+                if unranked[pred]:
+                    continue
+            rank[pred] = layer
+            queue.append(pred)
     return rank
 
 
@@ -142,13 +131,12 @@ def solve_buchi_game(arena: GameArena) -> GameSolution:
     """
     region = set(arena.nodes)
     while True:
-        cpre = _controllable_predecessors(arena, region)
-        recurrent = {n for n in arena.accepting if n in region and n in cpre}
+        recurrent = {n for n in arena.accepting
+                     if n in region and any(m in region for m in arena.moves[n])}
         rank = _attractor(arena, recurrent)
-        attractor = set(rank)
-        if attractor == region:
+        if rank.keys() == region:
             break
-        region = attractor
+        region = set(rank)
 
     winning = frozenset(region)
     action_order = {a: i for i, a in enumerate(arena.product.controls)}
@@ -167,7 +155,7 @@ def solve_buchi_game(arena: GameArena) -> GameSolution:
             continue
         candidates.sort()
         strategy[state] = candidates[0][2]
-    return GameSolution(winning, strategy, dict(rank))
+    return GameSolution(winning, strategy, rank)
 
 
 def spec_automaton(formula=None, valuation=None, automaton=None):
@@ -218,63 +206,42 @@ def extract_plan(product_automaton, solution: GameSolution) -> ReactivePlan:
     return ReactivePlan(rules)
 
 
-def find_reactive_plan(system, q0, formula, valuation, automaton=None) -> SynthesisResult:
-    """A reactive plan rooted at ``q0`` enforcing the specification.
-
-    ``unknown`` means the specification automaton could not be made total,
-    so this method cannot decide the instance; ``not-found`` means the game
-    is lost from ``q0``.  A found plan is always independently re-verified.
-    """
-    spec = spec_automaton(formula, valuation, automaton)
-    if spec is None:
-        return SynthesisResult(UNKNOWN)
-    return _plan_for_initial(system, q0, formula, valuation, spec)
-
-
-def _plan_for_initial(system, q0, formula, valuation, spec) -> SynthesisResult:
+def analyze(system, q0, spec, valuation):
+    """The product of the system rooted at ``q0`` with the total automaton
+    ``spec``, and the solution of its Buchi game: ``(product, solution)``."""
     prod = buchi.product(system, q0, spec, valuation)
-    arena = GameArena(prod)
-    solution = solve_buchi_game(arena)
-    if ("s", prod.initial) not in solution.winning:
-        return SynthesisResult(NOT_FOUND)
-    plan = extract_plan(prod, solution)
-    if not _verify(plan, formula, valuation, spec):
-        raise VerificationFailure(
-            f"synthesized plan from {q0!r} failed independent verification"
-        )
-    return SynthesisResult(FOUND, initial=q0, plan=plan)
+    return prod, solve_buchi_game(GameArena(prod))
 
 
 def synthesize(system, formula, valuation, initial_hint=None,
                automaton=None) -> SynthesisResult:
     """Search initial states in declared order for an enforceable plan; on
-    success, simplify it and wrap it into an executable controller."""
+    success, simplify it and wrap it into an executable controller.
+
+    ``unknown`` means the specification automaton could not be made total,
+    so this method cannot decide the instance; ``not-found`` means the game
+    is lost from every candidate.  Both the extracted and the simplified
+    plan are independently re-verified.
+    """
     spec = spec_automaton(formula, valuation, automaton)
     if spec is None:
         logger.info("specification automaton is not totalizable; verdict unknown")
         return SynthesisResult(UNKNOWN)
     candidates = [initial_hint] if initial_hint is not None else list(system.states)
     for q0 in candidates:
-        result = _plan_for_initial(system, q0, formula, valuation, spec)
-        if result.found:
-            simplified = simplify_plan(result.plan)
-            if not _verify(simplified, formula, valuation, spec):
-                raise VerificationFailure(
-                    f"simplified plan from {q0!r} failed independent verification"
-                )
-            controller = Controller(simplified)
-            return SynthesisResult(FOUND, initial=q0, plan=simplified,
-                                   controller=controller)
+        prod, solution = analyze(system, q0, spec, valuation)
+        if ("s", prod.initial) not in solution.winning:
+            continue
+        plan = extract_plan(prod, solution)
+        if not _verify(plan, formula, valuation, spec):
+            raise VerificationFailure(
+                f"synthesized plan from {q0!r} failed independent verification"
+            )
+        simplified = simplify_plan(plan)
+        if not _verify(simplified, formula, valuation, spec):
+            raise VerificationFailure(
+                f"simplified plan from {q0!r} failed independent verification"
+            )
+        return SynthesisResult(FOUND, initial=q0, plan=simplified,
+                               controller=Controller(simplified))
     return SynthesisResult(NOT_FOUND)
-
-
-def analyze(system, q0, formula, valuation, automaton=None):
-    """Product and game solution for one initial state, for callers that
-    need attractor ranks (simulation adversaries, exports).  ``None`` when
-    the specification automaton is not totalizable."""
-    spec = spec_automaton(formula, valuation, automaton)
-    if spec is None:
-        return None
-    prod = buchi.product(system, q0, spec, valuation)
-    arena = GameArena(prod)
-    return spec, prod, solve_buchi_game(arena)

@@ -37,24 +37,6 @@ def agent_system():
 
 
 @pytest.fixture
-def two_control_agent():
-    """The same agent over a two-letter control alphabet; at q2 and q3 both
-    controls coincide with the only offered action."""
-    transitions = [
-        ("q1", "a1", "1", "q2"),
-        ("q1", "b1", "1", "q3"),
-        ("q2", "a1", "1", "q1"), ("q2", "a1", "1", "q3"),
-        ("q2", "b1", "1", "q1"), ("q2", "b1", "1", "q3"),
-        ("q3", "a1", "1", "q3"),
-        ("q3", "b1", "1", "q3"),
-    ]
-    system = AlternatingTransitionSystem(
-        ["q1", "q2", "q3"], ["a1", "b1"], ["1"], transitions
-    )
-    return system, three_state_valuation()
-
-
-@pytest.fixture
 def example_plan():
     """Four-rule plan for the three-state agent: reach q3 via q2, with an
     optional detour back through q1."""

@@ -2,8 +2,10 @@
 
 Everything here decides properties by a different route than the library:
 truncated unrolling for formula satisfaction, networkx cycle enumeration
-for emptiness, and exhaustive positional-strategy search for games.  These
-stay independent of the code paths they check.
+for emptiness, exhaustive positional-strategy search for games, the
+layer-by-layer rescanning Buchi game solver, and exhaustive plan-path
+matching for observed histories.  These stay independent of the code paths
+they check.
 """
 
 import networkx as nx
@@ -135,6 +137,84 @@ def positional_winner_exists(prod, node_budget=None):
         return False
 
     return search({})
+
+
+def layered_buchi_solution(arena):
+    """Reference Buchi game solver: ``(winning, strategy, rank)``.
+
+    Every attractor layer rescans all arena nodes: a control node joins
+    when some move enters the ranked set, an adversary node when every
+    move does.  The nested fixpoint, the ranks and the tie-breaks (rank,
+    then declared action order) are those the library promises.
+    """
+
+    def controllable_predecessors(target):
+        out = set()
+        for node in arena.nodes:
+            succs = arena.moves[node]
+            if arena.is_control(node):
+                if any(s in target for s in succs):
+                    out.add(node)
+            elif all(s in target for s in succs):
+                out.add(node)
+        return out
+
+    def attractor(target):
+        rank = {node: 0 for node in target}
+        frontier = set(target)
+        layer = 0
+        while frontier:
+            layer += 1
+            grown = set()
+            for node in arena.nodes:
+                if node in rank:
+                    continue
+                succs = arena.moves[node]
+                if arena.is_control(node):
+                    if any(s in rank for s in succs):
+                        grown.add(node)
+                elif all(s in rank for s in succs):
+                    grown.add(node)
+            for node in grown:
+                rank[node] = layer
+            frontier = grown
+        return rank
+
+    region = set(arena.nodes)
+    while True:
+        cpre = controllable_predecessors(region)
+        recurrent = {n for n in arena.accepting if n in region and n in cpre}
+        rank = attractor(recurrent)
+        if set(rank) == region:
+            break
+        region = set(rank)
+
+    action_order = {a: i for i, a in enumerate(arena.product.controls)}
+    strategy = {}
+    for node in arena.control_nodes:
+        if node not in region:
+            continue
+        candidates = sorted(
+            (rank[choice], action_order[choice[2]], choice[2])
+            for choice in arena.moves[node] if choice in region
+        )
+        if candidates:
+            strategy[node[1]] = candidates[0][2]
+    return frozenset(region), strategy, rank
+
+
+def matching_paths(plan, history):
+    """Every plan-state path from plan state 1 whose worlds spell out the
+    observed history, found by extending all candidate paths."""
+    found = [[1]] if plan.world_of(1) == history[0] else []
+    for observed in history[1:]:
+        grown = []
+        for path in found:
+            for j in plan.successor_ids(path[-1]):
+                if plan.world_of(j) == observed:
+                    grown.append(path + [j])
+        found = grown
+    return found
 
 
 def closed_loop_lassos(system, controller, start, bound, cap=10**6):

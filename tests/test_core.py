@@ -128,46 +128,15 @@ class TestSuccessors:
                             if src == q and c == a}
                     assert set(system.successors(q, a)) == scan
 
-
-class TestReactiveAgent:
-    def test_self_loop(self):
-        system = validate_ats(minimal_raw())
-        agent = system.reactive_agent("q")
-        assert agent.initial == "q"
-        (entry,) = agent.entries("q")
-        assert (entry.action, entry.duration, set(entry.successors)) == ("a", 1, {"q"})
-
-    def test_two_control_agent_entries(self, two_control_agent):
-        system, _ = two_control_agent
-        agent = system.reactive_agent("q1")
-        entries = agent.entries("q1")
-        assert [(e.action, e.duration, set(e.successors)) for e in entries] == [
-            ("a1", 1, {"q2"}),
-            ("b1", 1, {"q3"}),
-        ]
-
-    def test_entries_follow_declared_control_order(self, agent_system):
+    def test_unknown_state_rejected(self, agent_system):
         system, _ = agent_system
-        agent = system.reactive_agent("q2")
-        assert [e.action for e in agent.entries("q2")] == list(system.controls)
+        with pytest.raises(UndeclaredSymbol, match="unknown state 'q9'"):
+            system.successors("q9", "a1")
 
-    def test_every_successor_set_nonempty(self):
-        rng = random.Random(12)
-        for _ in range(50):
-            system, _ = random_system(rng)
-            agent = system.reactive_agent(system.states[0])
-            for q in system.states:
-                for entry in agent.entries(q):
-                    assert entry.successors
-
-    def test_flattening_reproduces_successors(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            system, _ = random_system(rng)
-            agent = system.reactive_agent(system.states[0])
-            for q in system.states:
-                for entry in agent.entries(q):
-                    assert entry.successors == system.successors(q, entry.action)
+    def test_unknown_control_rejected(self, agent_system):
+        system, _ = agent_system
+        with pytest.raises(UndeclaredSymbol, match="unknown control 'zz'"):
+            system.successors("q1", "zz")
 
 
 class TestOutcomes:

@@ -1,8 +1,9 @@
+import pathlib
 import random
 
 import pytest
 
-from astra import ltl
+from astra import buchi, ltl
 from astra.core import Lasso, StateSequence, Valuation, outcomes_prefixes
 from astra.errors import ExplosionGuard, PlanValidationError, UniquenessViolated
 from astra.ltl import Atom, Until
@@ -10,20 +11,23 @@ from astra.plan import (
     Controller,
     ReactivePlan,
     SCR,
-    controller_step,
     find_reachable_cycle,
     plan_satisfies,
     plan_trajectories,
     plan_trajectory_exists,
     plan_violation,
+    plan_violation_total,
     simplify_plan,
     strategy_action,
 )
 
-from generators import random_plan
-from oracles import closed_loop_lassos, replayable_on_plan
+from astra.planner import spec_automaton
+
+from generators import random_formula, random_plan
+from oracles import closed_loop_lassos, matching_paths, replayable_on_plan
 
 P23 = Until(Atom("p2"), Atom("p3"))
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def single_loop_plan():
@@ -133,8 +137,6 @@ class TestSatisfaction:
 
     def test_violations_match_direct_check(self):
         rng = random.Random(22)
-        from generators import random_formula
-
         for _ in range(60):
             plan = random_plan(rng, max_rules=4, max_worlds=3)
             props = ("p1", "p2")
@@ -155,6 +157,59 @@ class TestSatisfaction:
                 assert not ltl.trajectory_satisfies(witness, formula, valuation)
             if verdict:
                 assert sampled
+
+
+class TestViolationTotal:
+    """``plan_violation_total``, the check behind ``--automaton`` specs,
+    against the negated-formula search and the reference acceptors."""
+
+    PROPS = ("p1", "p2")
+
+    def random_case(self, rng):
+        plan = random_plan(rng, max_rules=5, max_worlds=3)
+        valuation = Valuation(self.PROPS, {
+            s.world: frozenset(p for p in self.PROPS if rng.random() < 0.5)
+            for s in plan.scrs
+        })
+        return plan, valuation
+
+    def test_agrees_with_negated_formula_search(self):
+        rng = random.Random(27)
+        checked = violated = 0
+        while checked < 150:
+            plan, valuation = self.random_case(rng)
+            formula = random_formula(rng, self.PROPS, rng.randint(1, 5))
+            total = spec_automaton(formula, valuation)
+            if total is None:
+                continue
+            checked += 1
+            witness = plan_violation_total(plan, total, valuation)
+            assert (witness is None) == (plan_violation(plan, formula, valuation) is None)
+            if witness is not None:
+                violated += 1
+                assert not ltl.eval_lasso(valuation.word(witness), formula)
+                assert replayable_on_plan(plan, witness)
+        assert 0 < violated < checked
+
+    @pytest.mark.parametrize("filename, text", [
+        ("aut_until.json", "p1 U p2"),
+        ("aut_always_implies.json", "G(p1 -> p2)"),
+        ("aut_response.json", "G(p1 -> F p2)"),
+    ])
+    def test_hand_written_automata(self, filename, text):
+        automaton = buchi.load_automaton(DATA / filename)
+        formula = ltl.parse_formula(text, self.PROPS)
+        rng = random.Random(28)
+        violated = 0
+        for _ in range(60):
+            plan, valuation = self.random_case(rng)
+            witness = plan_violation_total(plan, automaton, valuation)
+            assert (witness is None) == (plan_violation(plan, formula, valuation) is None)
+            if witness is not None:
+                violated += 1
+                assert not buchi.nba_accepts(automaton, valuation.word(witness))
+                assert replayable_on_plan(plan, witness)
+        assert 0 < violated < 60
 
 
 class TestReachableCycle:
@@ -261,22 +316,10 @@ class TestStrategy:
         rng = random.Random(25)
         for _ in range(60):
             plan = simplify_plan(random_plan(rng, max_rules=5))
-
-            def paths(history):
-                found = [[1]] if plan.world_of(1) == history[0] else []
-                for observed in history[1:]:
-                    grown = []
-                    for path in found:
-                        for j in plan.successor_ids(path[-1]):
-                            if plan.world_of(j) == observed:
-                                grown.append(path + [j])
-                    found = grown
-                return found
-
             worlds = [s.world for s in plan.scrs]
             for _ in range(10):
                 history = [rng.choice(worlds) for _ in range(rng.randint(1, 6))]
-                assert len(paths(history)) <= 1
+                assert len(matching_paths(plan, history)) <= 1
 
 
 class TestController:
@@ -285,7 +328,7 @@ class TestController:
         ctrl = Controller(plan)
         emitted = []
         for state in ("q1", "q2", "q1", "q2"):
-            ctrl, action = controller_step(ctrl, state)
+            ctrl, action = ctrl.feed(state)
             emitted.append(action)
         assert emitted == ["a1", "a2", "a1", "a2"]
 
@@ -297,6 +340,9 @@ class TestController:
         assert action == "a1" and ctrl.detached
 
     def test_online_offline_agreement(self):
+        # after every prefix of the history, the controller emits the action
+        # at the end of the one matching plan path, or the default action
+        # once no path matches
         rng = random.Random(26)
         for _ in range(60):
             plan = simplify_plan(random_plan(rng, max_rules=5))
@@ -305,7 +351,11 @@ class TestController:
             ctrl = Controller(plan)
             for i, state in enumerate(history, start=1):
                 ctrl, action = ctrl.feed(state)
-                assert action == strategy_action(plan, tuple(history[:i]))
+                paths = matching_paths(plan, history[:i])
+                expected = plan.by_id[paths[0][-1] if paths else 1].action
+                assert action == expected
+                assert ctrl.detached == (not paths)
+                assert strategy_action(plan, tuple(history[:i])) == expected
 
 
 class TestClosedLoop:

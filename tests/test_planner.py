@@ -9,13 +9,12 @@ from astra.planner import (
     GameArena,
     NOT_FOUND,
     UNKNOWN,
-    find_reactive_plan,
     solve_buchi_game,
     synthesize,
 )
 
 from generators import random_formula, random_system
-from oracles import positional_winner_exists
+from oracles import layered_buchi_solution, positional_winner_exists
 
 P23 = Until(Atom("p2"), Atom("p3"))
 
@@ -70,12 +69,43 @@ class TestGameSolver:
             ours = ("s", prod.initial) in solution.winning
             assert ours == positional_winner_exists(prod)
 
+    def test_matches_layered_solver(self):
+        # the counter-based attractor reproduces the layer-by-layer
+        # reference exactly: region, strategy and every rank, on products
+        # rooted at every state of random systems
+        rng = random.Random(33)
+        products = partial = deep = 0
+        while products < 600:
+            system, valuation = random_system(rng, max_states=8, max_controls=3,
+                                              max_props=2)
+            formula = random_formula(rng, valuation.props, rng.randint(2, 6))
+            spec = planner.spec_automaton(formula, valuation)
+            if spec is None:
+                continue
+            for q0 in system.states:
+                prod = buchi.product(system, q0, spec, valuation)
+                arena = GameArena(prod)
+                solution = solve_buchi_game(arena)
+                winning, strategy, rank = layered_buchi_solution(arena)
+                assert solution.winning == winning
+                assert solution.strategy == strategy
+                assert solution.rank == rank
+                products += 1
+                partial += 0 < len(winning) < len(arena.nodes)
+                deep += max(rank.values(), default=0) >= 4
+        # the corpus is not degenerate: some games are won only in part,
+        # and some attractors are several layers deep
+        assert partial >= 10 and deep >= 20
+
 
 class TestFindReactivePlan:
+    """Plan search from one given initial state: ``synthesize`` with
+    ``initial_hint``."""
+
     def test_self_loop_always(self):
         system = self_loop_system()
         valuation = Valuation(["p"], {"q": {"p"}})
-        result = find_reactive_plan(system, "q", ltl.always(Atom("p")), valuation)
+        result = synthesize(system, ltl.always(Atom("p")), valuation, initial_hint="q")
         assert result.status == FOUND
         assert len(result.plan) == 1
         (rule,) = result.plan.scrs
@@ -83,7 +113,7 @@ class TestFindReactivePlan:
 
     def test_agent_until_found_and_verified(self, agent_system):
         system, valuation = agent_system
-        result = find_reactive_plan(system, "q1", P23, valuation)
+        result = synthesize(system, P23, valuation, initial_hint="q1")
         assert result.status == FOUND
         assert plan_satisfies(result.plan, P23, valuation)
         assert result.plan.world_of(1) == "q1"
@@ -96,7 +126,7 @@ class TestFindReactivePlan:
         for q0 in system.states:
             prod = buchi.product(system, q0, spec, valuation)
             expected = positional_winner_exists(prod)
-            result = find_reactive_plan(system, q0, formula, valuation)
+            result = synthesize(system, formula, valuation, initial_hint=q0)
             assert (result.status == FOUND) == expected
 
     def test_unknown_for_nondeterministic_spec(self, agent_system):
@@ -105,7 +135,7 @@ class TestFindReactivePlan:
         # automaton that the completion step refuses
         formula = ltl.eventually(Until(Atom("p1"), Atom("p2")))
         assert planner.spec_automaton(formula, valuation) is None
-        result = find_reactive_plan(system, "q1", formula, valuation)
+        result = synthesize(system, formula, valuation, initial_hint="q1")
         assert result.status == UNKNOWN
 
 
