@@ -366,86 +366,69 @@ def _prune_subsumed(edges):
     return pruned
 
 
-def _live_states(nodes, edges_by_src, accepting):
+def _live_states(succ, accepting):
     """States that can reach a cycle through an accepting state."""
-    sccs = _tarjan(nodes, edges_by_src)
-    comp = {}
-    for i, scc in enumerate(sccs):
-        for n in scc:
-            comp[n] = i
-    good = set()
-    for i, scc in enumerate(sccs):
-        members = set(scc)
-        has_cycle = len(scc) > 1 or any(
-            d == n for n in scc for d in edges_by_src.get(n, ())
-        )
-        if has_cycle and any(n in accepting for n in members):
-            good.add(i)
-    live = set()
-    # reverse reachability to good components
+    live = {
+        n for scc in _cyclic_sccs(succ)
+        if any(m in accepting for m in scc) for n in scc
+    }
     rev = {}
-    for n, dsts in edges_by_src.items():
+    for n, dsts in succ.items():
         for d in dsts:
-            rev.setdefault(d, set()).add(n)
-    frontier = [n for n in nodes if comp.get(n) in good]
-    live.update(frontier)
-    while frontier:
-        new = []
-        for n in frontier:
-            for p in rev.get(n, ()):
-                if p not in live:
-                    live.add(p)
-                    new.append(p)
-        frontier = new
+            rev.setdefault(d, []).append(n)
+    queue = list(live)
+    for n in queue:
+        for p in rev.get(n, ()):
+            if p not in live:
+                live.add(p)
+                queue.append(p)
     return live
 
 
-def _tarjan(nodes, edges_by_src):
-    """Iterative Tarjan; components in a deterministic order."""
+def _cyclic_sccs(succ):
+    """The strongly connected components of ``succ`` (every node -> its
+    successor tuple) that contain a cycle, by iterative Tarjan from the
+    nodes in key order."""
     index = {}
     low = {}
     onstack = set()
     stack = []
-    sccs = []
-    counter = [0]
-    for root in nodes:
+    cyclic = []
+    for root in succ:
         if root in index:
             continue
         work = [(root, 0)]
         while work:
             node, pi = work[-1]
             if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
+                index[node] = low[node] = len(index)
                 stack.append(node)
                 onstack.add(node)
-            advanced = False
-            succs = edges_by_src.get(node, ())
+            succs = succ[node]
             for i in range(pi, len(succs)):
                 nxt = succs[i]
                 if nxt not in index:
                     work[-1] = (node, i + 1)
                     work.append((nxt, 0))
-                    advanced = True
                     break
                 if nxt in onstack:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(tuple(scc))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        scc.append(w)
+                        if w == node:
+                            break
+                    if len(scc) > 1 or node in succs:
+                        cyclic.append(tuple(scc))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return cyclic
 
 
 def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
@@ -466,10 +449,8 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     init = _initial_obligations(formula)
     moves = {}
     order = [init]
-    queue = [init]
     seen = {init}
-    while queue:
-        state = queue.pop(0)
+    for state in order:
         merged = _obligation_moves(state, atoms, memo)
         edges = []
         for (nexts, fulfilled), minterms in sorted(
@@ -487,7 +468,6 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
             if dst not in seen:
                 seen.add(dst)
                 order.append(dst)
-                queue.append(dst)
 
     # acceptance sets that constrain nothing are dropped before degeneralizing
     relevant = [
@@ -506,9 +486,7 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     nodes = [start]
     node_seen = {start}
     node_edges = {}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
+    for node in nodes:
         state, level = node
         outs = []
         for dst, marks, minterms in moves[state]:
@@ -517,12 +495,11 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
             if target not in node_seen:
                 node_seen.add(target)
                 nodes.append(target)
-                queue.append(target)
         node_edges[node] = outs
     accepting_nodes = {n for n in nodes if n[1] == k} if k else set(nodes)
 
     succ_index = {n: tuple(t for t, _ in node_edges[n]) for n in nodes}
-    live = _live_states(nodes, succ_index, accepting_nodes)
+    live = _live_states(succ_index, accepting_nodes)
     live.add(start)
     kept = [n for n in nodes if n in live]
     names = {n: f"s{i}" for i, n in enumerate(kept)}
@@ -583,16 +560,13 @@ def totalize(automaton: BuchiAutomaton):
     if len(automaton.initial) > 1:
         return None
     universe = automaton.props
-    reachable = []
-    queue = list(automaton.initial)
-    seen = set(queue)
-    while queue:
-        state = queue.pop(0)
-        reachable.append(state)
+    reachable = list(automaton.initial)
+    seen = set(reachable)
+    for state in reachable:
         for edge in automaton.edges_from(state):
             if edge.dst not in seen:
                 seen.add(edge.dst)
-                queue.append(edge.dst)
+                reachable.append(edge.dst)
 
     merged = {}
     for state in reachable:
@@ -641,99 +615,68 @@ def totalize(automaton: BuchiAutomaton):
 # acceptance and emptiness
 
 
-def accepting_lasso(root, successors, accepting):
-    """Some lasso from ``root`` whose cycle visits an accepting node, else
-    ``None``.
+def accepting_lasso(root, successors, accepting, inside=None):
+    """Some lasso from ``root`` whose cycle visits an accepting node and
+    stays inside ``inside``, else ``None``.
 
     ``successors`` maps a node to its ordered successor tuple; ``accepting``
-    is a predicate.  The returned lasso's prefix runs from the root to the
-    chosen accepting node inclusive, and the cycle continues from that
-    node's cycle successor back around to it.
+    and ``inside`` are predicates, and ``inside`` defaults to every node.
+    The cycle is entered at the first accepting node, in breadth-first order
+    from the root, that lies on a cycle of nodes inside.  The returned
+    lasso's prefix is a shortest path from the root to that node inclusive,
+    and the cycle a shortest walk inside its component from the node's
+    successors back to it.
     """
     order = [root]
     seen = {root}
     succ = {}
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
+    for node in order:
         succ[node] = tuple(successors(node))
         for nxt in succ[node]:
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
 
-    sccs = _tarjan(order, succ)
+    if inside is None:
+        sub = succ
+    else:
+        kept = {n for n in order if inside(n)}
+        sub = {n: tuple(d for d in succ[n] if d in kept) for n in order if n in kept}
     comp = {}
-    for idx, scc in enumerate(sccs):
-        for n in scc:
-            comp[n] = idx
-    cyclic = set()
-    for idx, scc in enumerate(sccs):
-        if len(scc) > 1 or any(d == n for n in scc for d in succ[n]):
-            cyclic.add(idx)
-
-    entry = None
-    for node in order:
-        if comp[node] in cyclic and accepting(node):
-            entry = node
-            break
+    for scc in _cyclic_sccs(sub):
+        comp.update(dict.fromkeys(scc, scc))
+    entry = next((n for n in order if n in comp and accepting(n)), None)
     if entry is None:
         return None
 
-    prefix = _bfs_path(root, entry, succ)
-    members = set(sccs[comp[entry]])
-    if entry in succ[entry]:
-        cycle = (entry,)
-    else:
-        back = _bfs_path_multi(
-            [n for n in succ[entry] if n in members], entry,
-            {n: tuple(d for d in succ[n] if d in members) for n in members},
-        )
-        cycle = tuple(back)
-    return Lasso(tuple(prefix), cycle)
+    members = set(comp[entry])
+    prefix = _bfs_path((root,), entry, succ.__getitem__)
+    cycle = _bfs_path(
+        [d for d in sub[entry] if d in members], entry,
+        lambda n: [d for d in sub[n] if d in members],
+    )
+    return Lasso(tuple(prefix), tuple(cycle))
 
 
-def _bfs_path(src, dst, succ):
-    if src == dst:
-        return [src]
-    parent = {src: None}
-    queue = [src]
-    while queue:
-        node = queue.pop(0)
-        for nxt in succ[node]:
+def _bfs_path(sources, dst, successors):
+    """A shortest path, as a list, from one of ``sources`` to ``dst``, or
+    ``None`` when ``dst`` is unreachable.  Ties go to earlier sources, then
+    to earlier successors in ``successors(node)`` order."""
+    parent = dict.fromkeys(sources)
+    queue = list(parent)
+    for node in queue:
+        if dst in parent:
+            break
+        for nxt in successors(node):
             if nxt not in parent:
                 parent[nxt] = node
-                if nxt == dst:
-                    path = [nxt]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
                 queue.append(nxt)
-    raise AssertionError("destination unreachable")
-
-
-def _bfs_path_multi(sources, dst, succ):
-    parent = {}
-    queue = []
-    for s in sources:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-    if dst in parent:
-        return [dst]
-    while queue:
-        node = queue.pop(0)
-        for nxt in succ[node]:
-            if nxt not in parent:
-                parent[nxt] = node
-                if nxt == dst:
-                    path = [nxt]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(nxt)
-    raise AssertionError("cycle entry unreachable inside its component")
+    if dst not in parent:
+        return None
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def nba_accepts(automaton: BuchiAutomaton, word: Lasso) -> bool:
@@ -828,9 +771,7 @@ def product(system, q0, automaton: BuchiAutomaton, valuation) -> ProductAutomato
     order = [start]
     seen = {start}
     edges = []
-    queue = [start]
-    while queue:
-        q, x = queue.pop(0)
+    for q, x in order:
         x2 = step(x, valuation.label(q))
         for a in system.controls:
             for b in system.disturbances:
@@ -840,7 +781,6 @@ def product(system, q0, automaton: BuchiAutomaton, valuation) -> ProductAutomato
                     if target not in seen:
                         seen.add(target)
                         order.append(target)
-                        queue.append(target)
     accepting = frozenset(s for s in order if s[1] in automaton.accepting)
     return ProductAutomaton(order, start, system.controls, system.disturbances,
                             edges, accepting)

@@ -80,9 +80,7 @@ def build_accepting_system(product: ProductAutomaton, controller,
     ids = {root: 0}
     actions = []
     edge_sets = []
-    queue = [root]
-    while queue:
-        node = queue.pop(0)
+    for node in nodes:
         index = ids[node]
         fed, action = stepped[node]
         while len(actions) <= index:
@@ -100,7 +98,6 @@ def build_accepting_system(product: ProductAutomaton, controller,
                 if extension not in ids:
                     ids[extension] = len(nodes)
                     nodes.append(extension)
-                    queue.append(extension)
                     stepped[extension] = fed.feed(product.world(successor))
                 targets.append(ids[extension])
             else:

@@ -157,7 +157,7 @@ class Valuation:
 
 
 class AlternatingTransitionSystem:
-    """States, controls, disturbances, transitions, and observations.
+    """States, controls, disturbances, transitions, and an observation map.
 
     The transition relation must be non-blocking: every
     (state, control, disturbance) triple has at least one successor.
@@ -165,8 +165,7 @@ class AlternatingTransitionSystem:
     deterministic iteration in this library.
     """
 
-    def __init__(self, states, controls, disturbances, transitions,
-                 observations=None, obs_map=None):
+    def __init__(self, states, controls, disturbances, transitions, obs_map=None):
         self.states = tuple(states)
         self.controls = tuple(controls)
         self.disturbances = tuple(disturbances)
@@ -217,15 +216,6 @@ class AlternatingTransitionSystem:
         if extra:
             raise UndeclaredSymbol(f"observation map references undeclared states {extra}")
         self.obs_map = dict(obs_map)
-        if observations is None:
-            seen = []
-            for q in self.states:
-                if self.obs_map[q] not in seen:
-                    seen.append(self.obs_map[q])
-            observations = seen
-        self.observations = tuple(observations)
-        if set(self.obs_map.values()) - set(self.observations):
-            raise UndeclaredSymbol("observation map uses undeclared observations")
 
     def successors(self, q, a) -> tuple:
         """All states reachable from ``q`` under control ``a`` for some disturbance."""

@@ -45,7 +45,7 @@ class ReactivePlan:
         self.scrs = tuple(rules)
         self.by_id = {s.id: s for s in self.scrs}
         for s in self.scrs:
-            dangling = s.successors - set(self.by_id)
+            dangling = [j for j in s.successors if j not in self.by_id]
             if dangling:
                 raise PlanValidationError(
                     f"SCR {s.id} lists unknown successor plan states {sorted(dangling)}"
@@ -256,48 +256,18 @@ def plan_violation_total(plan: ReactivePlan, automaton, valuation) -> Lasso | No
     accepting automaton state spells out a rejected trajectory."""
     if not buchi.is_total(automaton):
         raise PlanValidationError("violation search needs a total automaton")
-    x0 = automaton.initial[0]
 
-    def successors(node):
-        plan_state, x = node
-        letter = valuation.label(plan.world_of(plan_state))
-        x2 = automaton.successors(x, letter)[0]
-        return tuple((j, x2) for j in plan.successor_ids(plan_state))
+    def rejecting(node):
+        return node[1] not in automaton.accepting
 
-    # search for a reachable cycle among non-accepting product nodes
-    root = (1, x0)
-    order = [root]
-    seen = {root}
-    succ = {}
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
-        succ[node] = successors(node)
-        for nxt in succ[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-
-    rejecting = [n for n in order if n[1] not in automaton.accepting]
-    rejecting_set = set(rejecting)
-    sub = {n: tuple(d for d in succ[n] if d in rejecting_set) for n in rejecting}
-    for scc in buchi._tarjan(rejecting, sub):
-        members = set(scc)
-        if len(scc) > 1 or any(d == n for n in scc for d in sub[n]):
-            entry = scc[0]
-            prefix = buchi._bfs_path(root, entry, succ)
-            if entry in sub[entry]:
-                cycle = (entry,)
-            else:
-                back = buchi._bfs_path_multi(
-                    [n for n in sub[entry] if n in members], entry,
-                    {n: tuple(d for d in sub[n] if d in members) for n in members},
-                )
-                cycle = tuple(back)
-            lasso = Lasso(tuple(prefix), cycle)
-            return lasso.map(lambda node: plan.world_of(node[0]))
-    return None
+    witness = buchi.accepting_lasso(
+        (1, automaton.initial[0]),
+        _plan_violation_graph(plan, automaton, valuation.label),
+        rejecting, inside=rejecting,
+    )
+    if witness is None:
+        return None
+    return witness.map(lambda node: plan.world_of(node[0]))
 
 
 def plan_satisfies(plan: ReactivePlan, formula: ltl.Formula, valuation) -> bool:
@@ -315,28 +285,8 @@ def plan_satisfies(plan: ReactivePlan, formula: ltl.Formula, valuation) -> bool:
 def _bfs_shortest_walk(plan, src, dst):
     """Shortest plan-state walk from ``src`` to ``dst`` using at least one
     edge; ties resolved toward smaller plan ids."""
-    parent = {}
-    queue = []
-    for j in plan.successor_ids(src):
-        if j not in parent:
-            parent[j] = None
-            queue.append(j)
-    def unwind(node):
-        path = [node]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return (src,) + tuple(reversed(path))
-    if dst in parent:
-        return unwind(dst)
-    while queue:
-        node = queue.pop(0)
-        for j in plan.successor_ids(node):
-            if j not in parent:
-                parent[j] = node
-                if j == dst:
-                    return unwind(j)
-                queue.append(j)
-    return None
+    path = buchi._bfs_path(plan.successor_ids(src), dst, plan.successor_ids)
+    return None if path is None else (src,) + tuple(path)
 
 
 def find_reachable_cycle(plan: ReactivePlan):

@@ -187,15 +187,12 @@ def extract_plan(product_automaton, solution: GameSolution) -> ReactivePlan:
     start = product_automaton.initial
     ids = {start: 1}
     order = [start]
-    queue = [start]
-    while queue:
-        state = queue.pop(0)
+    for state in order:
         action = solution.strategy[state]
         for target in product_automaton.successors(state, action):
             if target not in ids:
                 ids[target] = len(order) + 1
                 order.append(target)
-                queue.append(target)
     rules = []
     for state in order:
         action = solution.strategy[state]

@@ -22,7 +22,7 @@ from astra.errors import AutomatonError
 from astra.ltl import Atom, Until
 
 from generators import random_formula, random_letter_lasso, random_system
-from oracles import accepting_lasso_exists
+from oracles import accepting_lasso_exists, has_rejecting_cycle
 
 DATA = pathlib.Path(__file__).parent / "data"
 PROPS = ("p1", "p2", "p3")
@@ -188,15 +188,20 @@ class TestAcceptingLasso:
         for a, b in zip(unrolled, unrolled[1:]):
             assert b in succ[a]
 
+    @staticmethod
+    def random_graph(rng):
+        n = rng.randint(1, 8)
+        nodes = list(range(n))
+        succ = {
+            v: tuple(sorted(rng.sample(nodes, rng.randint(1, min(3, n)))))
+            for v in nodes
+        }
+        return nodes, succ
+
     def test_matches_cycle_enumeration_oracle(self):
         rng = random.Random(95)
         for _ in range(300):
-            n = rng.randint(1, 8)
-            nodes = list(range(n))
-            succ = {
-                v: tuple(sorted(rng.sample(nodes, rng.randint(1, min(3, n)))))
-                for v in nodes
-            }
+            nodes, succ = self.random_graph(rng)
             accepting = {v for v in nodes if rng.random() < 0.3}
             got = accepting_lasso(0, lambda v: succ[v], lambda v: v in accepting)
             expected = accepting_lasso_exists(
@@ -209,6 +214,29 @@ class TestAcceptingLasso:
                 assert unrolled[0] == 0
                 for a, b in zip(unrolled, unrolled[1:]):
                     assert b in succ[a]
+
+
+    def test_inside_matches_rejecting_cycle_oracle(self):
+        rng = random.Random(98)
+        found = 0
+        for _ in range(300):
+            nodes, succ = self.random_graph(rng)
+            accepting = {v for v in nodes if rng.random() < 0.4}
+
+            def rejecting(v):
+                return v not in accepting
+
+            got = accepting_lasso(0, lambda v: succ[v], rejecting, inside=rejecting)
+            expected = has_rejecting_cycle(nodes, lambda v: succ[v], 0, accepting)
+            assert (got is not None) == expected
+            if got is not None:
+                found += 1
+                assert all(rejecting(v) for v in got.cycle)
+                unrolled = got.unroll(2 * got.classes + 2)
+                assert unrolled[0] == 0
+                for a, b in zip(unrolled, unrolled[1:]):
+                    assert b in succ[a]
+        assert 50 <= found <= 250
 
 
 class TestNbaAccepts:

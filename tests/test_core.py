@@ -45,7 +45,6 @@ class TestValidate:
         system = deterministic_two_state
         assert system.states == ("q1", "q2")
         assert system.controls == ("a", "b")
-        assert system.observations == ("q1", "q2")
         assert system.obs_map == {"q1": "q1", "q2": "q2"}
 
     def test_blocked_state_detected_by_enumeration(self):

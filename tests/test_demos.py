@@ -6,16 +6,21 @@ import sys
 import pytest
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
+EXPECTED = pathlib.Path(__file__).parent / "data" / "demos"
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_python_demos_run(script):
+    # the demos print plans and counterexamples, so any drift in their bytes
+    # shows here; re-record tests/data/demos/<name>.out only for an
+    # intended output change
     proc = subprocess.run(
         [sys.executable, str(DEMOS / script)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    expected = (EXPECTED / script).with_suffix(".out").read_text(encoding="utf-8")
+    assert proc.stdout == expected
 
 
 def test_cli_tour_runs():
