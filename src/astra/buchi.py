@@ -6,9 +6,10 @@ with alternating transition systems, and lasso acceptance / emptiness
 primitives.
 
 Edges carry symbolic guards: boolean constraints over atomic propositions
-standing for every letter (proposition subset) that satisfies them.  All
-letter-level decisions (totality, determinism, completion) enumerate the
-assignments over the relevant propositions; at the proposition counts this
+standing for every letter (proposition subset) that satisfies them.  The
+alphabet is the subsets of the atoms the guards read, not of every declared
+proposition.  All letter-level decisions (totality, determinism, completion)
+enumerate the assignments over those atoms; at the proposition counts this
 library targets, direct enumeration is the reference semantics.
 """
 
@@ -25,20 +26,38 @@ from .errors import AutomatonError
 # guards
 
 
-@dataclass(frozen=True)
 class Guard:
     """A boolean constraint over ``atoms``.
 
     ``minterms`` holds every satisfying assignment as the frozenset of atoms
     made true; letters are matched by projecting them onto ``atoms``.
+    ``text`` is the written guard, or else the minimal DNF of ``minterms``
+    rendered on first read.  Equality compares atoms, minterms and text.
     """
 
-    atoms: tuple
-    minterms: frozenset
-    text: str
+    __slots__ = ("atoms", "minterms", "_text")
+
+    def __init__(self, atoms, minterms, text=None):
+        self.atoms, self.minterms, self._text = atoms, minterms, text
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = _render_dnf(self.atoms, self.minterms)
+        return self._text
 
     def matches(self, letter) -> bool:
         return frozenset(p for p in self.atoms if p in letter) in self.minterms
+
+    def __eq__(self, other):
+        return (isinstance(other, Guard) and self.atoms == other.atoms
+                and self.minterms == other.minterms and self.text == other.text)
+
+    def __hash__(self):
+        return hash((self.atoms, self.minterms))
+
+    def __repr__(self):
+        return f"Guard(atoms={self.atoms!r}, minterms={self.minterms!r}, text={self.text!r})"
 
     def __str__(self):
         return self.text
@@ -47,10 +66,8 @@ class Guard:
 def all_letters(props) -> tuple:
     """Every subset of ``props``, in a fixed bitmask order."""
     props = tuple(props)
-    out = []
-    for mask in range(2 ** len(props)):
-        out.append(frozenset(p for i, p in enumerate(props) if mask >> i & 1))
-    return tuple(out)
+    return tuple(frozenset(p for i, p in enumerate(props) if mask >> i & 1)
+                 for mask in range(2 ** len(props)))
 
 
 def _merge_implicants(i1, i2):
@@ -116,8 +133,7 @@ def _render_dnf(atoms, minterms):
 
 def guard_from_minterms(atoms, minterms) -> Guard:
     atoms = tuple(atoms)
-    minterms = frozenset(frozenset(m) for m in minterms)
-    return Guard(atoms, minterms, _render_dnf(atoms, minterms))
+    return Guard(atoms, frozenset(frozenset(m) for m in minterms))
 
 
 def guard_true() -> Guard:
@@ -145,16 +161,6 @@ def guard_from_text(text: str) -> Guard:
     return Guard(atoms, minterms, text.strip())
 
 
-def lift_minterms(guard: Guard, universe) -> frozenset:
-    """Satisfying assignments of ``guard`` expanded over ``universe``."""
-    free = tuple(p for p in universe if p not in guard.atoms)
-    out = set()
-    for m in guard.minterms:
-        for extra in all_letters(free):
-            out.add(frozenset(m | extra))
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # automata
 
@@ -167,7 +173,11 @@ class Edge:
 
 
 class BuchiAutomaton:
-    """(states, initial, alphabet 2^props as guards, edges, accepting)."""
+    """(states, initial, alphabet 2^props as guards, edges, accepting).
+
+    ``props`` are the atoms the guards read: the given ``props`` that some
+    guard reads, in the given order, then any other guard atom in order of
+    appearance.  A proposition no guard reads cannot change a run."""
 
     def __init__(self, states, initial, props, edges, accepting):
         self.states = tuple(states)
@@ -179,14 +189,13 @@ class BuchiAutomaton:
         if set(self.initial) - state_set or self.accepting - state_set:
             raise AutomatonError("initial/accepting states must be declared states")
         self.edges = tuple(edges)
-        props = list(props)
+        read = {}
         for edge in self.edges:
             if edge.src not in state_set or edge.dst not in state_set:
                 raise AutomatonError(f"edge {edge} references an undeclared state")
-            for a in edge.guard.atoms:
-                if a not in props:
-                    props.append(a)
-        self.props = tuple(props)
+            read.update(dict.fromkeys(edge.guard.atoms))
+        declared = [p for p in props if p in read]
+        self.props = tuple(declared + [a for a in read if a not in declared])
         out = {s: [] for s in self.states}
         for edge in self.edges:
             out[edge.src].append(edge)
@@ -330,11 +339,7 @@ def _literal_minterms(lits, atoms):
     pos = {l.name for l in lits if isinstance(l, ltl.Atom)}
     neg = {l.arg.name for l in lits if isinstance(l, ltl.Not)}
     free = tuple(a for a in atoms if a not in pos and a not in neg)
-    out = set()
-    base = frozenset(pos)
-    for extra in all_letters(free):
-        out.add(base | extra)
-    return out
+    return {frozenset(pos) | extra for extra in all_letters(free)}
 
 
 def _obligation_moves(obligations, atoms, memo):
@@ -441,6 +446,10 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     level counter.  Language correctness is enforced by cross-checking
     against direct lasso evaluation in the test suite, not by matching any
     particular published automaton shape.
+
+    ``props`` only orders the formula's atoms in the automaton's ``props``
+    (and so in the guard text ``totalize`` renders); it does not widen the
+    alphabet by propositions the formula does not read.
     """
     atoms = tuple(sorted(ltl.atoms(formula)))
     untils = ltl.until_subformulas(formula)
@@ -511,11 +520,10 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
                 edges.append(
                     Edge(names[node], guard_from_minterms(atoms, minterms), names[target])
                 )
-    universe = atoms if props is None else tuple(props)
     return BuchiAutomaton(
         states=[names[n] for n in kept],
         initial=(names[start],),
-        props=universe,
+        props=atoms if props is None else props,
         edges=edges,
         accepting=frozenset(names[n] for n in kept if n in accepting_nodes),
     )
@@ -527,8 +535,8 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
 
 def is_total(automaton: BuchiAutomaton) -> bool:
     """Exactly one initial state and, for every state and letter, exactly one
-    successor.  Decided by enumerating the letters of the automaton's
-    proposition universe."""
+    successor.  Decided by enumerating the letters over the atoms the
+    automaton's guards read."""
     if len(automaton.initial) != 1:
         return False
     letters = all_letters(automaton.props)
@@ -568,35 +576,26 @@ def totalize(automaton: BuchiAutomaton):
                 seen.add(edge.dst)
                 reachable.append(edge.dst)
 
-    merged = {}
-    for state in reachable:
-        for edge in automaton.edges_from(state):
-            merged.setdefault((state, edge.dst), set()).update(
-                lift_minterms(edge.guard, universe)
-            )
-    by_src = {}
-    for (src, dst), minterms in merged.items():
-        by_src.setdefault(src, []).append((dst, minterms))
-
-    full = set(all_letters(universe))
-    missing = {}
+    letters = all_letters(universe)
     dst_order = {s: i for i, s in enumerate(reachable)}
-    for state in reachable:
-        covered = set()
-        for dst, minterms in by_src.get(state, ()):
-            if covered & minterms:
-                return None
-            covered |= minterms
-        missing[state] = full - covered
-
-    needs_sink = any(missing[s] for s in reachable) or not automaton.initial
-    states = list(reachable)
     edges = []
+    missing = {}
     for state in reachable:
-        for dst, minterms in sorted(
-            by_src.get(state, ()), key=lambda dm: dst_order[dm[0]]
-        ):
-            edges.append(Edge(state, guard_from_minterms(universe, minterms), dst))
+        merged = {}
+        for edge in automaton.edges_from(state):
+            merged.setdefault(edge.dst, set()).update(
+                m for m in letters if edge.guard.matches(m)
+            )
+        covered = set()
+        for dst in sorted(merged, key=dst_order.__getitem__):
+            if covered & merged[dst]:
+                return None
+            covered |= merged[dst]
+            edges.append(Edge(state, guard_from_minterms(universe, merged[dst]), dst))
+        missing[state] = set(letters) - covered
+
+    needs_sink = any(missing.values()) or not automaton.initial
+    states = list(reachable)
     accepting = automaton.accepting & set(reachable)
     initial = automaton.initial
     if needs_sink:
@@ -720,16 +719,15 @@ class ProductAutomaton:
         self.accepting = frozenset(accepting)
         self._succ_a = {}
         self._succ_ab = {}
-        index = {s: i for i, s in enumerate(self.states)}
-        grouped_a = {}
-        grouped_ab = {}
+        # distinct targets in discovery-index order, kept so as edges arrive
+        index = {s: i for i, s in enumerate(self.states)}.__getitem__
         for s, a, b, t in self.edges:
-            grouped_a.setdefault((s, a), set()).add(t)
-            grouped_ab.setdefault((s, a, b), set()).add(t)
-        for key, targets in grouped_a.items():
-            self._succ_a[key] = tuple(sorted(targets, key=index.__getitem__))
-        for key, targets in grouped_ab.items():
-            self._succ_ab[key] = tuple(sorted(targets, key=index.__getitem__))
+            for succ, key in ((self._succ_a, (s, a)), (self._succ_ab, (s, a, b))):
+                targets = succ.get(key)
+                if targets is None:
+                    succ[key] = (t,)
+                elif t not in targets:
+                    succ[key] = tuple(sorted(targets + (t,), key=index))
 
     def successors(self, state, control) -> tuple:
         return self._succ_a.get((state, control), ())
@@ -761,11 +759,9 @@ def product(system, q0, automaton: BuchiAutomaton, valuation) -> ProductAutomato
     delta = {}
 
     def step(x, letter):
-        key = (x, letter)
-        if key not in delta:
-            targets = automaton.successors(x, letter)
-            delta[key] = targets[0]
-        return delta[key]
+        if (x, letter) not in delta:
+            delta[x, letter] = automaton.successors(x, letter)[0]
+        return delta[x, letter]
 
     start = (q0, x0)
     order = [start]

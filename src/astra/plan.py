@@ -221,11 +221,14 @@ def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
 
 def _plan_violation_graph(plan, automaton, letter_of):
     """Product of the plan graph with an automaton reading world valuations."""
+    delta = {}
 
     def successors(node):
         plan_state, x = node
         letter = letter_of(plan.world_of(plan_state))
-        targets = automaton.successors(x, letter)
+        targets = delta.get((x, letter))
+        if targets is None:
+            targets = delta[x, letter] = automaton.successors(x, letter)
         return tuple(
             (j, t) for j in plan.successor_ids(plan_state) for t in targets
         )

@@ -3,14 +3,16 @@
 Everything here decides properties by a different route than the library:
 truncated unrolling for formula satisfaction, networkx cycle enumeration
 for emptiness, exhaustive positional-strategy search for games, the
-layer-by-layer rescanning Buchi game solver, and exhaustive plan-path
-matching for observed histories.  These stay independent of the code paths
-they check.
+layer-by-layer rescanning Buchi game solver, exhaustive plan-path
+matching for observed histories, and automaton completion over every
+declared proposition.  These stay independent of the code paths they check.
 """
+
+from itertools import combinations
 
 import networkx as nx
 
-from astra import ltl
+from astra import buchi, ltl
 
 
 def oracle_eval(word, formula, position=1):
@@ -286,3 +288,65 @@ def replayable_on_plan(plan, lasso):
         return True
     except nx.NetworkXNoCycle:
         return False
+
+
+def reference_totalize(automaton, declared):
+    """Completion over every declared proposition, read or not: each guard's
+    minterms are lifted to all letters over ``declared`` (then any other
+    guard atom), merged per (source, target), checked for overlap, and the
+    merged and missing letter sets rendered over all of those propositions.
+    Guard text comes from the library's renderer, so what this checks is the
+    alphabet, not the rendering.
+
+    Returns ``(states, initial, accepting, [(src, guard text, dst)])``, or
+    ``None`` when the automaton is properly nondeterministic.
+    """
+    if len(automaton.initial) > 1:
+        return None
+    universe = tuple(declared) + tuple(a for a in automaton.props if a not in declared)
+
+    def subsets(props):
+        return [frozenset(c) for k in range(len(props) + 1)
+                for c in combinations(props, k)]
+
+    def lift(guard):
+        free = [p for p in universe if p not in guard.atoms]
+        return {m | extra for m in guard.minterms for extra in subsets(free)}
+
+    reachable = list(automaton.initial)
+    for state in reachable:
+        for edge in automaton.edges_from(state):
+            if edge.dst not in reachable:
+                reachable.append(edge.dst)
+    merged = {}
+    for state in reachable:
+        for edge in automaton.edges_from(state):
+            merged.setdefault((state, edge.dst), set()).update(lift(edge.guard))
+    full = set(subsets(universe))
+    edges = []
+    missing = {}
+    for state in reachable:
+        covered = set()
+        for dst in reachable:
+            minterms = merged.get((state, dst))
+            if minterms is None:
+                continue
+            if covered & minterms:
+                return None
+            covered |= minterms
+            edges.append((state, buchi._render_dnf(universe, minterms), dst))
+        missing[state] = full - covered
+    states = list(reachable)
+    initial = automaton.initial
+    if any(missing.values()) or not initial:
+        sink = "sink"
+        i = 2
+        while sink in states:
+            sink = f"sink_{i}"
+            i += 1
+        states.append(sink)
+        edges += [(s, buchi._render_dnf(universe, missing[s]), sink)
+                  for s in reachable if missing[s]]
+        edges.append((sink, "true", sink))
+        initial = initial or (sink,)
+    return tuple(states), tuple(initial), automaton.accepting & set(reachable), edges

@@ -22,7 +22,7 @@ from astra.errors import AutomatonError
 from astra.ltl import Atom, Until
 
 from generators import random_formula, random_letter_lasso, random_system
-from oracles import accepting_lasso_exists, has_rejecting_cycle
+from oracles import accepting_lasso_exists, has_rejecting_cycle, reference_totalize
 
 DATA = pathlib.Path(__file__).parent / "data"
 PROPS = ("p1", "p2", "p3")
@@ -63,6 +63,40 @@ class TestGuards:
         g = buchi.guard_from_minterms(("p1", "p2"), minterms)
         assert g.text == "p1"
 
+    def test_lazy_text_is_the_rendered_dnf(self):
+        rng = random.Random(89)
+        for i in range(300):
+            atoms = tuple(rng.sample(("p1", "p2", "p3", "p4"), rng.randint(0, 4)))
+            minterms = [m for m in buchi.all_letters(atoms) if rng.random() < 0.5]
+            g = buchi.guard_from_minterms(atoms, minterms)
+            expected = buchi._render_dnf(atoms, frozenset(minterms))
+            # either read may come first; both give the rendered text
+            first, second = (str(g), g.text) if i % 2 else (g.text, str(g))
+            assert first == second == expected
+
+    def test_text_guard_keeps_written_text(self):
+        g = guard_from_text("  p2 &  !p1 ")
+        assert g.text == str(g) == "p2 &  !p1"
+        assert g.atoms == ("p1", "p2")
+
+    def test_equality_compares_atoms_minterms_and_text(self):
+        rendered = buchi.guard_from_minterms(("p1",), [{"p1"}])
+        same = buchi.guard_from_minterms(("p1",), [frozenset({"p1"})])
+        assert rendered == same and hash(rendered) == hash(same)
+        # a written guard equals a rendered one with the same text
+        assert rendered == guard_from_text("p1")
+        assert hash(rendered) == hash(guard_from_text("p1"))
+        assert rendered != guard_from_text("p1 & p1")
+        assert rendered != buchi.guard_from_minterms(("p1",), [frozenset()])
+        assert rendered != buchi.guard_from_minterms(
+            ("p1", "p2"), [{"p1"}, {"p1", "p2"}])
+        assert rendered != "p1"
+        edge = Edge("s", rendered, "t")
+        assert edge == Edge("s", guard_from_text("p1"), "t")
+        assert edge != Edge("s", guard_from_text("p1 & p1"), "t")
+        assert edge != Edge("s", rendered, "s")
+        assert len({edge, Edge("s", same, "t"), Edge("s", guard_from_text("p1"), "t")}) == 1
+
 
 class TestTranslation:
     def test_true_is_one_accepting_state(self):
@@ -88,6 +122,43 @@ class TestTranslation:
             f = random_formula(rng, PROPS, rng.randint(1, 6))
             w = random_letter_lasso(rng, PROPS)
             assert nba_accepts(ltl_to_buchi(f, props=PROPS), w) == ltl.eval_lasso(w, f, 1)
+
+
+class TestAlphabet:
+    def test_props_are_the_read_atoms_in_declared_order(self):
+        automaton = wait_automaton()
+        assert automaton.props == ("p1", "p2")
+        wider = BuchiAutomaton(automaton.states, automaton.initial,
+                               ("z", "p2", "y", "p1"), automaton.edges,
+                               automaton.accepting)
+        assert wider.props == ("p2", "p1")
+        assert BuchiAutomaton(["s"], ["s"], ("p1",), [Edge("s", guard_from_text("q"), "s")],
+                              ()).props == ("q",)
+
+    def test_totalize_matches_lift_then_render_reference(self):
+        rng = random.Random(88)
+        compared = 0
+        for _ in range(60):
+            f = random_formula(rng, PROPS, rng.randint(1, 6))
+            declared = list(PROPS) + [f"z{i}" for i in range(rng.randint(0, 4))]
+            rng.shuffle(declared)
+            automaton = ltl_to_buchi(f, props=declared)
+            read = tuple(p for p in declared if p in ltl.atoms(f))
+            assert automaton.props in (read, ())
+            expected = reference_totalize(automaton, declared)
+            total = totalize(automaton)
+            if expected is None:
+                assert total is None
+                continue
+            compared += 1
+            assert total.props == automaton.props
+            assert (total.states, total.initial, total.accepting,
+                    [(e.src, e.guard.text, e.dst) for e in total.edges]) == expected
+            for _ in range(6):
+                w = random_letter_lasso(rng, declared)
+                assert nba_accepts(total, w) == nba_accepts(automaton, w) \
+                    == ltl.eval_lasso(w, f, 1)
+        assert compared >= 45
 
 
 class TestTotality:

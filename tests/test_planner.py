@@ -207,3 +207,30 @@ class TestSynthesize:
         assert result.status == FOUND
         assert result.initial == "q1"
         assert plan_satisfies(result.plan, P23, valuation)
+
+    def test_unread_propositions_leave_the_alphabet(self):
+        # 16 declared propositions of which the formula reads one; the cheap
+        # alphabet check comes first, so that a widened alphabet (2^16
+        # letters per guard in totalize) fails here instead of hanging
+        props = [f"x{i}" for i in range(16)]
+        system = validate_ats({
+            "states": ["q0", "q1"],
+            "controls": ["stay", "go"],
+            "disturbances": ["b"],
+            "transitions": [
+                {"from": q, "control": c, "disturbance": "b",
+                 "to": q if c == "stay" else "q1"}
+                for q in ("q0", "q1") for c in ("stay", "go")
+            ],
+        })
+        valuation = Valuation(props, {"q0": set(props[::2]) | {"x5"},
+                                      "q1": set(props[1::2])})
+        formula = ltl.parse_formula("F x3", valuation.props)
+        assert buchi.ltl_to_buchi(formula, props=valuation.props).props == ("x3",)
+        narrowed = Valuation(["x3"], {q: valuation.label(q) & {"x3"}
+                                      for q in valuation.states()})
+        wide = synthesize(system, formula, valuation)
+        reference = synthesize(system, formula, narrowed)
+        assert wide.status == FOUND and wide.initial == "q0"
+        assert (wide.status, wide.initial, wide.plan) == \
+            (reference.status, reference.initial, reference.plan)
