@@ -48,13 +48,14 @@ from .buchi import (
     nba_accepts,
     product,
     totalize,
-    world_projection,
 )
 from .plan import (
     Controller,
     DETACHED,
+    NO_TRAJECTORY,
     ReactivePlan,
     SCR,
+    check_plan,
     dump_plan,
     find_reachable_cycle,
     load_plan,
@@ -83,7 +84,6 @@ from .completeness import (
     build_accepting_system,
     pigeonhole_cap,
     plan_from_accepting_system,
-    recurrence_index,
 )
 from . import errors
 

@@ -739,15 +739,6 @@ class ProductAutomaton:
     def world(state):
         return state[0]
 
-    @staticmethod
-    def automaton_state(state):
-        return state[1]
-
-
-def world_projection(states) -> tuple:
-    """World components of a sequence of product states."""
-    return tuple(q for q, _ in states)
-
 
 def product(system, q0, automaton: BuchiAutomaton, valuation) -> ProductAutomaton:
     """Product of the system rooted at ``q0`` with a total automaton."""

@@ -21,15 +21,7 @@ from . import buchi, dot, planner
 from .core import load_system
 from .errors import AstraError
 from .ltl import parse_formula
-from .plan import (
-    Controller,
-    load_plan,
-    dump_plan,
-    plan_satisfies,
-    plan_trajectory_exists,
-    plan_violation,
-    plan_violation_total,
-)
+from .plan import NO_TRAJECTORY, Controller, check_plan, dump_plan, load_plan
 from .completeness import build_accepting_system
 
 logger = logging.getLogger(__name__)
@@ -126,18 +118,17 @@ def cmd_verify(args) -> int:
     formula, automaton = _load_spec(args, valuation)
     plan = load_plan(args.plan)
     plan.validate_against(system)
-    if not plan_trajectory_exists(plan):
-        print("violated: the plan generates no trajectory (no reachable cycle)")
-        return EXIT_NEGATIVE
-    if formula is not None:
-        witness = plan_violation(plan, formula, valuation)
-    else:
+    total = None
+    if automaton is not None:
         total = planner.spec_automaton(automaton=automaton)
         if total is None:
             raise AstraError(
                 "verification against an automaton needs a totalizable automaton"
             )
-        witness = plan_violation_total(plan, total, valuation)
+    witness = check_plan(plan, valuation, formula, total)
+    if witness is NO_TRAJECTORY:
+        print("violated: the plan generates no trajectory (no reachable cycle)")
+        return EXIT_NEGATIVE
     if witness is not None:
         _print_counterexample(witness)
         return EXIT_NEGATIVE
@@ -168,15 +159,11 @@ def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise AstraError("--steps must be at least 1")
 
-    if formula is not None:
-        verified = plan_satisfies(plan, formula, valuation)
-    else:
-        total = planner.spec_automaton(automaton=automaton)
-        verified = (
-            total is not None
-            and plan_trajectory_exists(plan)
-            and plan_violation_total(plan, total, valuation) is None
-        )
+    total = None if automaton is None else planner.spec_automaton(automaton=automaton)
+    verified = (
+        (formula is not None or total is not None)
+        and check_plan(plan, valuation, formula, total) is None
+    )
     if not verified:
         print("warning: plan failed verification; simulating anyway", file=sys.stderr)
 

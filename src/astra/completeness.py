@@ -12,23 +12,11 @@ itself does not use it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .buchi import ProductAutomaton
-from .errors import CapExceeded, VerificationFailure
+from .errors import CapExceeded
 from .plan import ReactivePlan, SCR
-
-
-def recurrence_index(sequence, accepting) -> int | float:
-    """The first position whose accepting state already occurred earlier,
-    or infinity when no accepting state recurs.  Positions are 1-based."""
-    seen = set()
-    for n, state in enumerate(sequence, start=1):
-        if state in accepting and state in seen:
-            return n
-        seen.add(state)
-    return math.inf
 
 
 @dataclass(frozen=True)
@@ -68,57 +56,46 @@ def build_accepting_system(product: ProductAutomaton, controller,
     states, so extending it costs one ``feed``.  Each node extends by every
     disturbance-resolved successor under its action; an extension whose
     accepting state recurs folds back to the unique recurrence-free prefix
-    ending in that state.
+    ending in that state.  Every accepting state occurs at most once in a
+    node, so each node keeps their positions, and both the recurrence test
+    and the fold-back target cost one lookup.
     Exceeding ``cap`` (default: the pigeonhole bound) means the controller
     is not actually winning.
     """
     if cap is None:
         cap = pigeonhole_cap(product)
-    root = (product.initial,)
-    stepped = {root: controller.feed(product.world(product.initial))}
+    start = product.initial
+    root = (start,)
     nodes = [root]
     ids = {root: 0}
+    stepped = [controller.feed(product.world(start))]
+    positions = [{start: 0} if start in product.accepting else {}]
     actions = []
-    edge_sets = []
-    for node in nodes:
-        index = ids[node]
-        fed, action = stepped[node]
-        while len(actions) <= index:
-            actions.append(None)
-            edge_sets.append([])
-        actions[index] = action
+    edges = []
+    for index, node in enumerate(nodes):
+        fed, action = stepped[index]
+        actions.append(action)
         targets = []
         for successor in product.successors(node[-1], action):
+            at = positions[index].get(successor)
+            if at is not None:
+                targets.append(ids[node[: at + 1]])
+                continue
             extension = node + (successor,)
-            if recurrence_index(extension, product.accepting) == math.inf:
-                if len(extension) > cap:
-                    raise CapExceeded(
-                        f"outcome prefix grew past {cap}; controller is not winning"
-                    )
-                if extension not in ids:
-                    ids[extension] = len(nodes)
-                    nodes.append(extension)
-                    stepped[extension] = fed.feed(product.world(successor))
-                targets.append(ids[extension])
-            else:
-                backs = [
-                    j for j in range(len(extension) - 1)
-                    if extension[j] == successor
-                    and recurrence_index(extension[: j + 1], product.accepting) == math.inf
-                ]
-                if len(backs) != 1:
-                    raise VerificationFailure(
-                        "fold-back target is not unique; accepting state recurs "
-                        "inside a recurrence-free prefix"
-                    )
-                target = extension[: backs[0] + 1]
-                targets.append(ids[target])
-        for t in targets:
-            if t not in edge_sets[index]:
-                edge_sets[index].append(t)
-    return AcceptingTransitionSystem(
-        tuple(nodes), tuple(actions), tuple(tuple(es) for es in edge_sets), product
-    )
+            if len(extension) > cap:
+                raise CapExceeded(
+                    f"outcome prefix grew past {cap}; controller is not winning"
+                )
+            ids[extension] = len(nodes)
+            targets.append(len(nodes))
+            nodes.append(extension)
+            stepped.append(fed.feed(product.world(successor)))
+            positions.append(
+                {**positions[index], successor: len(node)}
+                if successor in product.accepting else positions[index]
+            )
+        edges.append(tuple(targets))
+    return AcceptingTransitionSystem(tuple(nodes), tuple(actions), tuple(edges), product)
 
 
 def plan_from_accepting_system(system: AcceptingTransitionSystem) -> ReactivePlan:

@@ -37,7 +37,7 @@ def plan_dot(plan) -> str:
     lines.append("__start [shape=point];")
     lines.append("__start -> 1;")
     for scr in plan.scrs:
-        for j in sorted(scr.successors):
+        for j in plan.successor_ids(scr.id):
             lines.append(f"{scr.id} -> {j};")
     return _digraph("plan", lines)
 

@@ -2,9 +2,11 @@
 
 A reactive plan is a finite set of situation control rules (plan state,
 world state, action, successor plan states).  This module covers plan
-well-formedness, generated trajectories and their satisfaction checks,
-reachable-cycle search, plan simplification, and the strategy obtained by
-walking a simplified plan along an observed state history.
+well-formedness, generated trajectories, reachable-cycle search, plan
+simplification, and the strategy obtained by walking a simplified plan
+along an observed state history.  :func:`check_plan` is the one
+verification entry: it decides whether a plan meets a formula or a total
+automaton, and says why not when it does not.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ class ReactivePlan:
             raise PlanValidationError("plan state ids must be exactly 1..k")
         self.scrs = tuple(rules)
         self.by_id = {s.id: s for s in self.scrs}
+        self._successor_ids = {s.id: tuple(sorted(s.successors)) for s in self.scrs}
         for s in self.scrs:
-            dangling = [j for j in s.successors if j not in self.by_id]
+            dangling = [j for j in self._successor_ids[s.id] if j not in self.by_id]
             if dangling:
                 raise PlanValidationError(
-                    f"SCR {s.id} lists unknown successor plan states {sorted(dangling)}"
+                    f"SCR {s.id} lists unknown successor plan states {dangling}"
                 )
 
     def __len__(self):
@@ -64,22 +67,16 @@ class ReactivePlan:
         return f"ReactivePlan({list(self.scrs)!r})"
 
     def successor_ids(self, plan_state) -> tuple:
-        return tuple(sorted(self.by_id[plan_state].successors))
+        """The successor plan states of ``plan_state`` in increasing order."""
+        return self._successor_ids[plan_state]
 
     def world_of(self, plan_state) -> str:
         return self.by_id[plan_state].world
 
-    def has_unique_world_successors(self) -> bool:
-        for s in self.scrs:
-            worlds = [self.by_id[j].world for j in s.successors]
-            if len(worlds) != len(set(worlds)):
-                return False
-        return True
-
     def require_unique_world_successors(self):
         for s in self.scrs:
             seen = {}
-            for j in sorted(s.successors):
+            for j in self.successor_ids(s.id):
                 w = self.by_id[j].world
                 if w in seen:
                     raise UniquenessViolated(
@@ -153,7 +150,7 @@ def plan_to_dict(plan: ReactivePlan, initial=None) -> dict:
         out["initial"] = initial
     out["scrs"] = [
         {"id": s.id, "world": s.world, "action": s.action,
-         "successors": sorted(s.successors)}
+         "successors": list(plan.successor_ids(s.id))}
         for s in plan.scrs
     ]
     return out
@@ -219,13 +216,15 @@ def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
     return frozenset(found)
 
 
-def _plan_violation_graph(plan, automaton, letter_of):
-    """Product of the plan graph with an automaton reading world valuations."""
+def _violation(plan, automaton, valuation, accepting, inside=None):
+    """The world lasso of an ``accepting_lasso`` search, from plan state 1
+    and the automaton's initial state, in the product of the plan graph with
+    an automaton reading world valuations; ``None`` when there is none."""
     delta = {}
 
     def successors(node):
         plan_state, x = node
-        letter = letter_of(plan.world_of(plan_state))
+        letter = valuation.label(plan.world_of(plan_state))
         targets = delta.get((x, letter))
         if targets is None:
             targets = delta[x, letter] = automaton.successors(x, letter)
@@ -233,7 +232,12 @@ def _plan_violation_graph(plan, automaton, letter_of):
             (j, t) for j in plan.successor_ids(plan_state) for t in targets
         )
 
-    return successors
+    witness = buchi.accepting_lasso(
+        (1, automaton.initial[0]), successors, accepting, inside
+    )
+    if witness is None:
+        return None
+    return witness.map(lambda node: plan.world_of(node[0]))
 
 
 def plan_violation(plan: ReactivePlan, formula: ltl.Formula, valuation) -> Lasso | None:
@@ -241,16 +245,8 @@ def plan_violation(plan: ReactivePlan, formula: ltl.Formula, valuation) -> Lasso
     ``None``.  Decided by an accepting-lasso search in the product of the
     plan graph with an automaton for the negated formula."""
     negated = buchi.ltl_to_buchi(ltl.Not(formula), props=valuation.props)
-    successors = _plan_violation_graph(plan, negated, valuation.label)
-
-    def is_accepting(node):
-        return node[1] in negated.accepting
-
-    for x0 in negated.initial:
-        witness = buchi.accepting_lasso((1, x0), successors, is_accepting)
-        if witness is not None:
-            return witness.map(lambda node: plan.world_of(node[0]))
-    return None
+    return _violation(plan, negated, valuation,
+                      lambda node: node[1] in negated.accepting)
 
 
 def plan_violation_total(plan: ReactivePlan, automaton, valuation) -> Lasso | None:
@@ -263,22 +259,33 @@ def plan_violation_total(plan: ReactivePlan, automaton, valuation) -> Lasso | No
     def rejecting(node):
         return node[1] not in automaton.accepting
 
-    witness = buchi.accepting_lasso(
-        (1, automaton.initial[0]),
-        _plan_violation_graph(plan, automaton, valuation.label),
-        rejecting, inside=rejecting,
-    )
-    if witness is None:
-        return None
-    return witness.map(lambda node: plan.world_of(node[0]))
+    return _violation(plan, automaton, valuation, rejecting, inside=rejecting)
+
+
+NO_TRAJECTORY = "no-trajectory"
+
+
+def check_plan(plan: ReactivePlan, valuation, formula=None, automaton=None):
+    """``None`` when the plan generates at least one trajectory and none of
+    its trajectories violates the specification; otherwise why not:
+    :data:`NO_TRAJECTORY`, or a violating trajectory as a world lasso.
+
+    A ``formula`` is checked against a fresh translation of its negation,
+    and ``automaton`` is then ignored, so the check stays independent of
+    any automaton built for synthesis; without one, ``automaton`` must be a
+    total automaton for the specification itself.
+    """
+    if not plan_trajectory_exists(plan):
+        return NO_TRAJECTORY
+    if formula is not None:
+        return plan_violation(plan, formula, valuation)
+    return plan_violation_total(plan, automaton, valuation)
 
 
 def plan_satisfies(plan: ReactivePlan, formula: ltl.Formula, valuation) -> bool:
     """Whether the plan generates at least one trajectory and none of its
     trajectories violates the formula."""
-    if not plan_trajectory_exists(plan):
-        return False
-    return plan_violation(plan, formula, valuation) is None
+    return check_plan(plan, valuation, formula) is None
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,7 @@ def simplify_plan(plan: ReactivePlan) -> ReactivePlan:
     rules = []
     for s in plan.scrs:
         groups = {}
-        for j in sorted(s.successors):
+        for j in plan.successor_ids(s.id):
             groups.setdefault(plan.by_id[j].world, []).append(j)
         kept = set()
         for _, group in sorted(groups.items()):
@@ -398,7 +405,7 @@ class Controller:
             nxt = DETACHED
         else:
             nxt = DETACHED
-            for j in sorted(self.plan.by_id[self.cursor].successors):
+            for j in self.plan.successor_ids(self.cursor):
                 if self.plan.by_id[j].world == observed:
                     nxt = j
                     break

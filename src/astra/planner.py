@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 from . import buchi
 from .errors import VerificationFailure
-from .plan import (
-    Controller,
-    ReactivePlan,
-    SCR,
-    plan_satisfies,
-    plan_trajectory_exists,
-    plan_violation_total,
-    simplify_plan,
-)
+from .plan import Controller, ReactivePlan, SCR, check_plan, simplify_plan
 
 logger = logging.getLogger(__name__)
 
@@ -170,13 +162,6 @@ def spec_automaton(formula=None, valuation=None, automaton=None):
     return buchi.totalize(translated)
 
 
-def _verify(plan, formula, valuation, automaton):
-    if formula is not None:
-        return plan_satisfies(plan, formula, valuation)
-    return plan_trajectory_exists(plan) and \
-        plan_violation_total(plan, automaton, valuation) is None
-
-
 def extract_plan(product_automaton, solution: GameSolution) -> ReactivePlan:
     """Unfold a winning positional strategy into a reactive plan.
 
@@ -230,12 +215,12 @@ def synthesize(system, formula, valuation, initial_hint=None,
         if ("s", prod.initial) not in solution.winning:
             continue
         plan = extract_plan(prod, solution)
-        if not _verify(plan, formula, valuation, spec):
+        if check_plan(plan, valuation, formula, spec) is not None:
             raise VerificationFailure(
                 f"synthesized plan from {q0!r} failed independent verification"
             )
         simplified = simplify_plan(plan)
-        if not _verify(simplified, formula, valuation, spec):
+        if check_plan(simplified, valuation, formula, spec) is not None:
             raise VerificationFailure(
                 f"simplified plan from {q0!r} failed independent verification"
             )

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -82,6 +84,17 @@ def system_file_dict(system, valuation):
         ],
         "valuation": {q: sorted(valuation.label(q)) for q in system.states},
     }
+
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(**extra):
+    """The environment for a child interpreter: this checkout's ``src``
+    first on ``PYTHONPATH``, so ``astra`` imports without an install."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, **extra,
+            "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 
 def write_json(path, payload):

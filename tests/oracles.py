@@ -4,10 +4,12 @@ Everything here decides properties by a different route than the library:
 truncated unrolling for formula satisfaction, networkx cycle enumeration
 for emptiness, exhaustive positional-strategy search for games, the
 layer-by-layer rescanning Buchi game solver, exhaustive plan-path
-matching for observed histories, and automaton completion over every
-declared proposition.  These stay independent of the code paths they check.
+matching for observed histories, automaton completion over every
+declared proposition, and recurrence-free outcome prefixes found by
+rescanning every extension.  These stay independent of the code paths they check.
 """
 
+import math
 from itertools import combinations
 
 import networkx as nx
@@ -203,6 +205,50 @@ def layered_buchi_solution(arena):
         if candidates:
             strategy[node[1]] = candidates[0][2]
     return frozenset(region), strategy, rank
+
+
+def recurrence_index(sequence, accepting):
+    """The first position whose accepting state already occurred earlier,
+    or infinity when no accepting state recurs.  Positions are 1-based."""
+    seen = set()
+    for n, state in enumerate(sequence, start=1):
+        if state in accepting and state in seen:
+            return n
+        seen.add(state)
+    return math.inf
+
+
+def rescanning_accepting_system(product, controller):
+    """``(nodes, actions, edges)`` of the recurrence-free outcome prefixes
+    of a winning controller, by the definition: every extension is tested
+    with ``recurrence_index``, and a repeating one folds back to the one
+    recurrence-free prefix of it that ends in its last state."""
+    root = (product.initial,)
+    nodes, ids = [root], {root: 0}
+    fed = {root: controller.feed(product.world(product.initial))}
+    actions, edges = [], []
+    for node in nodes:
+        ctrl, action = fed[node]
+        actions.append(action)
+        targets = []
+        for successor in product.successors(node[-1], action):
+            extension = node + (successor,)
+            if recurrence_index(extension, product.accepting) == math.inf:
+                if extension not in ids:
+                    ids[extension] = len(nodes)
+                    nodes.append(extension)
+                    fed[extension] = ctrl.feed(product.world(successor))
+                target = extension
+            else:
+                (target,) = [
+                    extension[: j + 1] for j in range(len(node))
+                    if node[j] == successor
+                    and recurrence_index(node[: j + 1], product.accepting) == math.inf
+                ]
+            if ids[target] not in targets:
+                targets.append(ids[target])
+        edges.append(tuple(targets))
+    return tuple(nodes), tuple(actions), tuple(edges)
 
 
 def matching_paths(plan, history):

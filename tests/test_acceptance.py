@@ -180,7 +180,7 @@ def test_criterion_06_simplification_properties():
             continue
         checked += 1
         simplified = simplify_plan(plan)
-        assert simplified.has_unique_world_successors()
+        simplified.require_unique_world_successors()
         assert plan_trajectory_exists(simplified)
         bound = min(len(plan) + 1, 6)
         assert plan_trajectories(simplified, bound) <= plan_trajectories(plan, bound)

@@ -5,7 +5,47 @@ import sys
 from astra.cli import main
 from astra.plan import load_plan, plan_to_dict
 
-from conftest import write_json
+from conftest import child_env, write_json
+
+
+# the automaton for "p2 U p3" that TestVerify.test_automaton_route writes
+UNTIL_AUTOMATON = {
+    "states": ["wait", "acc", "rej"],
+    "initial": ["wait"],
+    "accepting": ["acc"],
+    "edges": [
+        {"from": "wait", "guard": "p3", "to": "acc"},
+        {"from": "wait", "guard": "p2 & !p3", "to": "wait"},
+        {"from": "wait", "guard": "!p2 & !p3", "to": "rej"},
+        {"from": "acc", "guard": "true", "to": "acc"},
+        {"from": "rej", "guard": "true", "to": "rej"},
+    ],
+}
+
+# "G p2", which the example plan violates once it reaches q3
+ALWAYS_P2_AUTOMATON = {
+    "states": ["ok", "rej"],
+    "initial": ["ok"],
+    "accepting": ["ok"],
+    "edges": [
+        {"from": "ok", "guard": "p2", "to": "ok"},
+        {"from": "ok", "guard": "!p2", "to": "rej"},
+        {"from": "rej", "guard": "true", "to": "rej"},
+    ],
+}
+
+# "F G p1" as a guess-the-point automaton: two targets on every p1 letter,
+# so no total completion exists
+EVENTUALLY_ALWAYS_P1_AUTOMATON = {
+    "states": ["guess", "stay"],
+    "initial": ["guess"],
+    "accepting": ["stay"],
+    "edges": [
+        {"from": "guess", "guard": "true", "to": "guess"},
+        {"from": "guess", "guard": "p1", "to": "stay"},
+        {"from": "stay", "guard": "p1", "to": "stay"},
+    ],
+}
 
 
 def run(*argv, capsys=None):
@@ -34,6 +74,15 @@ class TestSynth:
             "--plan", str(out), capsys=capsys,
         )
         assert code == 0
+
+    def test_automaton_found(self, tmp_path, agent_system_file, capsys):
+        automaton = write_json(tmp_path / "aut.json", UNTIL_AUTOMATON)
+        code, stdout, stderr = run(
+            "synth", "--system", agent_system_file, "--automaton", automaton,
+            "--out", str(tmp_path / "p.json"), capsys=capsys,
+        )
+        assert code == 0, stderr
+        assert stdout == "initial: q1\nverified: true\n"
 
     def test_false_spec_not_found(self, tmp_path, agent_system_file, capsys):
         code, _, _ = run(
@@ -95,23 +144,40 @@ class TestVerify:
 
     def test_automaton_route(self, tmp_path, agent_system_file, example_plan_file,
                              capsys):
-        automaton = write_json(tmp_path / "aut.json", {
-            "states": ["wait", "acc", "rej"],
-            "initial": ["wait"],
-            "accepting": ["acc"],
-            "edges": [
-                {"from": "wait", "guard": "p3", "to": "acc"},
-                {"from": "wait", "guard": "p2 & !p3", "to": "wait"},
-                {"from": "wait", "guard": "!p2 & !p3", "to": "rej"},
-                {"from": "acc", "guard": "true", "to": "acc"},
-                {"from": "rej", "guard": "true", "to": "rej"},
-            ],
-        })
+        automaton = write_json(tmp_path / "aut.json", UNTIL_AUTOMATON)
         code, stdout, _ = run(
             "verify", "--system", agent_system_file, "--automaton", automaton,
             "--plan", example_plan_file, capsys=capsys,
         )
         assert code == 0
+
+    def test_automaton_route_violated(self, tmp_path, agent_system_file,
+                                      example_plan_file, capsys):
+        automaton = write_json(tmp_path / "aut.json", ALWAYS_P2_AUTOMATON)
+        code, stdout, stderr = run(
+            "verify", "--system", agent_system_file, "--automaton", automaton,
+            "--plan", example_plan_file, capsys=capsys,
+        )
+        assert code == 1
+        assert stdout == (
+            "violated: counterexample lasso\n"
+            "prefix: q1 q2 q3 q3\n"
+            "cycle: q3\n"
+        )
+        assert stderr == ""
+
+    def test_automaton_not_totalizable_is_error(self, tmp_path, agent_system_file,
+                                                example_plan_file, capsys):
+        automaton = write_json(tmp_path / "aut.json", EVENTUALLY_ALWAYS_P1_AUTOMATON)
+        code, stdout, stderr = run(
+            "verify", "--system", agent_system_file, "--automaton", automaton,
+            "--plan", example_plan_file, capsys=capsys,
+        )
+        assert code == 3
+        assert stdout == ""
+        assert stderr == (
+            "error: verification against an automaton needs a totalizable automaton\n"
+        )
 
 
 class TestSimulate:
@@ -128,6 +194,39 @@ class TestSimulate:
         assert out1.strip().splitlines()[-1] in (
             "satisfied (lasso detected)", "inconclusive prefix"
         )
+
+    def simulate_automaton(self, tmp_path, system_file, plan_file, payload, capsys):
+        automaton = write_json(tmp_path / "aut.json", payload)
+        return run(
+            "simulate", "--system", system_file, "--automaton", automaton,
+            "--plan", plan_file, "--seed", "3", "--steps", "4", capsys=capsys,
+        )
+
+    def test_automaton_route_holds(self, tmp_path, agent_system_file,
+                                   example_plan_file, capsys):
+        code, stdout, stderr = self.simulate_automaton(
+            tmp_path, agent_system_file, example_plan_file, UNTIL_AUTOMATON, capsys)
+        assert code == 0
+        assert stderr == ""
+        assert stdout.splitlines()[-1] in (
+            "satisfied (lasso detected)", "inconclusive prefix"
+        )
+
+    def test_automaton_route_violated_warns(self, tmp_path, agent_system_file,
+                                            example_plan_file, capsys):
+        code, stdout, stderr = self.simulate_automaton(
+            tmp_path, agent_system_file, example_plan_file, ALWAYS_P2_AUTOMATON, capsys)
+        assert code == 0
+        assert stderr == "warning: plan failed verification; simulating anyway\n"
+        assert len(stdout.splitlines()) == 5
+
+    def test_automaton_not_totalizable_warns(self, tmp_path, agent_system_file,
+                                             example_plan_file, capsys):
+        code, _, stderr = self.simulate_automaton(
+            tmp_path, agent_system_file, example_plan_file,
+            EVENTUALLY_ALWAYS_P1_AUTOMATON, capsys)
+        assert code == 0
+        assert stderr == "warning: plan failed verification; simulating anyway\n"
 
     def test_scripted_replays_plan_trajectory(self, tmp_path, agent_system_file,
                                               example_plan_file, capsys):
@@ -351,7 +450,7 @@ class TestModuleEntryPoint:
     def run_module(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "astra", *argv],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
 
     def test_exit_codes_pass_through(self, tmp_path, agent_system_file,

@@ -8,13 +8,13 @@ from astra.completeness import (
     build_accepting_system,
     pigeonhole_cap,
     plan_from_accepting_system,
-    recurrence_index,
 )
 from astra.core import Valuation, validate_ats
 from astra.errors import CapExceeded
 from astra.plan import Controller, plan_satisfies
 
 from generators import random_formula, random_system
+from oracles import recurrence_index, rescanning_accepting_system
 
 INF = math.inf
 
@@ -94,6 +94,24 @@ class TestBuildAcceptingSystem:
                         and recurrence_index(node + (child[-1],), prod.accepting) != INF
                     )
                     assert extends or folds_back
+
+    def test_matches_rescanning_construction(self):
+        # the incremental recurrence bookkeeping builds the same nodes, in
+        # the same order, with the same edges as rescanning every extension
+        rng = random.Random(47)
+        built = 0
+        while built < 40:
+            system, valuation = random_system(rng, max_states=4)
+            formula = random_formula(rng, valuation.props, rng.randint(1, 5))
+            result = planner.synthesize(system, formula, valuation)
+            if not result.found:
+                continue
+            spec = planner.spec_automaton(formula, valuation)
+            prod = buchi.product(system, result.initial, spec, valuation)
+            fin = build_accepting_system(prod, result.controller)
+            built += 1
+            assert (fin.nodes, fin.actions, fin.edges) == \
+                rescanning_accepting_system(prod, result.controller)
 
     def test_replayed_paths_are_accepted_runs(self):
         rng = random.Random(43)

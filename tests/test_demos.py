@@ -1,9 +1,11 @@
-import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+
+from conftest import child_env
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 EXPECTED = pathlib.Path(__file__).parent / "data" / "demos"
@@ -16,20 +18,23 @@ def test_python_demos_run(script):
     # intended output change
     proc = subprocess.run(
         [sys.executable, str(DEMOS / script)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     expected = (EXPECTED / script).with_suffix(".out").read_text(encoding="utf-8")
     assert proc.stdout == expected
 
 
-def test_cli_tour_runs():
+def test_cli_tour_runs(tmp_path):
     # drive the tour with the interpreter running the tests; the script
-    # expands $ASTRA unquoted, so an interpreter path with a space would split
-    env = {**os.environ, "ASTRA": f"{sys.executable} -m astra"}
+    # expands $ASTRA unquoted, so an interpreter path with a space would split.
+    # Its mktemp work directory lands under tmp_path and is replaced by a
+    # fixed token before the byte comparison.
+    env = child_env(ASTRA=f"{sys.executable} -m astra", TMPDIR=str(tmp_path))
     proc = subprocess.run(
         ["sh", str(DEMOS / "05_cli_tour.sh")],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "== done" in proc.stdout
+    stdout = re.sub(re.escape(str(tmp_path)) + r"/[^/\s]+", "$WORKDIR", proc.stdout)
+    assert stdout == (EXPECTED / "05_cli_tour.out").read_text(encoding="utf-8")

@@ -8,9 +8,11 @@ from astra.core import Lasso, StateSequence, Valuation, outcomes_prefixes
 from astra.errors import ExplosionGuard, PlanValidationError, UniquenessViolated
 from astra.ltl import Atom, Until
 from astra.plan import (
+    NO_TRAJECTORY,
     Controller,
     ReactivePlan,
     SCR,
+    check_plan,
     find_reachable_cycle,
     plan_satisfies,
     plan_trajectories,
@@ -159,6 +161,36 @@ class TestSatisfaction:
                 assert sampled
 
 
+class TestCheckPlan:
+    """``check_plan`` answers with the search its arguments select."""
+
+    def test_no_trajectory_on_either_route(self, agent_system):
+        _, valuation = agent_system
+        plan = ReactivePlan([
+            SCR(1, "q1", "a1", frozenset({2})),
+            SCR(2, "q2", "a2", frozenset()),
+        ])
+        total = spec_automaton(P23, valuation)
+        assert check_plan(plan, valuation, P23) is NO_TRAJECTORY
+        assert check_plan(plan, valuation, automaton=total) is NO_TRAJECTORY
+
+    def test_routes(self, agent_system, example_plan):
+        _, valuation = agent_system
+        always_p2 = ltl.always(Atom("p2"))
+        total = spec_automaton(always_p2, valuation)
+        holding = spec_automaton(P23, valuation)
+        by_formula = plan_violation(example_plan, always_p2, valuation)
+        assert by_formula is not None
+        assert check_plan(example_plan, valuation, always_p2) == by_formula
+        assert check_plan(example_plan, valuation, automaton=total) == \
+            plan_violation_total(example_plan, total, valuation)
+        assert check_plan(example_plan, valuation, P23) is None
+        assert check_plan(example_plan, valuation, automaton=holding) is None
+        # a formula is checked on its own translation, whatever automaton
+        # comes with it
+        assert check_plan(example_plan, valuation, always_p2, holding) == by_formula
+
+
 class TestViolationTotal:
     """``plan_violation_total``, the check behind ``--automaton`` specs,
     against the negated-formula search and the reference acceptors."""
@@ -261,7 +293,7 @@ class TestSimplify:
         for _ in range(150):
             plan = random_plan(rng)
             simplified = simplify_plan(plan)
-            assert simplified.has_unique_world_successors()
+            simplified.require_unique_world_successors()
             assert plan_trajectory_exists(simplified)
             bound = min(len(plan) + 1, 7)
             assert plan_trajectories(simplified, bound) <= plan_trajectories(plan, bound)

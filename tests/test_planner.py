@@ -149,7 +149,7 @@ class TestSynthesize:
         result = synthesize(system, P23, valuation)
         assert result.status == FOUND
         assert result.initial == "q1"
-        assert result.plan.has_unique_world_successors()
+        result.plan.require_unique_world_successors()
         assert isinstance(result.controller, Controller)
         result.plan.validate_against(system)
 
