@@ -41,7 +41,7 @@ result = synthesize(system, spec, valuation)
 print("synthesized from:", result.initial)
 
 automaton = spec_automaton(spec, valuation)
-prod = product(system, result.initial, automaton, valuation)
+prod = product(system, [result.initial], automaton, valuation)
 print("product states:", len(prod.states), "accepting:", len(prod.accepting))
 
 fin = build_accepting_system(prod, result.controller)

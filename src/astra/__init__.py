@@ -71,7 +71,6 @@ from .plan import (
 )
 from .planner import (
     FOUND,
-    GameArena,
     GameSolution,
     NOT_FOUND,
     SynthesisResult,

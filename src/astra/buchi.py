@@ -701,49 +701,59 @@ def nba_accepts(automaton: BuchiAutomaton, word: Lasso) -> bool:
 
 
 class ProductAutomaton:
-    """Synchronous product of a rooted system with a total specification
-    automaton, restricted to the states reachable from the root.
+    """Synchronous product of a system with a total specification
+    automaton, restricted to the states reachable from its roots.
 
     The automaton component reads the valuation of the current world state,
     so it is a function of the world path; each product state therefore has,
     per control and disturbance, exactly the disturbance-resolved world
-    successors paired with one automaton successor.
+    successors paired with one automaton successor.  States are numbered in
+    breadth-first discovery order from the roots, which come first;
+    ``targets[i][c][d]`` lists the states reached from state ``i`` under the
+    ``c``-th control and ``d``-th disturbance, in the system's order.  The
+    other methods view them as states, in discovery order.
     """
 
-    def __init__(self, states, initial, controls, disturbances, edges, accepting):
+    def __init__(self, states, controls, disturbances, targets, accepting):
         self.states = tuple(states)
-        self.initial = initial
+        self.initial = self.states[0]
         self.controls = tuple(controls)
         self.disturbances = tuple(disturbances)
-        self.edges = tuple(edges)
+        self.targets = targets
         self.accepting = frozenset(accepting)
-        self._succ_a = {}
-        self._succ_ab = {}
-        # distinct targets in discovery-index order, kept so as edges arrive
-        index = {s: i for i, s in enumerate(self.states)}.__getitem__
-        for s, a, b, t in self.edges:
-            for succ, key in ((self._succ_a, (s, a)), (self._succ_ab, (s, a, b))):
-                targets = succ.get(key)
-                if targets is None:
-                    succ[key] = (t,)
-                elif t not in targets:
-                    succ[key] = tuple(sorted(targets + (t,), key=index))
+        self.index = {s: i for i, s in enumerate(self.states)}
+
+    def _view(self, state, control, disturbances):
+        row = self.targets[self.index[state]][self.controls.index(control)]
+        return tuple(self.states[j] for j in sorted(
+            {j for d in disturbances for j in row[d]}))
 
     def successors(self, state, control) -> tuple:
-        return self._succ_a.get((state, control), ())
+        return self._view(state, control, range(len(self.disturbances)))
 
     def successors_under(self, state, control, disturbance) -> tuple:
-        return self._succ_ab.get((state, control, disturbance), ())
+        return self._view(state, control, [self.disturbances.index(disturbance)])
+
+    @property
+    def edges(self) -> tuple:
+        """``(state, control, disturbance, target)`` in construction order."""
+        return tuple((s, a, b, self.states[j])
+                     for s, row in zip(self.states, self.targets)
+                     for a, col in zip(self.controls, row)
+                     for b, ts in zip(self.disturbances, col) for j in ts)
 
     @staticmethod
     def world(state):
         return state[0]
 
 
-def product(system, q0, automaton: BuchiAutomaton, valuation) -> ProductAutomaton:
-    """Product of the system rooted at ``q0`` with a total automaton."""
-    if q0 not in set(system.states):
-        raise AutomatonError(f"unknown initial state {q0!r}")
+def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutomaton:
+    """Product of the system rooted at each of ``roots`` (in order, repeats
+    dropped) with a total automaton."""
+    states = set(system.states)
+    for q0 in roots:
+        if q0 not in states:
+            raise AutomatonError(f"unknown initial state {q0!r}")
     if not is_total(automaton):
         raise AutomatonError("specification automaton must be total")
     x0 = automaton.initial[0]
@@ -754,20 +764,27 @@ def product(system, q0, automaton: BuchiAutomaton, valuation) -> ProductAutomato
             delta[x, letter] = automaton.successors(x, letter)[0]
         return delta[x, letter]
 
-    start = (q0, x0)
-    order = [start]
-    seen = {start}
-    edges = []
+    index = {}
+    for q0 in roots:
+        index.setdefault((q0, x0), len(index))
+    order = list(index)
+    targets = []
     for q, x in order:
         x2 = step(x, valuation.label(q))
+        row = []
         for a in system.controls:
+            col = []
             for b in system.disturbances:
+                ts = []
                 for q2 in system.successors_under(q, a, b):
-                    target = (q2, x2)
-                    edges.append(((q, x), a, b, target))
-                    if target not in seen:
-                        seen.add(target)
-                        order.append(target)
-    accepting = frozenset(s for s in order if s[1] in automaton.accepting)
-    return ProductAutomaton(order, start, system.controls, system.disturbances,
-                            edges, accepting)
+                    j = index.get((q2, x2))
+                    if j is None:
+                        j = index[q2, x2] = len(order)
+                        order.append((q2, x2))
+                    ts.append(j)
+                col.append(ts)
+            row.append(col)
+        targets.append(row)
+    accepting = [s for s in order if s[1] in automaton.accepting]
+    return ProductAutomaton(order, system.controls, system.disturbances,
+                            targets, accepting)

@@ -90,8 +90,6 @@ def _load_spec(args, valuation):
 def cmd_synth(args) -> int:
     system, valuation = load_system(args.system)
     formula, automaton = _load_spec(args, valuation)
-    if args.initial is not None and args.initial not in set(system.states):
-        raise AstraError(f"unknown initial state {args.initial!r}")
     result = planner.synthesize(system, formula, valuation,
                                 initial_hint=args.initial, automaton=automaton)
     if result.status == planner.UNKNOWN:
@@ -180,8 +178,8 @@ def cmd_simulate(args) -> int:
             raise AstraError(
                 "the adversarial policy needs a totalizable specification"
             )
-        prod, solution = planner.analyze(system, start, spec, valuation)
-        tracker = (prod, solution, prod.initial)
+        prod = buchi.product(system, [start], spec, valuation)
+        tracker = (prod, planner.solve_buchi_game(prod).rank, prod.initial)
 
     def pick(step_index, state, action):
         nonlocal tracker
@@ -193,16 +191,15 @@ def cmd_simulate(args) -> int:
         if args.policy == "random":
             b = rng.choice(system.disturbances)
             return b, rng.choice(system.successors_under(state, action, b))
-        prod, solution, ps = tracker
+        prod, rank, ps = tracker
         worst = None
         for b in system.disturbances:
             for target in prod.successors_under(ps, action, b):
-                rank = solution.state_rank(target)
-                key = float("inf") if rank is None else rank
+                key = rank.get(prod.index[target], float("inf"))
                 if worst is None or key > worst[0]:
                     worst = (key, b, target)
         _, b, target = worst
-        tracker = (prod, solution, target)
+        tracker = (prod, rank, target)
         return b, target[0]
 
     state = start
@@ -264,7 +261,7 @@ def cmd_export(args) -> int:
         if spec is None:
             raise AstraError("the specification automaton is not totalizable")
         root = args.initial if args.initial is not None else system.states[0]
-        content = dot.product_dot(buchi.product(system, root, spec, valuation))
+        content = dot.product_dot(buchi.product(system, [root], spec, valuation))
     else:  # tfin
         if args.system is None or args.plan is None:
             raise AstraError("export tfin needs --system and --plan")
@@ -276,7 +273,7 @@ def cmd_export(args) -> int:
         plan = load_plan(args.plan)
         plan.validate_against(system)
         root = args.initial if args.initial is not None else plan.world_of(1)
-        prod = buchi.product(system, root, spec, valuation)
+        prod = buchi.product(system, [root], spec, valuation)
         content = dot.accepting_system_dot(
             build_accepting_system(prod, Controller(plan))
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import buchi, ltl
 from .core import Lasso
-from .errors import ExplosionGuard, PlanValidationError, UniquenessViolated
+from .errors import AstraError, ExplosionGuard, PlanValidationError, UniquenessViolated
 
 logger = logging.getLogger(__name__)
 
@@ -275,6 +275,8 @@ def check_plan(plan: ReactivePlan, valuation, formula=None, automaton=None):
     any automaton built for synthesis; without one, ``automaton`` must be a
     total automaton for the specification itself.
     """
+    if formula is None and automaton is None:
+        raise AstraError("a formula or an automaton is required")
     if not plan_trajectory_exists(plan):
         return NO_TRAJECTORY
     if formula is not None:

@@ -3,7 +3,8 @@
 Everything here decides properties by a different route than the library:
 truncated unrolling for formula satisfaction, networkx cycle enumeration
 for emptiness, exhaustive positional-strategy search for games, the
-layer-by-layer rescanning Buchi game solver, exhaustive plan-path
+layer-by-layer rescanning Buchi game solver over a tagged-node arena,
+synthesis by one such game per candidate initial state, exhaustive plan-path
 matching for observed histories, automaton completion over every
 declared proposition, and recurrence-free outcome prefixes found by
 rescanning every extension.  These stay independent of the code paths they check.
@@ -15,6 +16,7 @@ from itertools import combinations
 import networkx as nx
 
 from astra import buchi, ltl
+from astra.plan import SCR, ReactivePlan, simplify_plan
 
 
 def oracle_eval(word, formula, position=1):
@@ -143,6 +145,32 @@ def positional_winner_exists(prod, node_budget=None):
     return search({})
 
 
+class TaggedArena:
+    """The bipartite game graph of a product, built node by node: control
+    owns the ``("s", state)`` nodes and picks a control, the adversary owns
+    the ``("c", state, control)`` choice nodes and picks any successor.
+    A choice node exists only for a control with successors."""
+
+    def __init__(self, product):
+        self.product = product
+        self.control_nodes = tuple(("s", s) for s in product.states)
+        self.accepting = frozenset(("s", s) for s in product.accepting)
+        self.moves = {}
+        for node in self.control_nodes:
+            choices = []
+            for a in product.controls:
+                targets = product.successors(node[1], a)
+                if targets:
+                    self.moves[("c", node[1], a)] = tuple(("s", t) for t in targets)
+                    choices.append(("c", node[1], a))
+            self.moves[node] = tuple(choices)
+        self.choice_nodes = tuple(c for n in self.control_nodes for c in self.moves[n])
+        self.nodes = self.control_nodes + self.choice_nodes
+
+    def is_control(self, node):
+        return node[0] == "s"
+
+
 def layered_buchi_solution(arena):
     """Reference Buchi game solver: ``(winning, strategy, rank)``.
 
@@ -205,6 +233,35 @@ def layered_buchi_solution(arena):
         if candidates:
             strategy[node[1]] = candidates[0][2]
     return frozenset(region), strategy, rank
+
+
+def per_candidate_synthesis(system, spec, valuation, initial_hint=None):
+    """``(status, initial, plan)`` by the loop over candidates: for each
+    initial state in declared order (or ``initial_hint`` alone), a product
+    rooted there alone, its ``TaggedArena`` game solved by
+    ``layered_buchi_solution``, and on the first win the strategy unfolded
+    breadth-first in that product's successor order and simplified."""
+    if spec is None:
+        return "unknown", None, None
+    candidates = [initial_hint] if initial_hint is not None else system.states
+    for q0 in candidates:
+        prod = buchi.product(system, [q0], spec, valuation)
+        winning, strategy, _ = layered_buchi_solution(TaggedArena(prod))
+        if ("s", prod.initial) not in winning:
+            continue
+        ids, order = {prod.initial: 1}, [prod.initial]
+        for state in order:
+            for target in prod.successors(state, strategy[state]):
+                if target not in ids:
+                    ids[target] = len(order) + 1
+                    order.append(target)
+        plan = ReactivePlan([
+            SCR(ids[s], s[0], strategy[s],
+                frozenset(ids[t] for t in prod.successors(s, strategy[s])))
+            for s in order
+        ])
+        return "found", q0, simplify_plan(plan)
+    return "not-found", None, None
 
 
 def recurrence_index(sequence, accepting):

@@ -146,7 +146,7 @@ def test_criterion_05_completeness_suite(corpus):
         oracle_found = False
         all_checked = True
         for q0 in inst.system.states:
-            prod = buchi.product(inst.system, q0, inst.spec, inst.valuation)
+            prod = buchi.product(inst.system, [q0], inst.spec, inst.valuation)
             if len(prod.states) * (1 + len(prod.controls)) > ARENA_NODE_LIMIT:
                 all_checked = False
                 continue
@@ -224,7 +224,7 @@ def test_criterion_09_round_trip(corpus):
         if not inst.result.found:
             continue
         prod = buchi.product(
-            inst.system, inst.result.initial, inst.spec, inst.valuation
+            inst.system, [inst.result.initial], inst.spec, inst.valuation
         )
         fin = build_accepting_system(prod, inst.result.controller)
         assert max(len(node) for node in fin.nodes) <= pigeonhole_cap(prod)

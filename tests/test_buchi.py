@@ -327,7 +327,7 @@ class TestProduct:
     def test_with_true_automaton_mirrors_system(self, agent_system):
         system, valuation = agent_system
         spec = ltl_to_buchi(ltl.TRUE, props=valuation.props)
-        prod = product(system, "q1", spec, valuation)
+        prod = product(system, ["q1"], spec, valuation)
         assert {q for q, _ in prod.states} == set(system.states)
         assert len(prod.states) == len(system.states)
         assert len(prod.states) <= len(system.states) * len(spec.states)
@@ -336,7 +336,7 @@ class TestProduct:
         system = _self_loop_system()
         valuation = Valuation(["p"], {"q": {"p"}})
         spec = totalize(ltl_to_buchi(ltl.eventually(Atom("p")), props=("p",)))
-        prod = product(system, "q", spec, valuation)
+        prod = product(system, ["q"], spec, valuation)
         # two steps of hand unrolling: the first move consumes the letter {p}
         # and lands in an accepting component that then loops
         (x0,) = spec.initial
@@ -348,7 +348,7 @@ class TestProduct:
     def test_requires_total_automaton(self, agent_system):
         system, valuation = agent_system
         with pytest.raises(AutomatonError):
-            product(system, "q1", wait_automaton(), valuation)
+            product(system, ["q1"], wait_automaton(), valuation)
 
     def test_projections_of_accepted_lassos(self):
         # any accepting lasso in the product projects to a system trajectory
@@ -362,7 +362,7 @@ class TestProduct:
             if total is None:
                 continue
             checked += 1
-            prod = product(system, system.states[0], total, valuation)
+            prod = product(system, [system.states[0]], total, valuation)
 
             def successors(node):
                 out = []

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import pathlib
+import random
 import subprocess
 import sys
 
 from astra.cli import main
 from astra.plan import load_plan, plan_to_dict
 
-from conftest import child_env, write_json
+from conftest import child_env, system_file_dict, write_json
+from generators import random_system
+
+PINS = pathlib.Path(__file__).parent / "data" / "cli_pins.json"
 
 
 # the automaton for "p2 U p3" that TestVerify.test_automaton_route writes
@@ -97,6 +104,16 @@ class TestSynth:
             "--out", str(tmp_path / "p.json"), capsys=capsys,
         )
         assert code == 2
+
+    def test_unknown_initial_is_input_error(self, tmp_path, agent_system_file, capsys):
+        # the same error whether or not the specification totalizes
+        for spec in ("G p2", "F(p1 U p2)"):
+            code, stdout, stderr = run(
+                "synth", "--system", agent_system_file, "--spec", spec,
+                "--initial", "zz", "--out", str(tmp_path / "p.json"), capsys=capsys,
+            )
+            assert (code, stdout, stderr) == \
+                (3, "", "error: unknown initial state 'zz'\n"), spec
 
     def test_malformed_system_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -442,6 +459,68 @@ class TestUsage:
             "--plan", example_plan_file, capsys=capsys,
         )
         assert code == 3 and stderr.startswith("error:")
+
+
+# (name, random_system seed, formula): seeded systems of up to 8 states with
+# two or three disturbances and branching moves, on which the adversary
+# does not always pick the first disturbance; "until27" and "reach16" are
+# won only from a later state, so their plans do not start at the first
+PIN_CASES = (
+    ("gf65", 65, "G F (p1 & p2)"),
+    ("gf76", 76, "G F (p1 & p2)"),
+    ("resp71", 71, "G (p1 -> F (p2 & !p1))"),
+    ("until27", 27, "(!p1 U p2) & G F p1"),
+    ("reach16", 16, "F (p1 & p2)"),
+)
+
+
+def _cli_stdout(*argv):
+    """What ``astra`` prints to stdout, then its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return f"{out.getvalue()}exit {code}\n"
+
+
+def pinned_outputs(workdir):
+    """``{name: text}``: the synthesized plan, ``export product`` from the
+    first and the last state, ``export tfin`` and adversarial simulation
+    for every case of ``PIN_CASES``, run in ``workdir``."""
+    workdir = pathlib.Path(workdir)
+    texts = {}
+    for name, seed, spec in PIN_CASES:
+        system, valuation = random_system(
+            random.Random(seed), max_states=8, max_controls=3,
+            max_disturbances=3, max_props=2, double_successor_p=0.3)
+        sys_file = write_json(workdir / f"{name}.json",
+                              system_file_dict(system, valuation))
+        plan = workdir / f"{name}.plan.json"
+        common = ("--system", sys_file, "--spec", spec)
+        texts[f"{name} synth"] = (_cli_stdout("synth", *common, "--out", str(plan))
+                                  + plan.read_text(encoding="utf-8"))
+        dot = workdir / f"{name}.dot"
+        for root in (system.states[0], system.states[-1]):
+            texts[f"{name} product {root}"] = _cli_stdout(
+                "export", "product", *common, "--initial", root, "--out", str(dot)
+            ) + dot.read_text(encoding="utf-8")
+        texts[f"{name} tfin"] = _cli_stdout(
+            "export", "tfin", *common, "--plan", str(plan), "--out", str(dot)
+        ) + dot.read_text(encoding="utf-8")
+        texts[f"{name} adversarial"] = _cli_stdout(
+            "simulate", *common, "--plan", str(plan), "--policy", "adversarial",
+            "--steps", "16")
+    return texts
+
+
+class TestPinnedOutputs:
+    def test_product_tfin_and_adversarial_bytes(self, tmp_path):
+        # recorded by pinned_outputs into tests/data/cli_pins.json; record
+        # again only for an intended output change
+        expected = json.loads(PINS.read_text(encoding="utf-8"))
+        actual = pinned_outputs(tmp_path)
+        assert sorted(actual) == sorted(expected)
+        for key, text in expected.items():
+            assert actual[key] == text, key
 
 
 class TestModuleEntryPoint:

@@ -52,7 +52,7 @@ def winning_setup(formula_text, props, labels):
     result = planner.synthesize(system, formula, valuation)
     assert result.found
     spec = planner.spec_automaton(formula, valuation)
-    prod = buchi.product(system, result.initial, spec, valuation)
+    prod = buchi.product(system, [result.initial], spec, valuation)
     return prod, result
 
 
@@ -77,7 +77,7 @@ class TestBuildAcceptingSystem:
             if not result.found:
                 continue
             spec = planner.spec_automaton(formula, valuation)
-            prod = buchi.product(system, result.initial, spec, valuation)
+            prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
             node_set = set(fin.nodes)
@@ -107,7 +107,7 @@ class TestBuildAcceptingSystem:
             if not result.found:
                 continue
             spec = planner.spec_automaton(formula, valuation)
-            prod = buchi.product(system, result.initial, spec, valuation)
+            prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
             assert (fin.nodes, fin.actions, fin.edges) == \
@@ -123,7 +123,7 @@ class TestBuildAcceptingSystem:
             if not result.found:
                 continue
             spec = planner.spec_automaton(formula, valuation)
-            prod = buchi.product(system, result.initial, spec, valuation)
+            prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
 
@@ -156,7 +156,7 @@ class TestBuildAcceptingSystem:
 
         formula = ltl.parse_formula("G p2", valuation.props)
         spec = planner.spec_automaton(formula, valuation)
-        prod = buchi.product(system, "q3", spec, valuation)
+        prod = buchi.product(system, ["q3"], spec, valuation)
         bad_plan = ReactivePlan([
             SCR(1, "q3", "a3", frozenset({1})),
         ])
@@ -188,7 +188,7 @@ class TestPlanFromAcceptingSystem:
             if not result.found:
                 continue
             spec = planner.spec_automaton(formula, valuation)
-            prod = buchi.product(system, result.initial, spec, valuation)
+            prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
             assert fin.nodes[0] == (prod.initial,)
@@ -208,7 +208,7 @@ class TestPlanFromAcceptingSystem:
             if not result.found:
                 continue
             spec = planner.spec_automaton(formula, valuation)
-            prod = buchi.product(system, result.initial, spec, valuation)
+            prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
             for index in range(len(fin)):
@@ -231,7 +231,7 @@ class TestUniqueLifts:
                 continue
             checked += 1
             q0 = system.states[0]
-            prod = buchi.product(system, q0, spec, valuation)
+            prod = buchi.product(system, [q0], spec, valuation)
 
             def lifts(world_seq):
                 layers = [[s] for s in [prod.initial] if s[0] == world_seq[0]]

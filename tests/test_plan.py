@@ -5,7 +5,12 @@ import pytest
 
 from astra import buchi, ltl
 from astra.core import Lasso, StateSequence, Valuation, outcomes_prefixes
-from astra.errors import ExplosionGuard, PlanValidationError, UniquenessViolated
+from astra.errors import (
+    AstraError,
+    ExplosionGuard,
+    PlanValidationError,
+    UniquenessViolated,
+)
 from astra.ltl import Atom, Until
 from astra.plan import (
     NO_TRAJECTORY,
@@ -189,6 +194,11 @@ class TestCheckPlan:
         # a formula is checked on its own translation, whatever automaton
         # comes with it
         assert check_plan(example_plan, valuation, always_p2, holding) == by_formula
+
+    def test_missing_specification_is_typed_error(self, agent_system, example_plan):
+        _, valuation = agent_system
+        with pytest.raises(AstraError, match="a formula or an automaton is required"):
+            check_plan(example_plan, valuation)
 
 
 class TestViolationTotal:

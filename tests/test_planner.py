@@ -1,12 +1,14 @@
 import random
 
+import pytest
+
 from astra import buchi, ltl, planner
 from astra.core import Valuation, validate_ats
+from astra.errors import AstraError, AutomatonError
 from astra.ltl import Atom, Until
 from astra.plan import Controller, plan_satisfies, plan_trajectories
 from astra.planner import (
     FOUND,
-    GameArena,
     NOT_FOUND,
     UNKNOWN,
     solve_buchi_game,
@@ -14,7 +16,12 @@ from astra.planner import (
 )
 
 from generators import random_formula, random_system
-from oracles import layered_buchi_solution, positional_winner_exists
+from oracles import (
+    TaggedArena,
+    layered_buchi_solution,
+    per_candidate_synthesis,
+    positional_winner_exists,
+)
 
 P23 = Until(Atom("p2"), Atom("p3"))
 
@@ -31,24 +38,42 @@ def self_loop_system():
     })
 
 
+def tagged_to_int(prod):
+    """The integer game node of each ``oracles.TaggedArena`` node of
+    ``prod``: state i is node i, its choice of control c node n + i*k + c."""
+    n, k = len(prod.states), len(prod.controls)
+
+    def number(node):
+        i = prod.index[node[1]]
+        return i if node[0] == "s" else n + i * k + prod.controls.index(node[2])
+    return number
+
+
+def embedding(part, whole):
+    """The node of ``whole`` for each node of ``part``, a product with the
+    same system and automaton whose states all lie in ``whole``."""
+    n, m, k = len(part.states), len(whole.states), len(part.controls)
+    state = [whole.index[s] for s in part.states]
+    return [state[v] if v < n else m + state[(v - n) // k] * k + (v - n) % k
+            for v in range(n + n * k)]
+
+
 class TestGameSolver:
     def test_accepting_self_loop_wins(self):
         system = self_loop_system()
         valuation = Valuation(["p"], {"q": {"p"}})
         spec = buchi.totalize(buchi.ltl_to_buchi(ltl.always(Atom("p")), props=("p",)))
-        prod = buchi.product(system, "q", spec, valuation)
-        arena = GameArena(prod)
-        solution = solve_buchi_game(arena)
-        assert ("s", prod.initial) in solution.winning
-        assert solution.strategy[prod.initial] == "a"
+        prod = buchi.product(system, ["q"], spec, valuation)
+        solution = solve_buchi_game(prod)
+        assert 0 in solution.winning
+        assert solution.strategy[0] == "a"
 
     def test_unwinnable_arena_is_empty(self):
         system = self_loop_system()
         valuation = Valuation(["p"], {"q": set()})
         spec = buchi.totalize(buchi.ltl_to_buchi(ltl.always(Atom("p")), props=("p",)))
-        prod = buchi.product(system, "q", spec, valuation)
-        solution = solve_buchi_game(GameArena(prod))
-        assert ("s", prod.initial) not in solution.winning
+        prod = buchi.product(system, ["q"], spec, valuation)
+        assert 0 not in solve_buchi_game(prod).winning
 
     def test_matches_strategy_enumeration(self):
         # winning-set membership agrees with exhaustive search over
@@ -61,18 +86,19 @@ class TestGameSolver:
             spec = planner.spec_automaton(formula, valuation)
             if spec is None:
                 continue
-            prod = buchi.product(system, system.states[0], spec, valuation)
+            prod = buchi.product(system, [system.states[0]], spec, valuation)
             if len(prod.states) > 6:
                 continue
             checked += 1
-            solution = solve_buchi_game(GameArena(prod))
-            ours = ("s", prod.initial) in solution.winning
+            ours = 0 in solve_buchi_game(prod).winning
             assert ours == positional_winner_exists(prod)
 
     def test_matches_layered_solver(self):
         # the counter-based attractor reproduces the layer-by-layer
-        # reference exactly: region, strategy and every rank, on products
-        # rooted at every state of random systems
+        # reference on the tagged arena exactly: region, strategy and every
+        # rank, on products rooted at every state of random systems; and
+        # each root's part of that one game equals the game of a product
+        # rooted there alone
         rng = random.Random(33)
         products = partial = deep = 0
         while products < 600:
@@ -82,17 +108,25 @@ class TestGameSolver:
             spec = planner.spec_automaton(formula, valuation)
             if spec is None:
                 continue
+            prod = buchi.product(system, system.states, spec, valuation)
+            solution = solve_buchi_game(prod)
+            winning, strategy, rank = layered_buchi_solution(TaggedArena(prod))
+            number = tagged_to_int(prod)
+            assert solution.winning == {number(v) for v in winning}
+            assert solution.strategy == {prod.index[s]: a for s, a in strategy.items()}
+            assert solution.rank == {number(v): r for v, r in rank.items()}
             for q0 in system.states:
-                prod = buchi.product(system, q0, spec, valuation)
-                arena = GameArena(prod)
-                solution = solve_buchi_game(arena)
-                winning, strategy, rank = layered_buchi_solution(arena)
-                assert solution.winning == winning
-                assert solution.strategy == strategy
-                assert solution.rank == rank
+                single = buchi.product(system, [q0], spec, valuation)
+                own = solve_buchi_game(single)
+                inside = embedding(single, prod)
+                n = len(single.states)
+                assert {inside[v]: r for v, r in own.rank.items()} == \
+                    {w: solution.rank[w] for w in inside if w in solution.rank}
+                assert {inside[i]: a for i, a in own.strategy.items()} == \
+                    {j: solution.strategy[j] for j in inside[:n] if j in solution.strategy}
                 products += 1
-                partial += 0 < len(winning) < len(arena.nodes)
-                deep += max(rank.values(), default=0) >= 4
+                partial += 0 < len(own.winning) < len(inside)
+                deep += max(own.rank.values(), default=0) >= 4
         # the corpus is not degenerate: some games are won only in part,
         # and some attractors are several layers deep
         assert partial >= 10 and deep >= 20
@@ -124,7 +158,7 @@ class TestFindReactivePlan:
         spec = planner.spec_automaton(formula, valuation)
         assert spec is not None
         for q0 in system.states:
-            prod = buchi.product(system, q0, spec, valuation)
+            prod = buchi.product(system, [q0], spec, valuation)
             expected = positional_winner_exists(prod)
             result = synthesize(system, formula, valuation, initial_hint=q0)
             assert (result.status == FOUND) == expected
@@ -234,3 +268,68 @@ class TestSynthesize:
         assert wide.status == FOUND and wide.initial == "q0"
         assert (wide.status, wide.initial, wide.plan) == \
             (reference.status, reference.initial, reference.plan)
+
+    def test_one_product_and_one_totality_check_per_call(self, monkeypatch):
+        # a 12-state ring whose proposition never holds is lost from every
+        # state: one product rooted at all twelve, totality checked once
+        n = 12
+        states = [f"q{i}" for i in range(n)]
+        system = validate_ats({
+            "states": states,
+            "controls": ["stay", "next"],
+            "disturbances": ["b"],
+            "transitions": [
+                {"from": q, "control": c, "disturbance": "b",
+                 "to": q if c == "stay" else states[(i + 1) % n]}
+                for i, q in enumerate(states) for c in ("stay", "next")
+            ],
+        })
+        valuation = Valuation(["p"], {q: set() for q in states})
+        calls = {"product": 0, "is_total": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(buchi, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(planner.buchi, name, counted)
+        formula = ltl.parse_formula("G F p", valuation.props)
+        for _ in range(2):
+            assert synthesize(system, formula, valuation).status == NOT_FOUND
+        assert calls == {"product": 2, "is_total": 2}
+
+    def test_matches_per_candidate_reference(self):
+        # one game over every root gives the verdict, the initial state and
+        # the plan of one game per candidate in declared order, also when
+        # the winner is not the first candidate
+        rng = random.Random(34)
+        later = 0
+        for _ in range(400):
+            system, valuation = random_system(rng, max_states=6, max_controls=3,
+                                              max_props=2)
+            formula = random_formula(rng, valuation.props, rng.randint(2, 6))
+            hint = rng.choice(system.states) if rng.random() < 0.2 else None
+            spec = planner.spec_automaton(formula, valuation)
+            result = synthesize(system, formula, valuation, initial_hint=hint)
+            expected = per_candidate_synthesis(system, spec, valuation, hint)
+            assert (result.status, result.initial, result.plan) == expected
+            later += result.found and result.initial != system.states[0]
+        assert later >= 40
+
+
+class TestInputErrors:
+    # "F (p1 U p2)" translates to a properly nondeterministic automaton
+    # that totalize refuses; "G p2" totalizes
+    SPECS = ("G p2", "F (p1 U p2)")
+
+    @pytest.mark.parametrize("text", SPECS)
+    def test_unknown_initial_hint(self, agent_system, text):
+        system, valuation = agent_system
+        formula = ltl.parse_formula(text, valuation.props)
+        with pytest.raises(AutomatonError, match="unknown initial state 'zz'"):
+            synthesize(system, formula, valuation, initial_hint="zz")
+
+    def test_missing_specification(self, agent_system):
+        system, valuation = agent_system
+        with pytest.raises(AstraError, match="a formula or an automaton is required"):
+            planner.spec_automaton()
+        with pytest.raises(AstraError, match="a formula or an automaton is required"):
+            synthesize(system, None, valuation)
