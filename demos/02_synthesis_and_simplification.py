@@ -61,7 +61,8 @@ for rule in result.plan.scrs:
     succ = ",".join(map(str, sorted(rule.successors)))
     print(f"  {rule.id}: at {rule.world} do {rule.action} -> {{{succ}}}")
 
-# the returned plan is already simplified; simplifying again is a no-op
+# a synthesized plan already keeps one successor per world state, so
+# simplifying it is a no-op
 assert simplify_plan(result.plan) == result.plan
 
 print("\ndriving the controller against seeded random wind:")

@@ -226,6 +226,9 @@ def load_automaton(path) -> BuchiAutomaton:
     for key in ("states", "initial", "accepting", "edges"):
         if not isinstance(raw[key], list):
             raise AutomatonError(f"{key!r} must be a list")
+    for key in ("states", "initial", "accepting"):
+        if not all(isinstance(name, str) for name in raw[key]):
+            raise AutomatonError(f"{key!r} must be a list of strings")
     edges = []
     for entry in raw["edges"]:
         if not isinstance(entry, dict) or set(entry) != {"from", "guard", "to"}:

@@ -32,12 +32,13 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 
-def _add_spec_arguments(sub, plan_file=False, out=False):
+def _add_spec_arguments(sub, plan_file=False, out=False, initial=False):
     sub.add_argument("--system", required=True, help="system file (JSON)")
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--spec", help="specification formula")
     group.add_argument("--automaton", help="specification automaton file (JSON)")
-    sub.add_argument("--initial", help="initial state hint")
+    if initial:
+        sub.add_argument("--initial", help="initial state hint")
     if plan_file:
         sub.add_argument("--plan", required=True, help="plan file (JSON)")
     if out:
@@ -53,13 +54,13 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     synth = commands.add_parser("synth", help="synthesize a verified plan")
-    _add_spec_arguments(synth, out=True)
+    _add_spec_arguments(synth, out=True, initial=True)
 
     verify = commands.add_parser("verify", help="check a plan against a spec")
     _add_spec_arguments(verify, plan_file=True)
 
     simulate = commands.add_parser("simulate", help="run a plan in closed loop")
-    _add_spec_arguments(simulate, plan_file=True)
+    _add_spec_arguments(simulate, plan_file=True, initial=True)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--policy", choices=("random", "adversarial", "scripted"),
                           default="random")

@@ -262,6 +262,8 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
                 "each transition must be an object with exactly the keys "
                 "from/control/disturbance/to"
             )
+        if not all(isinstance(value, str) for value in entry.values()):
+            raise SystemValidationError("transition fields must be strings")
         transitions.append((entry["from"], entry["control"], entry["disturbance"], entry["to"]))
 
     durations = raw.get("durations", {})
@@ -272,8 +274,10 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
             raise InvalidDuration(f"control {control!r} has duration {d!r}; only 1 is supported")
 
     obs_map = raw.get("observations")
-    if obs_map is not None and not isinstance(obs_map, dict):
-        raise SystemValidationError("'observations' must be an object mapping states")
+    if obs_map is not None and not (
+        isinstance(obs_map, dict) and all(isinstance(o, str) for o in obs_map.values())
+    ):
+        raise SystemValidationError("'observations' must map states to strings")
     return AlternatingTransitionSystem(
         _string_list(raw, "states"), _string_list(raw, "controls"),
         _string_list(raw, "disturbances"), transitions,

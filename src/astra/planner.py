@@ -5,9 +5,10 @@ product rooted at every candidate initial state.  Its two-player game
 (control picks actions, disturbances pick successors), over integer nodes,
 is solved once by the classical nested fixpoint over a counter-based
 attractor, and the winning positional strategy from the first winning
-candidate is unfolded into a reactive plan.  Every returned plan is
-re-verified by the independent satisfaction check before it leaves this
-module.
+candidate is unfolded into a reactive plan.  Every successor of a product
+state carries the same automaton state, so that plan already keeps at most
+one successor per world state; it is returned as extracted, after one
+independent satisfaction check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from . import buchi
 from .errors import AstraError, AutomatonError, VerificationFailure
-from .plan import Controller, ReactivePlan, SCR, check_plan, simplify_plan
+from .plan import Controller, ReactivePlan, SCR, check_plan
 
 logger = logging.getLogger(__name__)
 
@@ -173,14 +174,14 @@ def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
 def synthesize(system, formula, valuation, initial_hint=None,
                automaton=None) -> SynthesisResult:
     """Look for an enforceable plan from the initial states in declared
-    order, or from ``initial_hint`` alone; on success, simplify the plan of
-    the first winning state and wrap it into an executable controller.
+    order, or from ``initial_hint`` alone; on success, wrap the plan of the
+    first winning state into an executable controller.
 
     One product rooted at every candidate and one game over it decide all
     candidates at once.  ``unknown`` means the specification automaton
     could not be made total, so this method cannot decide the instance;
-    ``not-found`` means the game is lost from every candidate.  Both the
-    extracted and the simplified plan are independently re-verified.
+    ``not-found`` means the game is lost from every candidate.  The
+    extracted plan is independently re-verified once and returned as is.
     """
     if initial_hint is not None and initial_hint not in system.states:
         raise AutomatonError(f"unknown initial state {initial_hint!r}")
@@ -200,10 +201,4 @@ def synthesize(system, formula, valuation, initial_hint=None,
         raise VerificationFailure(
             f"synthesized plan from {q0!r} failed independent verification"
         )
-    simplified = simplify_plan(plan)
-    if check_plan(simplified, valuation, formula, spec) is not None:
-        raise VerificationFailure(
-            f"simplified plan from {q0!r} failed independent verification"
-        )
-    return SynthesisResult(FOUND, initial=q0, plan=simplified,
-                           controller=Controller(simplified))
+    return SynthesisResult(FOUND, initial=q0, plan=plan, controller=Controller(plan))

@@ -432,9 +432,24 @@ class TestUsage:
                            "transitions": 5}, "system"),
             ("sys3.json", {"states": ["q"], "controls": ["a"], "disturbances": ["b"],
                            "transitions": [["q", "a", "b", "q"]]}, "system"),
+            ("sys4.json", {"states": ["q"], "controls": ["a"], "disturbances": ["b"],
+                           "transitions": [{"from": ["q"], "control": "a",
+                                            "disturbance": "b", "to": "q"}]}, "system"),
+            ("sys5.json", {"states": ["q"], "controls": ["a"], "disturbances": ["b"],
+                           "transitions": [{"from": "q", "control": {"a": 1},
+                                            "disturbance": "b", "to": "q"}]}, "system"),
+            ("sys6.json", {"states": ["q"], "controls": ["a"], "disturbances": ["b"],
+                           "transitions": [{"from": "q", "control": "a",
+                                            "disturbance": "b", "to": "q"}],
+                           "observations": {"q": ["low"]}}, "system"),
             ("plan.json", {"scrs": [{"id": "x", "world": "q", "action": "a",
                                      "successors": []}]}, "plan"),
             ("plan2.json", {"scrs": 5}, "plan"),
+            ("aut.json", {**UNTIL_AUTOMATON, "states": [["a"]]}, "automaton"),
+            ("aut2.json", {**UNTIL_AUTOMATON, "accepting": [{"x": 1}]}, "automaton"),
+            ("aut3.json", {**UNTIL_AUTOMATON, "initial": [["wait"]]}, "automaton"),
+            ("aut4.json", {**UNTIL_AUTOMATON,
+                           "states": ["wait", "acc", "rej", 1]}, "automaton"),
         ]
         for name, payload, kind in cases:
             path = write_json(tmp_path / name, payload)
@@ -443,6 +458,11 @@ class TestUsage:
                     "verify", "--system", path, "--spec", "true",
                     "--plan", example_plan_file, capsys=capsys,
                 )
+            elif kind == "automaton":
+                code, _, stderr = run(
+                    "synth", "--system", agent_system_file, "--automaton", path,
+                    "--out", str(tmp_path / "p.json"), capsys=capsys,
+                )
             else:
                 code, _, stderr = run(
                     "verify", "--system", agent_system_file, "--spec", "true",
@@ -450,6 +470,17 @@ class TestUsage:
                 )
             assert code == 3, (name, code)
             assert stderr.startswith("error:")
+
+    def test_verify_rejects_initial(self, agent_system_file, example_plan_file,
+                                    capsys):
+        # verify checks every trajectory of the plan from plan state 1, so
+        # it takes no initial state
+        code, stdout, stderr = run(
+            "verify", "--system", agent_system_file, "--spec", "p2 U p3",
+            "--plan", example_plan_file, "--initial", "zz", capsys=capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert "unrecognized arguments: --initial zz" in stderr
 
     def test_unparseable_json_exits_three(self, tmp_path, example_plan_file, capsys):
         bad = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ from conftest import child_env
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 EXPECTED = pathlib.Path(__file__).parent / "data" / "demos"
+README = DEMOS.parent / "README.md"
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
@@ -38,3 +39,18 @@ def test_cli_tour_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     stdout = re.sub(re.escape(str(tmp_path)) + r"/[^/\s]+", "$WORKDIR", proc.stdout)
     assert stdout == (EXPECTED / "05_cli_tour.out").read_text(encoding="utf-8")
+
+
+def test_readme_library_tour_runs():
+    # the README's one python block runs as written and prints what it
+    # promises; re-record tests/data/readme_tour.out only for an intended
+    # output change
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                         re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", tour],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = (EXPECTED.parent / "readme_tour.out").read_text(encoding="utf-8")
+    assert proc.stdout == expected

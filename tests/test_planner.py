@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -6,11 +7,17 @@ from astra import buchi, ltl, planner
 from astra.core import Valuation, validate_ats
 from astra.errors import AstraError, AutomatonError
 from astra.ltl import Atom, Until
-from astra.plan import Controller, plan_satisfies, plan_trajectories
+from astra.plan import (
+    Controller,
+    plan_satisfies,
+    plan_trajectories,
+    simplify_plan,
+)
 from astra.planner import (
     FOUND,
     NOT_FOUND,
     UNKNOWN,
+    extract_plan,
     solve_buchi_game,
     synthesize,
 )
@@ -24,6 +31,7 @@ from oracles import (
 )
 
 P23 = Until(Atom("p2"), Atom("p3"))
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def self_loop_system():
@@ -295,6 +303,77 @@ class TestSynthesize:
         for _ in range(2):
             assert synthesize(system, formula, valuation).status == NOT_FOUND
         assert calls == {"product": 2, "is_total": 2}
+
+    def test_one_check_and_two_translations_per_found_call(self, agent_system,
+                                                           monkeypatch):
+        # a found call translates the formula for the game and its negation
+        # for the one check, and returns the plan it checked; a call that
+        # finds no plan translates once and checks nothing
+        system, valuation = agent_system
+        checked, translated = [], []
+
+        def counted_check(plan, *args, _original=planner.check_plan):
+            checked.append(plan)
+            return _original(plan, *args)
+
+        def counted_translation(*args, _original=buchi.ltl_to_buchi, **kwargs):
+            translated.append(args[0])
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(planner, "check_plan", counted_check)
+        monkeypatch.setattr(buchi, "ltl_to_buchi", counted_translation)
+        cases = [(P23, FOUND, 1, 2), (ltl.false(), NOT_FOUND, 0, 1),
+                 (ltl.eventually(Until(Atom("p1"), Atom("p2"))), UNKNOWN, 0, 1)]
+        for formula, status, checks, translations in cases:
+            checked.clear()
+            translated.clear()
+            result = synthesize(system, formula, valuation)
+            assert (result.status, len(checked), len(translated)) == \
+                (status, checks, translations)
+            if result.found:
+                assert result.plan is checked[0]
+
+    def test_extracted_plans_need_no_simplification(self, monkeypatch):
+        # every successor of a product state carries the same automaton
+        # state, so an extracted plan has at most one successor per world
+        # state and simplify_plan leaves it as it is; synthesize returns
+        # that very plan
+        extracted = []
+
+        def recorded(*args, _original=extract_plan):
+            extracted.append(_original(*args))
+            return extracted[-1]
+        monkeypatch.setattr(planner, "extract_plan", recorded)
+        rng = random.Random(35)
+        specs = []
+        for _ in range(300):
+            system, valuation = random_system(rng, max_states=6, max_controls=3,
+                                              max_props=2)
+            formula = random_formula(rng, valuation.props, rng.randint(2, 6))
+            specs.append((system, valuation, formula, None))
+        for name in ("aut_until.json", "aut_always_implies.json",
+                     "aut_response.json"):
+            automaton = buchi.load_automaton(DATA / name)
+            for _ in range(60):
+                system, valuation = random_system(rng, max_states=6,
+                                                  max_controls=3, max_props=2)
+                specs.append((system, valuation, None, automaton))
+        roots = 0
+        for system, valuation, formula, automaton in specs:
+            result = synthesize(system, formula, valuation, automaton=automaton)
+            if result.found:
+                assert result.plan is extracted[-1]
+            spec = planner.spec_automaton(formula, valuation, automaton)
+            if spec is None:
+                continue
+            prod = buchi.product(system, system.states, spec, valuation)
+            solution = solve_buchi_game(prod)
+            for root in range(len(system.states)):
+                if root in solution.winning:
+                    plan = extract_plan(prod, solution, root)
+                    plan.require_unique_world_successors()
+                    assert simplify_plan(plan) == plan
+                    roots += 1
+        assert roots >= 700
 
     def test_matches_per_candidate_reference(self):
         # one game over every root gives the verdict, the initial state and
