@@ -374,6 +374,21 @@ def _prune_subsumed(edges):
     return pruned
 
 
+def _discovery(roots, successors):
+    """Breadth-first discovery order from ``roots`` (in order, repeats
+    dropped) and each node's place in that order."""
+    place = {}
+    for root in roots:
+        place.setdefault(root, len(place))
+    order = list(place)
+    for node in order:
+        for succ in successors(node):
+            if succ not in place:
+                place[succ] = len(order)
+                order.append(succ)
+    return order, place
+
+
 def _live_states(succ, accepting):
     """States that can reach a cycle through an accepting state."""
     live = {
@@ -384,13 +399,7 @@ def _live_states(succ, accepting):
     for n, dsts in succ.items():
         for d in dsts:
             rev.setdefault(d, []).append(n)
-    queue = list(live)
-    for n in queue:
-        for p in rev.get(n, ()):
-            if p not in live:
-                live.add(p)
-                queue.append(p)
-    return live
+    return set(_discovery(live, lambda n: rev.get(n, ()))[0])
 
 
 def _cyclic_sccs(succ):
@@ -571,16 +580,10 @@ def totalize(automaton: BuchiAutomaton):
     if len(automaton.initial) > 1:
         return None
     universe = automaton.props
-    reachable = list(automaton.initial)
-    seen = set(reachable)
-    for state in reachable:
-        for edge in automaton.edges_from(state):
-            if edge.dst not in seen:
-                seen.add(edge.dst)
-                reachable.append(edge.dst)
-
+    reachable, dst_order = _discovery(
+        automaton.initial, lambda s: (e.dst for e in automaton.edges_from(s))
+    )
     letters = all_letters(universe)
-    dst_order = {s: i for i, s in enumerate(reachable)}
     edges = []
     missing = {}
     for state in reachable:
@@ -644,19 +647,15 @@ def accepting_lasso(root, successors, accepting, inside=None):
     else:
         kept = {n for n in order if inside(n)}
         sub = {n: tuple(d for d in succ[n] if d in kept) for n in order if n in kept}
-    comp = {}
-    for scc in _cyclic_sccs(sub):
-        comp.update(dict.fromkeys(scc, scc))
-    entry = next((n for n in order if n in comp and accepting(n)), None)
+    cyclic = {n for scc in _cyclic_sccs(sub) for n in scc}
+    entry = next((n for n in order if n in cyclic and accepting(n)), None)
     if entry is None:
         return None
 
-    members = set(comp[entry])
+    # no node outside the entry's component leads back into it, so the
+    # search from its successors finds the walk inside the component
     prefix = _bfs_path((root,), entry, succ.__getitem__)
-    cycle = _bfs_path(
-        [d for d in sub[entry] if d in members], entry,
-        lambda n: [d for d in sub[n] if d in members],
-    )
+    cycle = _bfs_path(sub[entry], entry, sub.__getitem__)
     return Lasso(tuple(prefix), tuple(cycle))
 
 

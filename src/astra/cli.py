@@ -68,14 +68,23 @@ def build_parser():
     simulate.add_argument("--script", help="JSON list of disturbance labels")
 
     export = commands.add_parser("export", help="write a DOT rendering")
-    export.add_argument("kind", choices=("system", "plan", "automaton", "product", "tfin"))
-    export.add_argument("--system", help="system file (JSON)")
-    group = export.add_mutually_exclusive_group()
+    kinds = export.add_subparsers(dest="kind", required=True)
+    system = kinds.add_parser("system", help="the system")
+    system.add_argument("--system", required=True, help="system file (JSON)")
+    system.add_argument("--out", required=True, help="output path")
+    plan = kinds.add_parser("plan", help="a plan")
+    plan.add_argument("--plan", required=True, help="plan file (JSON)")
+    plan.add_argument("--out", required=True, help="output path")
+    automaton = kinds.add_parser("automaton", help="a specification automaton")
+    automaton.add_argument("--system", help="system file (JSON) declaring the props")
+    group = automaton.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", help="specification formula")
     group.add_argument("--automaton", help="specification automaton file (JSON)")
-    export.add_argument("--plan", help="plan file (JSON)")
-    export.add_argument("--initial", help="initial/root state")
-    export.add_argument("--out", required=True, help="output path")
+    automaton.add_argument("--out", required=True, help="output path")
+    _add_spec_arguments(kinds.add_parser("product", help="the game product"),
+                        out=True, initial=True)
+    _add_spec_arguments(kinds.add_parser("tfin", help="a plan's accepting system"),
+                        plan_file=True, out=True, initial=True)
     return parser
 
 
@@ -140,8 +149,8 @@ def _scripted_disturbances(args):
         raise AstraError("the scripted policy needs --script")
     with open(args.script, encoding="utf-8") as fh:
         script = json.load(fh)
-    if not isinstance(script, list):
-        raise AstraError("the disturbance script must be a JSON list")
+    if not isinstance(script, list) or not all(isinstance(b, str) for b in script):
+        raise AstraError("the disturbance script must be a JSON list of strings")
     if len(script) < args.steps:
         raise AstraError(
             f"the disturbance script has {len(script)} entries but --steps is {args.steps}"
@@ -234,28 +243,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_export(args) -> int:
     if args.kind == "plan":
-        if args.plan is None:
-            raise AstraError("export plan needs --plan")
         content = dot.plan_dot(load_plan(args.plan))
     elif args.kind == "system":
-        if args.system is None:
-            raise AstraError("export system needs --system")
         system, valuation = load_system(args.system)
         content = dot.system_dot(system, valuation)
     elif args.kind == "automaton":
         if args.automaton is not None:
             content = dot.automaton_dot(buchi.load_automaton(args.automaton))
-        elif args.spec is not None and args.system is not None:
+        elif args.system is not None:
             system, valuation = load_system(args.system)
             formula = parse_formula(args.spec, props=valuation.props)
             content = dot.automaton_dot(buchi.ltl_to_buchi(formula, props=valuation.props))
-        elif args.spec is not None:
-            content = dot.automaton_dot(buchi.ltl_to_buchi(parse_formula(args.spec)))
         else:
-            raise AstraError("export automaton needs --spec or --automaton")
+            content = dot.automaton_dot(buchi.ltl_to_buchi(parse_formula(args.spec)))
     elif args.kind == "product":
-        if args.system is None:
-            raise AstraError("export product needs --system")
         system, valuation = load_system(args.system)
         formula, automaton = _load_spec(args, valuation)
         spec = planner.spec_automaton(formula, valuation, automaton)
@@ -264,8 +265,6 @@ def cmd_export(args) -> int:
         root = args.initial if args.initial is not None else system.states[0]
         content = dot.product_dot(buchi.product(system, [root], spec, valuation))
     else:  # tfin
-        if args.system is None or args.plan is None:
-            raise AstraError("export tfin needs --system and --plan")
         system, valuation = load_system(args.system)
         formula, automaton = _load_spec(args, valuation)
         spec = planner.spec_automaton(formula, valuation, automaton)

@@ -47,8 +47,8 @@ def pigeonhole_cap(product: ProductAutomaton) -> int:
     return len(product.states) * (len(product.accepting) + 1) + 1
 
 
-def build_accepting_system(product: ProductAutomaton, controller,
-                           cap=None) -> AcceptingTransitionSystem:
+def build_accepting_system(product: ProductAutomaton,
+                           controller) -> AcceptingTransitionSystem:
     """Enumerate the recurrence-free outcome prefixes of the controller.
 
     The controller is lifted to product-state sequences by acting on their
@@ -59,11 +59,10 @@ def build_accepting_system(product: ProductAutomaton, controller,
     ending in that state.  Every accepting state occurs at most once in a
     node, so each node keeps their positions, and both the recurrence test
     and the fold-back target cost one lookup.
-    Exceeding ``cap`` (default: the pigeonhole bound) means the controller
-    is not actually winning.
+    A prefix longer than the pigeonhole bound means the controller is not
+    actually winning.
     """
-    if cap is None:
-        cap = pigeonhole_cap(product)
+    cap = pigeonhole_cap(product)
     start = product.initial
     root = (start,)
     nodes = [root]

@@ -308,16 +308,16 @@ def find_reachable_cycle(plan: ReactivePlan):
 
     Paths have at least one edge, so for plan state 1 the prefix is itself
     a cycle through 1.  Breadth-first search realizes the shortest-path
-    requirement with unit edge weights.
+    requirement with unit edge weights.  The qualifying states are those on
+    a cycle reachable from plan state 1, found by one strongly connected
+    component pass, so the search costs O(states + edges).
     """
-    for i in sorted(plan.by_id):
-        suffix = _bfs_shortest_walk(plan, i, i)
-        if suffix is None:
-            continue
-        prefix = _bfs_shortest_walk(plan, 1, i)
-        if prefix is not None:
-            return prefix, suffix
-    return None
+    reachable, _ = buchi._discovery((1,), plan.successor_ids)
+    cyclic = buchi._cyclic_sccs({i: plan.successor_ids(i) for i in reachable})
+    if not cyclic:
+        return None
+    first = min(i for scc in cyclic for i in scc)
+    return _bfs_shortest_walk(plan, 1, first), _bfs_shortest_walk(plan, first, first)
 
 
 def simplify_plan(plan: ReactivePlan) -> ReactivePlan:
@@ -326,37 +326,27 @@ def simplify_plan(plan: ReactivePlan) -> ReactivePlan:
     Per SCR and world state, at most one successor survives: the one on the
     discovered prefix, else the one on the suffix, else the lowest id.  The
     result still generates a trajectory whenever the input does, and its
-    trajectories are a subset of the input's.
+    trajectories are a subset of the input's.  Costs O(states + edges).
     """
     cycle = find_reachable_cycle(plan)
     if cycle is None:
         logger.info("plan has no reachable cycle; returning it unchanged")
         return plan
-    prefix, suffix = cycle
-
-    def on_path(path, i, group):
-        for n in range(len(path) - 1):
-            if path[n] == i and path[n + 1] in group:
-                return path[n + 1]
-        return None
+    # a shortest path or walk passes each plan state at most once before
+    # its end, so each state has at most one next state on it
+    prefix_next, suffix_next = (dict(zip(path, path[1:])) for path in cycle)
 
     rules = []
     for s in plan.scrs:
         groups = {}
         for j in plan.successor_ids(s.id):
             groups.setdefault(plan.by_id[j].world, []).append(j)
-        kept = set()
-        for _, group in sorted(groups.items()):
-            if len(group) == 1:
-                kept.add(group[0])
-                continue
-            choice = on_path(prefix, s.id, group)
-            if choice is None:
-                choice = on_path(suffix, s.id, group)
-            if choice is None:
-                choice = group[0]
-            kept.add(choice)
-        rules.append(SCR(s.id, s.world, s.action, frozenset(kept)))
+        kept = frozenset(
+            next((j for j in (prefix_next.get(s.id), suffix_next.get(s.id))
+                  if j in group), group[0])
+            for _, group in sorted(groups.items())
+        )
+        rules.append(SCR(s.id, s.world, s.action, kept))
     return ReactivePlan(rules)
 
 

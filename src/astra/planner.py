@@ -133,17 +133,6 @@ def spec_automaton(formula=None, valuation=None, automaton=None):
     return buchi.totalize(translated)
 
 
-def _discovery(root, successors):
-    """Breadth-first discovery order from ``root`` and each node's place in it."""
-    order, place = [root], {root: 0}
-    for node in order:
-        for succ in successors(node):
-            if succ not in place:
-                place[succ] = len(order)
-                order.append(succ)
-    return order, place
-
-
 def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
     """Unfold a winning positional strategy from product state ``root`` into
     a reactive plan.
@@ -157,16 +146,20 @@ def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
     """
     targets = product.targets
     strategy = solution.strategy
-    _, local = _discovery(root, lambda i: (j for col in targets[i] for ts in col for j in ts))
+    _, local = buchi._discovery(
+        (root,), lambda i: (j for col in targets[i] for ts in col for j in ts)
+    )
+    moves = {}
 
-    def moves(i):
+    def record_moves(i):
         col = targets[i][product.controls.index(strategy[i])]
-        return sorted({j for ts in col for j in ts}, key=local.__getitem__)
+        moves[i] = sorted({j for ts in col for j in ts}, key=local.__getitem__)
+        return moves[i]
 
-    order, ids = _discovery(root, moves)
+    order, ids = buchi._discovery((root,), record_moves)
     return ReactivePlan([
         SCR(ids[i] + 1, product.world(product.states[i]), strategy[i],
-            frozenset(ids[j] + 1 for j in moves(i)))
+            frozenset(ids[j] + 1 for j in moves[i]))
         for i in order
     ])
 

@@ -8,6 +8,11 @@ synthesis by one such game per candidate initial state, exhaustive plan-path
 matching for observed histories, automaton completion over every
 declared proposition, and recurrence-free outcome prefixes found by
 rescanning every extension.  These stay independent of the code paths they check.
+
+The lasso, reachable-cycle and simplification references at the end are
+the earlier quadratic implementations, kept to pin the exact outputs of
+the linear ones: a cycle search confined to an explicit component map,
+one breadth-first search per plan state, and prefix and suffix rescans.
 """
 
 import math
@@ -16,7 +21,8 @@ from itertools import combinations
 import networkx as nx
 
 from astra import buchi, ltl
-from astra.plan import SCR, ReactivePlan, simplify_plan
+from astra.core import Lasso
+from astra.plan import SCR, ReactivePlan
 
 
 def oracle_eval(word, formula, position=1):
@@ -260,7 +266,7 @@ def per_candidate_synthesis(system, spec, valuation, initial_hint=None):
                 frozenset(ids[t] for t in prod.successors(s, strategy[s])))
             for s in order
         ])
-        return "found", q0, simplify_plan(plan)
+        return "found", q0, on_path_simplify_plan(plan)
     return "not-found", None, None
 
 
@@ -325,7 +331,6 @@ def matching_paths(plan, history):
 def closed_loop_lassos(system, controller, start, bound, cap=10**6):
     """Lassos of the closed loop built by stepping the controller against
     the system, independently of the plan-graph enumeration."""
-    from astra.core import Lasso
     from astra.errors import ExplosionGuard
     from astra.plan import Controller
 
@@ -453,3 +458,94 @@ def reference_totalize(automaton, declared):
         edges.append((sink, "true", sink))
         initial = initial or (sink,)
     return tuple(states), tuple(initial), automaton.accepting & set(reachable), edges
+
+
+def shortest_path(sources, dst, successors):
+    """A shortest path from one of ``sources`` to ``dst`` as a list, or
+    ``None``; ties go to earlier sources, then to earlier successors."""
+    parent = dict.fromkeys(sources)
+    queue = list(parent)
+    for node in queue:
+        for nxt in successors(node):
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def component_accepting_lasso(root, successors, accepting, inside=None):
+    """``buchi.accepting_lasso`` by its definition: the first accepting node
+    in breadth-first order that lies on a cycle inside, a shortest prefix to
+    it, and a shortest cycle search confined to its strongly connected
+    component (networkx) of the subgraph inside."""
+    order, succ = [root], {}
+    for node in order:
+        succ[node] = tuple(successors(node))
+        for d in succ[node]:
+            if d not in order:
+                order.append(d)
+    kept = {n for n in order if inside is None or inside(n)}
+    sub = {n: tuple(d for d in succ[n] if d in kept) for n in order if n in kept}
+    comp = {}
+    for scc in nx.strongly_connected_components(graph_of(kept, sub.__getitem__)):
+        if len(scc) > 1 or any(n in sub[n] for n in scc):
+            comp.update(dict.fromkeys(scc, scc))
+    entry = next((n for n in order if n in comp and accepting(n)), None)
+    if entry is None:
+        return None
+    members = comp[entry]
+    prefix = shortest_path((root,), entry, succ.__getitem__)
+    cycle = shortest_path([d for d in sub[entry] if d in members], entry,
+                          lambda n: [d for d in sub[n] if d in members])
+    return Lasso(tuple(prefix), tuple(cycle))
+
+
+def per_state_reachable_cycle(plan):
+    """``plan.find_reachable_cycle`` by one breadth-first search per plan
+    state in id order: the first state with a walk of at least one edge
+    back to itself and one from plan state 1."""
+
+    def walk(src, dst):
+        path = shortest_path(plan.successor_ids(src), dst, plan.successor_ids)
+        return None if path is None else (src,) + tuple(path)
+
+    for i in sorted(plan.by_id):
+        suffix = walk(i, i)
+        if suffix is not None:
+            prefix = walk(1, i)
+            if prefix is not None:
+                return prefix, suffix
+    return None
+
+
+def on_path_simplify_plan(plan):
+    """``plan.simplify_plan`` by rescanning the prefix, then the suffix, of
+    ``per_state_reachable_cycle`` for each same-world successor group."""
+    cycle = per_state_reachable_cycle(plan)
+    if cycle is None:
+        return plan
+
+    def on_path(path, i, group):
+        for n in range(len(path) - 1):
+            if path[n] == i and path[n + 1] in group:
+                return path[n + 1]
+        return None
+
+    rules = []
+    for s in plan.scrs:
+        groups = {}
+        for j in plan.successor_ids(s.id):
+            groups.setdefault(plan.by_id[j].world, []).append(j)
+        kept = set()
+        for _, group in sorted(groups.items()):
+            choice = on_path(cycle[0], s.id, group)
+            if choice is None:
+                choice = on_path(cycle[1], s.id, group)
+            kept.add(group[0] if choice is None else choice)
+        rules.append(SCR(s.id, s.world, s.action, frozenset(kept)))
+    return ReactivePlan(rules)

@@ -22,7 +22,12 @@ from astra.errors import AutomatonError
 from astra.ltl import Atom, Until
 
 from generators import random_formula, random_letter_lasso, random_system
-from oracles import accepting_lasso_exists, has_rejecting_cycle, reference_totalize
+from oracles import (
+    accepting_lasso_exists,
+    component_accepting_lasso,
+    has_rejecting_cycle,
+    reference_totalize,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 PROPS = ("p1", "p2", "p3")
@@ -308,6 +313,24 @@ class TestAcceptingLasso:
                 for a, b in zip(unrolled, unrolled[1:]):
                     assert b in succ[a]
         assert 50 <= found <= 250
+
+    def test_exact_lasso_matches_component_search(self):
+        # unsorted successor tuples exercise the tie-breaks too
+        rng = random.Random(99)
+        found = 0
+        for case in range(3000):
+            n = rng.randint(1, 9)
+            succ = {v: tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+                    for v in range(n)}
+            accepting = {v for v in range(n) if rng.random() < 0.3}
+            inside = None
+            if case % 2:
+                inside = {v for v in range(n) if rng.random() < 0.7}.__contains__
+            got = accepting_lasso(0, succ.__getitem__, accepting.__contains__, inside)
+            assert got == component_accepting_lasso(
+                0, succ.__getitem__, accepting.__contains__, inside)
+            found += got is not None
+        assert found > 500
 
 
 class TestNbaAccepts:

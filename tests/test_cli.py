@@ -280,6 +280,18 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_non_string_script_entries_are_errors(self, tmp_path, agent_system_file,
+                                                  example_plan_file, capsys):
+        for entries in ([{"x": 1}], [["b"]]):
+            script = write_json(tmp_path / "script.json", entries)
+            code, stdout, stderr = run(
+                "simulate", "--system", agent_system_file, "--spec", "p2 U p3",
+                "--plan", example_plan_file, "--policy", "scripted",
+                "--script", script, "--steps", "1", capsys=capsys,
+            )
+            assert code == 3 and stdout == "", entries
+            assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+
     def test_adversarial_on_verified_plan(self, tmp_path, agent_system_file, capsys):
         plan_path = tmp_path / "plan.json"
         code, _, _ = run(
@@ -396,6 +408,17 @@ class TestExport:
                              capsys=capsys)
             assert code == 0
             check_dot(out.read_text())
+
+    def test_kinds_reject_initial_they_do_not_read(self, tmp_path, agent_system_file,
+                                                   capsys):
+        out = tmp_path / "o.dot"
+        for kind, inputs in (("system", ("--system", agent_system_file)),
+                             ("automaton", ("--spec", "F p"))):
+            code, stdout, stderr = run("export", kind, *inputs, "--initial", "zz",
+                                       "--out", str(out), capsys=capsys)
+            assert code == 3 and stdout == "", kind
+            assert "unrecognized arguments: --initial zz" in stderr
+            assert not out.exists()
 
     def test_missing_inputs_are_errors(self, tmp_path, capsys):
         code, _, _ = run("export", "plan", "--out", str(tmp_path / "x.dot"),

@@ -31,7 +31,13 @@ from astra.plan import (
 from astra.planner import spec_automaton
 
 from generators import random_formula, random_plan
-from oracles import closed_loop_lassos, matching_paths, replayable_on_plan
+from oracles import (
+    closed_loop_lassos,
+    matching_paths,
+    on_path_simplify_plan,
+    per_state_reachable_cycle,
+    replayable_on_plan,
+)
 
 P23 = Until(Atom("p2"), Atom("p3"))
 DATA = pathlib.Path(__file__).parent / "data"
@@ -276,6 +282,72 @@ class TestReachableCycle:
             SCR(2, "q2", "a", frozenset({2})),
         ])
         assert find_reachable_cycle(plan) == ((1, 2), (2, 2))
+
+
+def random_plans(seed, count):
+    """``random_plan`` plans, about a third of them with most backward edges
+    cut, so that some have no reachable cycle or only cycles away from plan
+    state 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        plan = random_plan(rng, max_rules=rng.choice((3, 8, 14)),
+                           max_worlds=rng.choice((2, 4)))
+        if rng.random() < 0.3:
+            plan = ReactivePlan([
+                SCR(s.id, s.world, s.action, frozenset(
+                    j for j in sorted(s.successors) if j > s.id or rng.random() < 0.2))
+                for s in plan.scrs
+            ])
+        yield plan
+
+
+class CountingPlan(ReactivePlan):
+    """A plan that counts its ``successor_ids`` calls."""
+
+    calls = 0
+
+    def successor_ids(self, plan_state):
+        self.calls += 1
+        return super().successor_ids(plan_state)
+
+
+def chain_plan(n):
+    """1 -> 2 -> ... -> n, and n loops: the only cycle is at the end."""
+    return CountingPlan([SCR(i, f"w{i}", "a", frozenset({min(i + 1, n)}))
+                         for i in range(1, n + 1)])
+
+
+def twin_chain_plan(levels):
+    """Two plan states per world, each leading to both of the next level's;
+    the last level leads to itself."""
+    rules = []
+    for k in range(1, levels + 1):
+        nxt = frozenset({2 * min(k + 1, levels) - 1, 2 * min(k + 1, levels)})
+        rules += [SCR(2 * k - 1, f"w{k}", "a", nxt), SCR(2 * k, f"w{k}", "b", nxt)]
+    return CountingPlan(rules)
+
+
+class TestLinearSearches:
+    def test_match_per_state_references(self):
+        cyclic = 0
+        for plan in random_plans(31, 1500):
+            cycle = find_reachable_cycle(plan)
+            assert cycle == per_state_reachable_cycle(plan)
+            # repr also pins the order of each successor frozenset
+            assert repr(simplify_plan(plan)) == repr(on_path_simplify_plan(plan))
+            cyclic += cycle is not None
+        assert 100 < cyclic < 1400
+
+    @pytest.mark.parametrize("build, size", [(chain_plan, 2000), (twin_chain_plan, 1000)])
+    def test_successor_calls_linear(self, build, size):
+        plan = build(size)
+        edges = sum(len(s.successors) for s in plan.scrs)
+        budget = 4 * (len(plan) + edges)
+        assert find_reachable_cycle(plan) is not None
+        assert plan.calls <= budget
+        plan.calls = 0
+        simplify_plan(plan)
+        assert plan.calls <= budget
 
 
 class TestSimplify:
