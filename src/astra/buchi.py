@@ -389,63 +389,72 @@ def _discovery(roots, successors):
     return order, place
 
 
-def _live_states(succ, accepting):
-    """States that can reach a cycle through an accepting state."""
-    live = {
-        n for scc in _cyclic_sccs(succ)
-        if any(m in accepting for m in scc) for n in scc
-    }
-    rev = {}
-    for n, dsts in succ.items():
-        for d in dsts:
-            rev.setdefault(d, []).append(n)
-    return set(_discovery(live, lambda n: rev.get(n, ()))[0])
+def _live_states(rows, accepting):
+    """Nodes of ``rows`` (node -> its successor nodes, all ints) that can
+    reach a cycle through a node of ``accepting``."""
+    comp = _cyclic_components(rows, accepting)
+    good = {comp[i] for i in accepting if comp[i] >= 0}
+    rev = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            rev[j].append(i)
+    live = [i for i, c in enumerate(comp) if c in good]
+    return set(_discovery(live, rev.__getitem__)[0])
 
 
-def _cyclic_sccs(succ):
-    """The strongly connected components of ``succ`` (every node -> its
-    successor tuple) that contain a cycle, by iterative Tarjan from the
-    nodes in key order."""
-    index = {}
-    low = {}
-    onstack = set()
+def _cyclic_components(rows, roots):
+    """Per node of ``rows`` (node i -> its successor nodes, ints below
+    ``len(rows)``), the number of its strongly connected component when the
+    search from ``roots`` reaches it and the component contains a cycle,
+    else -1.  An iterative Tarjan over list-indexed arrays; a reached node's
+    component is reached whole, so its flag does not depend on the roots.
+    O(nodes + edges).
+    """
+    n = len(rows)
+    index = [-1] * n
+    low = [0] * n
+    onstack = [False] * n
+    comp = [-1] * n
     stack = []
-    cyclic = []
-    for root in succ:
-        if root in index:
+    count = found = 0
+    for root in roots:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = len(index)
-                stack.append(node)
-                onstack.add(node)
-            succs = succ[node]
-            for i in range(pi, len(succs)):
-                nxt = succs[i]
-                if nxt not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        onstack[root] = True
+        path = [root]
+        its = [iter(rows[root])]
+        while path:
+            node = path[-1]
+            for nxt in its[-1]:
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = count
+                    count += 1
+                    stack.append(nxt)
+                    onstack[nxt] = True
+                    path.append(nxt)
+                    its.append(iter(rows[nxt]))
                     break
-                if nxt in onstack:
-                    low[node] = min(low[node], index[nxt])
+                if onstack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
             else:
-                work.pop()
+                path.pop()
+                its.pop()
                 if low[node] == index[node]:
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        scc.append(w)
-                        if w == node:
-                            break
-                    if len(scc) > 1 or node in succs:
-                        cyclic.append(tuple(scc))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-    return cyclic
+                    w = stack.pop()
+                    onstack[w] = False
+                    if w != node or node in rows[node]:
+                        comp[w] = found
+                        while w != node:
+                            w = stack.pop()
+                            onstack[w] = False
+                            comp[w] = found
+                        found += 1
+                if path and low[node] < low[path[-1]]:
+                    low[path[-1]] = low[node]
+    return comp
 
 
 def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
@@ -519,16 +528,19 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
         node_edges[node] = outs
     accepting_nodes = {n for n in nodes if n[1] == k} if k else set(nodes)
 
-    succ_index = {n: tuple(t for t, _ in node_edges[n]) for n in nodes}
-    live = _live_states(succ_index, accepting_nodes)
-    live.add(start)
-    kept = [n for n in nodes if n in live]
+    number = {n: i for i, n in enumerate(nodes)}
+    live = _live_states(
+        [[number[t] for t, _ in node_edges[n]] for n in nodes],
+        [i for i, n in enumerate(nodes) if n in accepting_nodes],
+    )
+    live.add(0)
+    kept = [n for i, n in enumerate(nodes) if i in live]
     names = {n: f"s{i}" for i, n in enumerate(kept)}
 
     edges = []
     for node in kept:
         for target, minterms in node_edges[node]:
-            if target in live:
+            if number[target] in live:
                 edges.append(
                     Edge(names[node], guard_from_minterms(atoms, minterms), names[target])
                 )
@@ -631,32 +643,57 @@ def accepting_lasso(root, successors, accepting, inside=None):
     lasso's prefix is a shortest path from the root to that node inclusive,
     and the cycle a shortest walk inside its component from the node's
     successors back to it.
+
+    The nodes reached from the root are numbered 0, 1, ... in breadth-first
+    discovery order, and the search runs on that integer graph (see
+    :func:`_indexed_lasso`); ``successors``, ``accepting`` and ``inside``
+    are called once per reached node.  The cost is O(nodes + edges) of the
+    reached graph.
     """
     order = [root]
-    seen = {root}
-    succ = {}
+    place = {root: 0}
+    rows = []
     for node in order:
-        succ[node] = tuple(successors(node))
-        for nxt in succ[node]:
-            if nxt not in seen:
-                seen.add(nxt)
+        row = []
+        for nxt in successors(node):
+            j = place.get(nxt)
+            if j is None:
+                j = place[nxt] = len(order)
                 order.append(nxt)
+            row.append(j)
+        rows.append(row)
+    found = _indexed_lasso(
+        rows, [accepting(n) for n in order],
+        None if inside is None else [inside(n) for n in order],
+    )
+    if found is None:
+        return None
+    prefix, cycle = found
+    return Lasso(tuple(order[i] for i in prefix), tuple(order[i] for i in cycle))
 
+
+def _indexed_lasso(rows, accepting, inside=None):
+    """:func:`accepting_lasso` on a graph numbered in breadth-first order
+    from its root 0: ``rows[i]`` lists node ``i``'s successors in order, and
+    ``accepting`` and ``inside`` hold each node's flag.  Returns the prefix
+    and cycle as lists of node numbers, or ``None``."""
     if inside is None:
-        sub = succ
+        sub = rows
     else:
-        kept = {n for n in order if inside(n)}
-        sub = {n: tuple(d for d in succ[n] if d in kept) for n in order if n in kept}
-    cyclic = {n for scc in _cyclic_sccs(sub) for n in scc}
-    entry = next((n for n in order if n in cyclic and accepting(n)), None)
+        sub = [[j for j in row if inside[j]] if inside[i] else ()
+               for i, row in enumerate(rows)]
+    # the entry's component is reached from the entry, so the search for
+    # components need only start from accepting nodes
+    marked = [i for i, flag in enumerate(accepting) if flag]
+    comp = _cyclic_components(sub, marked)
+    entry = next((i for i in marked if comp[i] >= 0), None)
     if entry is None:
         return None
-
     # no node outside the entry's component leads back into it, so the
     # search from its successors finds the walk inside the component
-    prefix = _bfs_path((root,), entry, succ.__getitem__)
+    prefix = _bfs_path((0,), entry, rows.__getitem__)
     cycle = _bfs_path(sub[entry], entry, sub.__getitem__)
-    return Lasso(tuple(prefix), tuple(cycle))
+    return prefix, cycle
 
 
 def _bfs_path(sources, dst, successors):

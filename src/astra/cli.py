@@ -76,7 +76,8 @@ def build_parser():
     plan.add_argument("--plan", required=True, help="plan file (JSON)")
     plan.add_argument("--out", required=True, help="output path")
     automaton = kinds.add_parser("automaton", help="a specification automaton")
-    automaton.add_argument("--system", help="system file (JSON) declaring the props")
+    automaton.add_argument("--system",
+                           help="system file (JSON) declaring the props of --spec")
     group = automaton.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", help="specification formula")
     group.add_argument("--automaton", help="specification automaton file (JSON)")
@@ -144,7 +145,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _scripted_disturbances(args):
+def _scripted_disturbances(args, system):
     if args.script is None:
         raise AstraError("the scripted policy needs --script")
     with open(args.script, encoding="utf-8") as fh:
@@ -155,6 +156,10 @@ def _scripted_disturbances(args):
         raise AstraError(
             f"the disturbance script has {len(script)} entries but --steps is {args.steps}"
         )
+    declared = set(system.disturbances)
+    for b in script:
+        if b not in declared:
+            raise AstraError(f"scripted disturbance {b!r} is not declared")
     return script
 
 
@@ -180,7 +185,7 @@ def cmd_simulate(args) -> int:
         raise AstraError(f"unknown initial state {start!r}")
 
     rng = random.Random(args.seed)
-    script = _scripted_disturbances(args) if args.policy == "scripted" else None
+    script = _scripted_disturbances(args, system) if args.policy == "scripted" else None
     tracker = None
     if args.policy == "adversarial":
         spec = planner.spec_automaton(formula, valuation, automaton)
@@ -195,8 +200,6 @@ def cmd_simulate(args) -> int:
         nonlocal tracker
         if args.policy == "scripted":
             b = script[step_index]
-            if b not in set(system.disturbances):
-                raise AstraError(f"scripted disturbance {b!r} is not declared")
             return b, rng.choice(system.successors_under(state, action, b))
         if args.policy == "random":
             b = rng.choice(system.disturbances)
@@ -248,6 +251,9 @@ def cmd_export(args) -> int:
         system, valuation = load_system(args.system)
         content = dot.system_dot(system, valuation)
     elif args.kind == "automaton":
+        if args.automaton is not None and args.system is not None:
+            raise AstraError("--system is read only with --spec; an automaton file "
+                             "declares its own propositions")
         if args.automaton is not None:
             content = dot.automaton_dot(buchi.load_automaton(args.automaton))
         elif args.system is not None:

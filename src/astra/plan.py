@@ -6,7 +6,10 @@ well-formedness, generated trajectories, reachable-cycle search, plan
 simplification, and the strategy obtained by walking a simplified plan
 along an observed state history.  :func:`check_plan` is the one
 verification entry: it decides whether a plan meets a formula or a total
-automaton, and says why not when it does not.
+automaton, and says why not when it does not.  The check runs on an
+indexed product: the plan graph times the automaton, explored from plan
+state 1 with every node an integer, searched for an accepting lasso by
+:func:`buchi.accepting_lasso`'s integer core.
 """
 
 from __future__ import annotations
@@ -219,25 +222,58 @@ def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
 def _violation(plan, automaton, valuation, accepting, inside=None):
     """The world lasso of an ``accepting_lasso`` search, from plan state 1
     and the automaton's initial state, in the product of the plan graph with
-    an automaton reading world valuations; ``None`` when there is none."""
-    delta = {}
+    an automaton reading world valuations; ``None`` when there is none.
+    ``accepting`` and ``inside`` are predicates over automaton states.
 
-    def successors(node):
-        plan_state, x = node
-        letter = valuation.label(plan.world_of(plan_state))
+    Product node ``(plan state p, i-th automaton state)`` is the integer
+    ``p * m + i`` for ``m`` automaton states.  Nodes are numbered again in
+    breadth-first discovery order, and each row lists a node's successors
+    in that numbering: plan successors in increasing order, each with the
+    automaton's targets in order.  A plan state's letter is read when the
+    search first reaches it, and the automaton steps once per (state,
+    letter).
+    """
+    states = automaton.states
+    m = len(states)
+    number = {x: i for i, x in enumerate(states)}
+    letters = [None] * (len(plan) + 1)
+    delta = {}
+    root = m + number[automaton.initial[0]]
+    place = [-1] * ((len(plan) + 1) * m)
+    place[root] = 0
+    order = [root]
+    rows = []
+    for node in order:
+        plan_state, x = divmod(node, m)
+        letter = letters[plan_state]
+        if letter is None:
+            letter = letters[plan_state] = valuation.label(plan.world_of(plan_state))
         targets = delta.get((x, letter))
         if targets is None:
-            targets = delta[x, letter] = automaton.successors(x, letter)
-        return tuple(
-            (j, t) for j in plan.successor_ids(plan_state) for t in targets
-        )
+            targets = delta[x, letter] = [
+                number[t] for t in automaton.successors(states[x], letter)]
+        row = []
+        for j in plan.successor_ids(plan_state):
+            base = j * m
+            for t in targets:
+                k = place[base + t]
+                if k < 0:
+                    k = place[base + t] = len(order)
+                    order.append(base + t)
+                row.append(k)
+        rows.append(row)
 
-    witness = buchi.accepting_lasso(
-        (1, automaton.initial[0]), successors, accepting, inside
-    )
-    if witness is None:
+    def per_node(predicate):
+        flags = [predicate(x) for x in states]
+        return [flags[node % m] for node in order]
+
+    found = buchi._indexed_lasso(
+        rows, per_node(accepting), None if inside is None else per_node(inside))
+    if found is None:
         return None
-    return witness.map(lambda node: plan.world_of(node[0]))
+    prefix, cycle = found
+    return Lasso(*(tuple(plan.world_of(order[k] // m) for k in path)
+                   for path in (prefix, cycle)))
 
 
 def plan_violation(plan: ReactivePlan, formula: ltl.Formula, valuation) -> Lasso | None:
@@ -245,8 +281,7 @@ def plan_violation(plan: ReactivePlan, formula: ltl.Formula, valuation) -> Lasso
     ``None``.  Decided by an accepting-lasso search in the product of the
     plan graph with an automaton for the negated formula."""
     negated = buchi.ltl_to_buchi(ltl.Not(formula), props=valuation.props)
-    return _violation(plan, negated, valuation,
-                      lambda node: node[1] in negated.accepting)
+    return _violation(plan, negated, valuation, negated.accepting.__contains__)
 
 
 def plan_violation_total(plan: ReactivePlan, automaton, valuation) -> Lasso | None:
@@ -256,8 +291,8 @@ def plan_violation_total(plan: ReactivePlan, automaton, valuation) -> Lasso | No
     if not buchi.is_total(automaton):
         raise PlanValidationError("violation search needs a total automaton")
 
-    def rejecting(node):
-        return node[1] not in automaton.accepting
+    def rejecting(x):
+        return x not in automaton.accepting
 
     return _violation(plan, automaton, valuation, rejecting, inside=rejecting)
 
@@ -312,11 +347,12 @@ def find_reachable_cycle(plan: ReactivePlan):
     a cycle reachable from plan state 1, found by one strongly connected
     component pass, so the search costs O(states + edges).
     """
-    reachable, _ = buchi._discovery((1,), plan.successor_ids)
-    cyclic = buchi._cyclic_sccs({i: plan.successor_ids(i) for i in reachable})
-    if not cyclic:
+    # row 0 stands for no plan state: ids run from 1
+    rows = [()] + [plan.successor_ids(i) for i in range(1, len(plan) + 1)]
+    comp = buchi._cyclic_components(rows, (1,))
+    first = next((i for i, c in enumerate(comp) if c >= 0), None)
+    if first is None:
         return None
-    first = min(i for scc in cyclic for i in scc)
     return _bfs_shortest_walk(plan, 1, first), _bfs_shortest_walk(plan, first, first)
 
 

@@ -13,6 +13,9 @@ The lasso, reachable-cycle and simplification references at the end are
 the earlier quadratic implementations, kept to pin the exact outputs of
 the linear ones: a cycle search confined to an explicit component map,
 one breadth-first search per plan state, and prefix and suffix rescans.
+The plan-violation references after them search the plan x automaton
+product keyed by ``(plan state, automaton state)`` tuples, with Tarjan
+over dicts, as the library did before it numbered the product.
 """
 
 import math
@@ -549,3 +552,102 @@ def on_path_simplify_plan(plan):
             kept.add(group[0] if choice is None else choice)
         rules.append(SCR(s.id, s.world, s.action, frozenset(kept)))
     return ReactivePlan(rules)
+
+
+def dict_cyclic_sccs(succ):
+    """The strongly connected components of ``succ`` (every node -> its
+    successor tuple) that contain a cycle, by iterative Tarjan over dicts
+    from the nodes in key order."""
+    index, low, onstack, stack, cyclic = {}, {}, set(), [], []
+    for root in succ:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                onstack.add(node)
+            succs = succ[node]
+            for i in range(pi, len(succs)):
+                nxt = succs[i]
+                if nxt not in index:
+                    work[-1] = (node, i + 1)
+                    work.append((nxt, 0))
+                    break
+                if nxt in onstack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        scc.append(w)
+                        if w == node:
+                            break
+                    if len(scc) > 1 or node in succs:
+                        cyclic.append(tuple(scc))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return cyclic
+
+
+def dict_accepting_lasso(root, successors, accepting, inside=None):
+    """``buchi.accepting_lasso`` over node-keyed dicts: the first accepting
+    node in breadth-first order on a cycle of ``dict_cyclic_sccs`` inside,
+    a shortest prefix to it and a shortest walk back to it inside."""
+    order, succ = [root], {}
+    seen = {root}
+    for node in order:
+        succ[node] = tuple(successors(node))
+        for d in succ[node]:
+            if d not in seen:
+                seen.add(d)
+                order.append(d)
+    kept = {n for n in order if inside is None or inside(n)}
+    sub = {n: tuple(d for d in succ[n] if d in kept) for n in order if n in kept}
+    cyclic = {n for scc in dict_cyclic_sccs(sub) for n in scc}
+    entry = next((n for n in order if n in cyclic and accepting(n)), None)
+    if entry is None:
+        return None
+    prefix = shortest_path((root,), entry, succ.__getitem__)
+    cycle = shortest_path(sub[entry], entry, sub.__getitem__)
+    return Lasso(tuple(prefix), tuple(cycle))
+
+
+def tuple_violation(plan, automaton, valuation, accepting, inside=None):
+    """The world lasso of a ``dict_accepting_lasso`` search from
+    ``(1, initial automaton state)`` in the product of the plan graph with
+    the automaton, its nodes ``(plan state, automaton state)`` tuples;
+    ``accepting`` and ``inside`` are predicates over those nodes."""
+
+    def successors(node):
+        plan_state, x = node
+        letter = valuation.label(plan.world_of(plan_state))
+        targets = automaton.successors(x, letter)
+        return tuple((j, t) for j in plan.successor_ids(plan_state) for t in targets)
+
+    witness = dict_accepting_lasso(
+        (1, automaton.initial[0]), successors, accepting, inside
+    )
+    return None if witness is None else witness.map(lambda node: plan.world_of(node[0]))
+
+
+def tuple_plan_violation(plan, formula, valuation):
+    """``plan.plan_violation`` on the tuple-keyed product."""
+    negated = buchi.ltl_to_buchi(ltl.Not(formula), props=valuation.props)
+    return tuple_violation(plan, negated, valuation,
+                           lambda node: node[1] in negated.accepting)
+
+
+def tuple_plan_violation_total(plan, automaton, valuation):
+    """``plan.plan_violation_total`` on the tuple-keyed product."""
+
+    def rejecting(node):
+        return node[1] not in automaton.accepting
+
+    return tuple_violation(plan, automaton, valuation, rejecting, inside=rejecting)

@@ -292,6 +292,18 @@ class TestSimulate:
             assert code == 3 and stdout == "", entries
             assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
 
+    def test_undeclared_script_entry_fails_before_the_first_step(
+            self, tmp_path, agent_system_file, example_plan_file, capsys):
+        # the agent declares the one disturbance "1"
+        script = write_json(tmp_path / "script.json", ["1", "1", "zz", "1"])
+        code, stdout, stderr = run(
+            "simulate", "--system", agent_system_file, "--spec", "p2 U p3",
+            "--plan", example_plan_file, "--policy", "scripted",
+            "--script", script, "--steps", "4", capsys=capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert stderr == "error: scripted disturbance 'zz' is not declared\n"
+
     def test_adversarial_on_verified_plan(self, tmp_path, agent_system_file, capsys):
         plan_path = tmp_path / "plan.json"
         code, _, _ = run(
@@ -419,6 +431,22 @@ class TestExport:
             assert code == 3 and stdout == "", kind
             assert "unrecognized arguments: --initial zz" in stderr
             assert not out.exists()
+
+    def test_automaton_file_takes_no_system(self, tmp_path, capsys):
+        automaton = write_json(tmp_path / "a.json", UNTIL_AUTOMATON)
+        out = tmp_path / "o.dot"
+        # the system file is not read, so a missing one changes nothing
+        code, stdout, stderr = run(
+            "export", "automaton", "--automaton", automaton,
+            "--system", str(tmp_path / "missing.json"), "--out", str(out),
+            capsys=capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert not out.exists()
+        code, _, _ = run("export", "automaton", "--automaton", automaton,
+                         "--out", str(out), capsys=capsys)
+        assert code == 0 and out.exists()
 
     def test_missing_inputs_are_errors(self, tmp_path, capsys):
         code, _, _ = run("export", "plan", "--out", str(tmp_path / "x.dot"),

@@ -9,6 +9,7 @@ from astra.errors import (
     AstraError,
     ExplosionGuard,
     PlanValidationError,
+    UndeclaredSymbol,
     UniquenessViolated,
 )
 from astra.ltl import Atom, Until
@@ -37,6 +38,8 @@ from oracles import (
     on_path_simplify_plan,
     per_state_reachable_cycle,
     replayable_on_plan,
+    tuple_plan_violation,
+    tuple_plan_violation_total,
 )
 
 P23 = Until(Atom("p2"), Atom("p3"))
@@ -258,6 +261,83 @@ class TestViolationTotal:
                 assert not buchi.nba_accepts(automaton, valuation.word(witness))
                 assert replayable_on_plan(plan, witness)
         assert 0 < violated < 60
+
+
+class TestIndexedProduct:
+    """The plan x automaton product is explored from plan state 1: a plan
+    state's letter is read only once the search reaches it, and the
+    automaton steps once per (automaton state, letter).  Its lassos are
+    those of the tuple-keyed reference, exactly."""
+
+    PROPS = ("p1", "p2")
+
+    def test_unreachable_world_needs_no_valuation(self):
+        valuation = Valuation(self.PROPS, {"w1": {"p1"}, "w2": {"p1", "p2"}})
+        plan = ReactivePlan([
+            SCR(1, "w1", "a", frozenset({2})),
+            SCR(2, "w2", "a", frozenset({1})),
+            SCR(3, "ghost", "a", frozenset({1})),
+        ])
+        formula = ltl.always(Atom("p1"))
+        with pytest.raises(UndeclaredSymbol):
+            valuation.label(plan.world_of(3))
+        assert check_plan(plan, valuation, formula) is None
+        total = spec_automaton(formula, valuation)
+        assert check_plan(plan, valuation, automaton=total) is None
+
+    def test_one_automaton_step_per_state_and_letter(self, monkeypatch):
+        rng = random.Random(41)
+        calls = {}
+        successors = buchi.BuchiAutomaton.successors
+
+        def counted(automaton, state, letter):
+            key = (id(automaton), state, letter)
+            calls[key] = calls.get(key, 0) + 1
+            return successors(automaton, state, letter)
+
+        checked = 0
+        while checked < 40:
+            plan = random_plan(rng, max_rules=12, max_worlds=3)
+            valuation = Valuation(self.PROPS, {
+                s.world: frozenset(p for p in self.PROPS if rng.random() < 0.5)
+                for s in plan.scrs
+            })
+            formula = random_formula(rng, self.PROPS, rng.randint(2, 6))
+            total = spec_automaton(formula, valuation)
+            if total is None:
+                continue
+            checked += 1
+            # the total route's own totality check steps on every letter
+            monkeypatch.setattr(buchi, "is_total", lambda automaton: True)
+            monkeypatch.setattr(buchi.BuchiAutomaton, "successors", counted)
+            for check in (lambda: plan_violation(plan, formula, valuation),
+                          lambda: plan_violation_total(plan, total, valuation)):
+                calls.clear()
+                check()
+                assert calls and max(calls.values()) == 1
+            monkeypatch.undo()
+
+    def test_matches_tuple_keyed_reference(self):
+        rng = random.Random(43)
+        outcomes = {"violated": 0, "holds": 0}
+        total_checked = 0
+        for _ in range(2000):
+            props = self.PROPS[: rng.randint(1, 2)]
+            plan = random_plan(rng, max_rules=12, max_worlds=rng.choice((2, 4)))
+            valuation = Valuation(props, {
+                s.world: frozenset(p for p in props if rng.random() < 0.5)
+                for s in plan.scrs
+            })
+            formula = random_formula(rng, props, rng.randint(1, 6))
+            witness = plan_violation(plan, formula, valuation)
+            assert witness == tuple_plan_violation(plan, formula, valuation)
+            outcomes["holds" if witness is None else "violated"] += 1
+            total = spec_automaton(formula, valuation)
+            if total is not None:
+                total_checked += 1
+                assert plan_violation_total(plan, total, valuation) == \
+                    tuple_plan_violation_total(plan, total, valuation)
+        assert min(outcomes.values()) > 200 and total_checked > 1000
 
 
 class TestReachableCycle:
