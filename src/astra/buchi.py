@@ -185,6 +185,8 @@ class BuchiAutomaton:
         if len(state_set) != len(self.states):
             raise AutomatonError("duplicate state names")
         self.initial = tuple(initial)
+        if len(set(self.initial)) != len(self.initial):
+            raise AutomatonError("duplicate initial state names")
         self.accepting = frozenset(accepting)
         if set(self.initial) - state_set or self.accepting - state_set:
             raise AutomatonError("initial/accepting states must be declared states")
@@ -744,42 +746,45 @@ class ProductAutomaton:
     automaton, restricted to the states reachable from its roots.
 
     The automaton component reads the valuation of the current world state,
-    so it is a function of the world path; each product state therefore has,
-    per control and disturbance, exactly the disturbance-resolved world
-    successors paired with one automaton successor.  States are numbered in
-    breadth-first discovery order from the roots, which come first;
-    ``targets[i][c][d]`` lists the states reached from state ``i`` under the
-    ``c``-th control and ``d``-th disturbance, in the system's order.  The
-    other methods view them as states, in discovery order.
+    so every successor of a product state pairs a world successor with the
+    same automaton state.  States are numbered in breadth-first discovery
+    order from the roots, which come first.  ``moves[i][c]`` lists the
+    states reached from state ``i`` under the ``c``-th control, each once,
+    in order of first appearance over (disturbance, world successor); the
+    synthesis game plays on it.  ``successors`` and ``successors_under``
+    list states in discovery order, ``edges`` in construction order.
     """
 
-    def __init__(self, states, controls, disturbances, targets, accepting):
+    def __init__(self, system, states, moves, accepting):
+        self.system = system
         self.states = tuple(states)
         self.initial = self.states[0]
-        self.controls = tuple(controls)
-        self.disturbances = tuple(disturbances)
-        self.targets = targets
+        self.controls = system.controls
+        self.disturbances = system.disturbances
+        self.moves = moves
         self.accepting = frozenset(accepting)
         self.index = {s: i for i, s in enumerate(self.states)}
 
-    def _view(self, state, control, disturbances):
-        row = self.targets[self.index[state]][self.controls.index(control)]
-        return tuple(self.states[j] for j in sorted(
-            {j for d in disturbances for j in row[d]}))
+    def _paired(self, state, control, disturbance):
+        """World successors under one control and disturbance, paired with
+        the one automaton successor of ``state``."""
+        x2 = self.states[self.moves[self.index[state]][0][0]][1]
+        return [(q2, x2) for q2 in
+                self.system.successors_under(state[0], control, disturbance)]
 
     def successors(self, state, control) -> tuple:
-        return self._view(state, control, range(len(self.disturbances)))
+        row = self.moves[self.index[state]][self.controls.index(control)]
+        return tuple(self.states[j] for j in sorted(row))
 
     def successors_under(self, state, control, disturbance) -> tuple:
-        return self._view(state, control, [self.disturbances.index(disturbance)])
+        return tuple(sorted(self._paired(state, control, disturbance),
+                            key=self.index.__getitem__))
 
     @property
     def edges(self) -> tuple:
         """``(state, control, disturbance, target)`` in construction order."""
-        return tuple((s, a, b, self.states[j])
-                     for s, row in zip(self.states, self.targets)
-                     for a, col in zip(self.controls, row)
-                     for b, ts in zip(self.disturbances, col) for j in ts)
+        return tuple((s, a, b, t) for s in self.states for a in self.controls
+                     for b in self.disturbances for t in self._paired(s, a, b))
 
     @staticmethod
     def world(state):
@@ -807,23 +812,20 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     for q0 in roots:
         index.setdefault((q0, x0), len(index))
     order = list(index)
-    targets = []
+    moves = []
     for q, x in order:
         x2 = step(x, valuation.label(q))
         row = []
         for a in system.controls:
-            col = []
-            for b in system.disturbances:
-                ts = []
-                for q2 in system.successors_under(q, a, b):
-                    j = index.get((q2, x2))
-                    if j is None:
-                        j = index[q2, x2] = len(order)
-                        order.append((q2, x2))
-                    ts.append(j)
-                col.append(ts)
-            row.append(col)
-        targets.append(row)
+            ts = []
+            for q2 in dict.fromkeys(q2 for b in system.disturbances
+                                    for q2 in system.successors_under(q, a, b)):
+                j = index.get((q2, x2))
+                if j is None:
+                    j = index[q2, x2] = len(order)
+                    order.append((q2, x2))
+                ts.append(j)
+            row.append(ts)
+        moves.append(row)
     accepting = [s for s in order if s[1] in automaton.accepting]
-    return ProductAutomaton(order, system.controls, system.disturbances,
-                            targets, accepting)
+    return ProductAutomaton(system, order, moves, accepting)

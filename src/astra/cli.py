@@ -98,6 +98,15 @@ def _load_spec(args, valuation):
     raise AstraError("exactly one of --spec or --automaton is required")
 
 
+def _total_spec(args, valuation):
+    """The total specification automaton for ``--spec`` or ``--automaton``."""
+    formula, automaton = _load_spec(args, valuation)
+    spec = planner.spec_automaton(formula, valuation, automaton)
+    if spec is None:
+        raise AstraError("the specification automaton is not totalizable")
+    return spec
+
+
 def cmd_synth(args) -> int:
     system, valuation = load_system(args.system)
     formula, automaton = _load_spec(args, valuation)
@@ -264,18 +273,12 @@ def cmd_export(args) -> int:
             content = dot.automaton_dot(buchi.ltl_to_buchi(parse_formula(args.spec)))
     elif args.kind == "product":
         system, valuation = load_system(args.system)
-        formula, automaton = _load_spec(args, valuation)
-        spec = planner.spec_automaton(formula, valuation, automaton)
-        if spec is None:
-            raise AstraError("the specification automaton is not totalizable")
+        spec = _total_spec(args, valuation)
         root = args.initial if args.initial is not None else system.states[0]
         content = dot.product_dot(buchi.product(system, [root], spec, valuation))
     else:  # tfin
         system, valuation = load_system(args.system)
-        formula, automaton = _load_spec(args, valuation)
-        spec = planner.spec_automaton(formula, valuation, automaton)
-        if spec is None:
-            raise AstraError("the specification automaton is not totalizable")
+        spec = _total_spec(args, valuation)
         plan = load_plan(args.plan)
         plan.validate_against(system)
         root = args.initial if args.initial is not None else plan.world_of(1)

@@ -240,7 +240,7 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
     """Build a validated system from a parsed description (see ``load_system``).
 
     Unknown keys are rejected.  A ``durations`` map, if present, must pin
-    every control to 1.
+    declared controls to the integer 1.
     """
     if not isinstance(raw, dict):
         raise SystemValidationError("system description must be a JSON object")
@@ -269,8 +269,11 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
     durations = raw.get("durations", {})
     if not isinstance(durations, dict):
         raise SystemValidationError("'durations' must be an object")
+    controls = _string_list(raw, "controls")
     for control, d in durations.items():
-        if d != 1:
+        if control not in controls:
+            raise UndeclaredSymbol(f"durations reference an undeclared control {control!r}")
+        if type(d) is not int or d != 1:
             raise InvalidDuration(f"control {control!r} has duration {d!r}; only 1 is supported")
 
     obs_map = raw.get("observations")
@@ -279,7 +282,7 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
     ):
         raise SystemValidationError("'observations' must map states to strings")
     return AlternatingTransitionSystem(
-        _string_list(raw, "states"), _string_list(raw, "controls"),
+        _string_list(raw, "states"), controls,
         _string_list(raw, "disturbances"), transitions,
         obs_map=dict(obs_map) if obs_map is not None else None,
     )

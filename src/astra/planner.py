@@ -1,14 +1,15 @@
 """Control-strategy search via a Buchi game on the product automaton.
 
 The system is composed with the total specification automaton in one
-product rooted at every candidate initial state.  Its two-player game
-(control picks actions, disturbances pick successors), over integer nodes,
-is solved once by the classical nested fixpoint over a counter-based
-attractor, and the winning positional strategy from the first winning
-candidate is unfolded into a reactive plan.  Every successor of a product
-state carries the same automaton state, so that plan already keeps at most
-one successor per world state; it is returned as extracted, after one
-independent satisfaction check.
+product rooted at every candidate initial state.  Its game is played on
+the product states: control picks an action, the disturbances pick any of
+its targets in the product's move table.  It is solved once by the
+classical nested fixpoint over a counter-based attractor, and the winning
+positional strategy from the first winning candidate is unfolded into a
+reactive plan.  Every successor of a product state carries the same
+automaton state, so that plan already keeps at most one successor per
+world state; it is returned as extracted, after one independent
+satisfaction check.
 """
 
 from __future__ import annotations
@@ -41,42 +42,43 @@ class SynthesisResult:
 
 @dataclass(frozen=True)
 class GameSolution:
-    """Winning nodes, positional strategy and attractor ranks of the Buchi
-    game on a product of ``n`` states with ``k`` controls: node ``i < n``
-    is control's choice at product state ``i``, node ``n + i*k + c`` the
-    adversary's choice after control ``c`` there.  ``strategy`` maps each
-    winning product state to its control, ``rank`` each winning node to
-    its attractor rank."""
+    """Winning product states, positional strategy and attractor ranks of
+    the Buchi game on a product.  ``strategy`` maps each winning state to
+    its control and ``rank`` to its attractor rank, counted in control
+    moves: the least number of moves within which control can force the
+    play into the attractor's target."""
 
     winning: frozenset
     strategy: dict
     rank: dict
 
 
-def _attractor(target, predecessors, counts):
-    """Control attractor of ``target`` with entry layers as ranks.
+def _attractor(target, predecessors, unranked, k):
+    """Control attractor of the product states ``target``: each state's
+    entry layer, and the layer at which each choice completes (0 if never).
 
-    Breadth-first over the predecessor lists in rank order: a control node
-    (no entry in ``counts``) enters one layer after its first ranked
-    successor, an adversary node one layer after the last of its
-    ``counts[node]`` successors.  Each edge is looked at once, so this
-    costs O(|E|).
+    Choice ``i*k + c`` is control's move ``c`` at state ``i``;
+    ``predecessors[j]`` lists the choices with target ``j``, and
+    ``unranked[choice]`` counts its targets not yet ranked.  Breadth-first
+    in rank order: a choice completes one layer after its last target is
+    ranked, and a state enters at its first complete choice.  Each
+    move-table entry is looked at once, so this costs O(|moves|).
     """
     rank = dict.fromkeys(target, 0)
-    unranked = {}
+    complete = [0] * len(unranked)
     queue = list(rank)
-    for node in queue:
-        layer = rank[node] + 1
-        for pred in predecessors[node]:
-            if pred in rank:
+    for j in queue:
+        layer = rank[j] + 1
+        for choice in predecessors[j]:
+            unranked[choice] -= 1
+            if unranked[choice]:
                 continue
-            if pred in counts:
-                unranked[pred] = unranked.get(pred, counts[pred]) - 1
-                if unranked[pred]:
-                    continue
-            rank[pred] = layer
-            queue.append(pred)
-    return rank
+            complete[choice] = layer
+            i = choice // k
+            if i not in rank:
+                rank[i] = layer
+                queue.append(i)
+    return rank, complete
 
 
 def solve_buchi_game(product) -> GameSolution:
@@ -85,36 +87,33 @@ def solve_buchi_game(product) -> GameSolution:
 
     Classical nested fixpoint: shrink a candidate region to the control
     attractor of those accepting states from which control can step back
-    into the region, until stabilization.  The strategy picks the move of
-    least attractor rank, then the first in declared control order.  A
-    node's status and rank depend only on the part of the game reachable
-    from it, so every root of the product is solved at once.
+    into the region, until stabilization.  The strategy picks the choice
+    completed at the lowest layer, then the first in declared control
+    order.  A state's status and rank depend only on the part of the game
+    reachable from it, so every root of the product is solved at once.
     """
     n, k = len(product.states), len(product.controls)
-    predecessors = [[] for _ in range(n + n * k)]
-    counts = {}
-    for i, row in enumerate(product.targets):
-        for c, col in enumerate(row):
-            choice = n + i * k + c
-            predecessors[choice].append(i)
-            targets = {j for ts in col for j in ts}
-            counts[choice] = len(targets)
+    predecessors = [[] for _ in range(n)]
+    for i, row in enumerate(product.moves):
+        for c, targets in enumerate(row):
             for j in targets:
-                predecessors[j].append(choice)
+                predecessors[j].append(i * k + c)
+    sizes = [len(targets) for row in product.moves for targets in row]
     accepting = [product.index[s] for s in product.accepting]
-    region = range(n + n * k)
+    # at first every state is in the region, so every choice stays in it
+    region, complete = range(n), [1] * (n * k)
     while True:
-        recurrent = [i for i in accepting if i in region
-                     and any(n + i * k + c in region for c in range(k))]
-        rank = _attractor(recurrent, predecessors, counts)
+        recurrent = [i for i in accepting
+                     if i in region and any(complete[i * k:i * k + k])]
+        rank, complete = _attractor(recurrent, predecessors, sizes[:], k)
         # the regions shrink, so an equal size means a fixpoint
         if len(rank) == len(region):
             break
         region = rank
     strategy = {
-        i: product.controls[min((rank[n + i * k + c], c) for c in range(k)
-                                if n + i * k + c in rank)[1]]
-        for i in range(n) if i in rank
+        i: product.controls[min((complete[i * k + c], c) for c in range(k)
+                                if complete[i * k + c])[1]]
+        for i in rank
     }
     return GameSolution(frozenset(rank), strategy, rank)
 
@@ -141,25 +140,20 @@ def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
     reached (breadth-first) under the strategy; its successor set covers
     every disturbance-resolved successor, as plan well-formedness demands.
     Targets are visited in the order in which a product rooted at ``root``
-    alone discovers them, re-derived by one breadth-first search in
-    ``product``'s loop order, so the plan does not depend on other roots.
+    alone discovers them, re-derived by one breadth-first search over
+    ``product.moves``, so the plan does not depend on other roots.
     """
-    targets = product.targets
-    strategy = solution.strategy
-    _, local = buchi._discovery(
-        (root,), lambda i: (j for col in targets[i] for ts in col for j in ts)
-    )
-    moves = {}
+    moves, strategy = product.moves, solution.strategy
+    _, local = buchi._discovery((root,), lambda i: (j for row in moves[i] for j in row))
 
-    def record_moves(i):
-        col = targets[i][product.controls.index(strategy[i])]
-        moves[i] = sorted({j for ts in col for j in ts}, key=local.__getitem__)
-        return moves[i]
+    def chosen(i):
+        return moves[i][product.controls.index(strategy[i])]
 
-    order, ids = buchi._discovery((root,), record_moves)
+    order, ids = buchi._discovery(
+        (root,), lambda i: sorted(chosen(i), key=local.__getitem__))
     return ReactivePlan([
         SCR(ids[i] + 1, product.world(product.states[i]), strategy[i],
-            frozenset(ids[j] + 1 for j in moves[i]))
+            frozenset(ids[j] + 1 for j in chosen(i)))
         for i in order
     ])
 

@@ -16,6 +16,9 @@ one breadth-first search per plan state, and prefix and suffix rescans.
 The plan-violation references after them search the plan x automaton
 product keyed by ``(plan state, automaton state)`` tuples, with Tarjan
 over dicts, as the library did before it numbered the product.
+The system x automaton product reference at the very end keeps one target
+list per (state, control, disturbance), keyed by product-state tuples, as
+the library did before it kept one move list per (state, control).
 """
 
 import math
@@ -651,3 +654,26 @@ def tuple_plan_violation_total(plan, automaton, valuation):
         return node[1] not in automaton.accepting
 
     return tuple_violation(plan, automaton, valuation, rejecting, inside=rejecting)
+
+
+def per_disturbance_product(system, roots, automaton, valuation):
+    """``(order, targets)`` for the product of ``system`` rooted at each of
+    ``roots`` with the total ``automaton``: ``order`` lists the product
+    states in breadth-first discovery order from the roots, and
+    ``targets[state, control, disturbance]`` holds the states reached, in
+    the system's successor order, its keys in construction order."""
+    x0 = automaton.initial[0]
+    order = list(dict.fromkeys((q0, x0) for q0 in roots))
+    seen = set(order)
+    targets = {}
+    for q, x in order:
+        x2 = automaton.successors(x, valuation.label(q))[0]
+        for a in system.controls:
+            for b in system.disturbances:
+                ts = tuple((q2, x2) for q2 in system.successors_under(q, a, b))
+                for t in ts:
+                    if t not in seen:
+                        seen.add(t)
+                        order.append(t)
+                targets[(q, x), a, b] = ts
+    return order, targets

@@ -26,6 +26,7 @@ from oracles import (
     accepting_lasso_exists,
     component_accepting_lasso,
     has_rejecting_cycle,
+    per_disturbance_product,
     reference_totalize,
 )
 
@@ -407,6 +408,35 @@ class TestProduct:
             for i in range(1, 2 * witness.classes + 2):
                 (expected,) = total.successors(run.at(i), word.at(i))
                 assert run.at(i + 1) == expected
+
+    def test_matches_per_disturbance_reference(self):
+        # the views and the move table agree with a product that keeps one
+        # target list per disturbance, on several roots in shuffled order
+        rng = random.Random(41)
+        checked = 0
+        while checked < 300:
+            system, valuation = random_system(rng, max_states=6, max_controls=3,
+                                              max_disturbances=3)
+            f = random_formula(rng, valuation.props, rng.randint(1, 5))
+            total = totalize(ltl_to_buchi(f, props=valuation.props))
+            if total is None:
+                continue
+            checked += 1
+            roots = rng.sample(system.states, rng.randint(1, len(system.states)))
+            prod = product(system, roots, total, valuation)
+            order, targets = per_disturbance_product(system, roots, total, valuation)
+            assert prod.states == tuple(order)
+            place = prod.index.__getitem__
+            for s in order:
+                for c, a in enumerate(system.controls):
+                    union = [t for b in system.disturbances for t in targets[s, a, b]]
+                    assert prod.moves[place(s)][c] == [place(t) for t in dict.fromkeys(union)]
+                    assert prod.successors(s, a) == tuple(sorted(set(union), key=place))
+                    for b in system.disturbances:
+                        assert prod.successors_under(s, a, b) == \
+                            tuple(sorted(targets[s, a, b], key=place))
+            assert prod.edges == tuple((s, a, b, t) for (s, a, b), ts in targets.items()
+                                       for t in ts)
 
 
 def _self_loop_system():

@@ -12,7 +12,8 @@ from astra.plan import load_plan, plan_to_dict
 from conftest import child_env, system_file_dict, write_json
 from generators import random_system
 
-PINS = pathlib.Path(__file__).parent / "data" / "cli_pins.json"
+DATA = pathlib.Path(__file__).parent / "data"
+PINS = DATA / "cli_pins.json"
 
 
 # the automaton for "p2 U p3" that TestVerify.test_automaton_route writes
@@ -432,6 +433,18 @@ class TestExport:
             assert "unrecognized arguments: --initial zz" in stderr
             assert not out.exists()
 
+    def test_untotalizable_spec_is_an_error(self, tmp_path, agent_system_file,
+                                            example_plan_file, capsys):
+        out = tmp_path / "o.dot"
+        for kind, extra in (("product", ()), ("tfin", ("--plan", example_plan_file))):
+            code, stdout, stderr = run(
+                "export", kind, "--system", agent_system_file, "--spec", "F G p2",
+                *extra, "--out", str(out), capsys=capsys,
+            )
+            assert code == 3 and stdout == "", kind
+            assert stderr == "error: the specification automaton is not totalizable\n"
+            assert not out.exists()
+
     def test_automaton_file_takes_no_system(self, tmp_path, capsys):
         automaton = write_json(tmp_path / "a.json", UNTIL_AUTOMATON)
         out = tmp_path / "o.dot"
@@ -493,6 +506,11 @@ class TestUsage:
                            "transitions": [{"from": "q", "control": "a",
                                             "disturbance": "b", "to": "q"}],
                            "observations": {"q": ["low"]}}, "system"),
+            *((f"dur_{i}.json", {"states": ["q"], "controls": ["a"], "disturbances": ["b"],
+                                 "transitions": [{"from": "q", "control": "a",
+                                                  "disturbance": "b", "to": "q"}],
+                                 "durations": durations}, "system")
+              for i, durations in enumerate(({"zz": 1}, {"a": True}, {"a": 1.0}))),
             ("plan.json", {"scrs": [{"id": "x", "world": "q", "action": "a",
                                      "successors": []}]}, "plan"),
             ("plan2.json", {"scrs": 5}, "plan"),
@@ -501,6 +519,8 @@ class TestUsage:
             ("aut3.json", {**UNTIL_AUTOMATON, "initial": [["wait"]]}, "automaton"),
             ("aut4.json", {**UNTIL_AUTOMATON,
                            "states": ["wait", "acc", "rej", 1]}, "automaton"),
+            ("aut5.json", {**json.loads((DATA / "aut_response.json").read_text()),
+                           "initial": ["idle", "idle"]}, "automaton"),
         ]
         for name, payload, kind in cases:
             path = write_json(tmp_path / name, payload)

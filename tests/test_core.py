@@ -92,8 +92,12 @@ class TestValidate:
 
     def test_durations_other_than_one_rejected(self):
         raw = minimal_raw()
-        raw["durations"] = {"a": 2}
-        with pytest.raises(InvalidDuration):
+        for value in (2, True, 1.0, "1"):
+            raw["durations"] = {"a": value}
+            with pytest.raises(InvalidDuration):
+                validate_ats(raw)
+        raw["durations"] = {"zz": 1}
+        with pytest.raises(UndeclaredSymbol):
             validate_ats(raw)
         raw["durations"] = {"a": 1}
         validate_ats(raw)

@@ -46,26 +46,6 @@ def self_loop_system():
     })
 
 
-def tagged_to_int(prod):
-    """The integer game node of each ``oracles.TaggedArena`` node of
-    ``prod``: state i is node i, its choice of control c node n + i*k + c."""
-    n, k = len(prod.states), len(prod.controls)
-
-    def number(node):
-        i = prod.index[node[1]]
-        return i if node[0] == "s" else n + i * k + prod.controls.index(node[2])
-    return number
-
-
-def embedding(part, whole):
-    """The node of ``whole`` for each node of ``part``, a product with the
-    same system and automaton whose states all lie in ``whole``."""
-    n, m, k = len(part.states), len(whole.states), len(part.controls)
-    state = [whole.index[s] for s in part.states]
-    return [state[v] if v < n else m + state[(v - n) // k] * k + (v - n) % k
-            for v in range(n + n * k)]
-
-
 class TestGameSolver:
     def test_accepting_self_loop_wins(self):
         system = self_loop_system()
@@ -102,11 +82,12 @@ class TestGameSolver:
             assert ours == positional_winner_exists(prod)
 
     def test_matches_layered_solver(self):
-        # the counter-based attractor reproduces the layer-by-layer
-        # reference on the tagged arena exactly: region, strategy and every
-        # rank, on products rooted at every state of random systems; and
-        # each root's part of that one game equals the game of a product
-        # rooted there alone
+        # the counter-based attractor on product states reproduces the
+        # layer-by-layer reference on the tagged arena exactly: region,
+        # strategy and every state rank (the reference counts choice nodes
+        # too, so its state ranks are twice the control moves), on products
+        # rooted at every state of random systems; and each root's part of
+        # that one game equals the game of a product rooted there alone
         rng = random.Random(33)
         products = partial = deep = 0
         while products < 600:
@@ -119,22 +100,22 @@ class TestGameSolver:
             prod = buchi.product(system, system.states, spec, valuation)
             solution = solve_buchi_game(prod)
             winning, strategy, rank = layered_buchi_solution(TaggedArena(prod))
-            number = tagged_to_int(prod)
-            assert solution.winning == {number(v) for v in winning}
+            state_rank = {prod.index[v[1]]: r for v, r in rank.items() if v[0] == "s"}
+            assert all(r % 2 == 0 for r in state_rank.values())
+            assert solution.winning == {prod.index[v[1]] for v in winning if v[0] == "s"}
             assert solution.strategy == {prod.index[s]: a for s, a in strategy.items()}
-            assert solution.rank == {number(v): r for v, r in rank.items()}
+            assert solution.rank == {i: r // 2 for i, r in state_rank.items()}
             for q0 in system.states:
                 single = buchi.product(system, [q0], spec, valuation)
                 own = solve_buchi_game(single)
-                inside = embedding(single, prod)
-                n = len(single.states)
-                assert {inside[v]: r for v, r in own.rank.items()} == \
-                    {w: solution.rank[w] for w in inside if w in solution.rank}
+                inside = [prod.index[s] for s in single.states]
+                assert {inside[i]: r for i, r in own.rank.items()} == \
+                    {j: solution.rank[j] for j in inside if j in solution.rank}
                 assert {inside[i]: a for i, a in own.strategy.items()} == \
-                    {j: solution.strategy[j] for j in inside[:n] if j in solution.strategy}
+                    {j: solution.strategy[j] for j in inside if j in solution.strategy}
                 products += 1
                 partial += 0 < len(own.winning) < len(inside)
-                deep += max(own.rank.values(), default=0) >= 4
+                deep += max(own.rank.values(), default=0) >= 2
         # the corpus is not degenerate: some games are won only in part,
         # and some attractors are several layers deep
         assert partial >= 10 and deep >= 20
