@@ -140,24 +140,13 @@ def guard_true() -> Guard:
     return guard_from_minterms((), [frozenset()])
 
 
-def _eval_prop(expr, letter):
-    if isinstance(expr, ltl.TrueF):
-        return True
-    if isinstance(expr, ltl.Atom):
-        return expr.name in letter
-    if isinstance(expr, ltl.Not):
-        return not _eval_prop(expr.arg, letter)
-    if isinstance(expr, ltl.And):
-        return _eval_prop(expr.left, letter) and _eval_prop(expr.right, letter)
-    raise AutomatonError("guards must be propositional")
-
-
 def guard_from_text(text: str) -> Guard:
     expr = ltl.parse_formula(text, props=None)
     if ltl.until_subformulas(expr):
         raise AutomatonError(f"guard {text!r} uses a temporal operator")
     atoms = tuple(sorted(ltl.atoms(expr)))
-    minterms = frozenset(m for m in all_letters(atoms) if _eval_prop(expr, m))
+    minterms = frozenset(m for m in all_letters(atoms)
+                         if ltl.eval_lasso(Lasso((), (m,)), expr))
     return Guard(atoms, minterms, text.strip())
 
 
@@ -749,10 +738,9 @@ class ProductAutomaton:
     so every successor of a product state pairs a world successor with the
     same automaton state.  States are numbered in breadth-first discovery
     order from the roots, which come first.  ``moves[i][c]`` lists the
-    states reached from state ``i`` under the ``c``-th control, each once,
-    in order of first appearance over (disturbance, world successor); the
-    synthesis game plays on it.  ``successors`` and ``successors_under``
-    list states in discovery order, ``edges`` in construction order.
+    states reached from state ``i`` under the ``c``-th control in
+    ``system.successors`` order; the synthesis game plays on it.  ``successors`` and
+    ``successors_under`` list states in discovery order, ``edges`` in construction order.
     """
 
     def __init__(self, system, states, moves, accepting):
@@ -818,8 +806,7 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
         row = []
         for a in system.controls:
             ts = []
-            for q2 in dict.fromkeys(q2 for b in system.disturbances
-                                    for q2 in system.successors_under(q, a, b)):
+            for q2 in system.successors(q, a):
                 j = index.get((q2, x2))
                 if j is None:
                     j = index[q2, x2] = len(order)

@@ -197,7 +197,7 @@ def cmd_simulate(args) -> int:
     script = _scripted_disturbances(args, system) if args.policy == "scripted" else None
     tracker = None
     if args.policy == "adversarial":
-        spec = planner.spec_automaton(formula, valuation, automaton)
+        spec = total if automaton is not None else planner.spec_automaton(formula, valuation)
         if spec is None:
             raise AstraError(
                 "the adversarial policy needs a totalizable specification"

@@ -181,7 +181,6 @@ class AlternatingTransitionSystem:
         disturbance_set = set(self.disturbances)
         self.transitions = tuple(tuple(t) for t in transitions)
         by_qab = {}
-        by_qa = {}
         for q, a, b, q2 in self.transitions:
             if q not in state_set or q2 not in state_set:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared state")
@@ -190,7 +189,6 @@ class AlternatingTransitionSystem:
             if b not in disturbance_set:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared disturbance {b!r}")
             by_qab.setdefault((q, a, b), []).append(q2)
-            by_qa.setdefault((q, a), []).append(q2)
         for q in self.states:
             for a in self.controls:
                 for b in self.disturbances:
@@ -203,8 +201,9 @@ class AlternatingTransitionSystem:
             for key, targets in by_qab.items()
         }
         self._succ_qa = {
-            key: tuple(sorted(set(targets), key=order.__getitem__))
-            for key, targets in by_qa.items()
+            (q, a): tuple(dict.fromkeys(
+                q2 for b in self.disturbances for q2 in self._succ_qab[q, a, b]))
+            for q in self.states for a in self.controls
         }
 
         if obs_map is None:
@@ -218,7 +217,8 @@ class AlternatingTransitionSystem:
         self.obs_map = dict(obs_map)
 
     def successors(self, q, a) -> tuple:
-        """All states reachable from ``q`` under control ``a`` for some disturbance."""
+        """All states reachable from ``q`` under control ``a``: those of
+        ``successors_under`` for each declared disturbance in turn, each once."""
         if q not in self._state_set:
             raise UndeclaredSymbol(f"unknown state {q!r}")
         if a not in self._control_set:
@@ -226,7 +226,13 @@ class AlternatingTransitionSystem:
         return self._succ_qa[(q, a)]
 
     def successors_under(self, q, a, b) -> tuple:
-        return self._succ_qab[(q, a, b)]
+        """States reachable from ``q`` under control ``a`` and disturbance
+        ``b``, in state declaration order."""
+        try:
+            return self._succ_qab[(q, a, b)]
+        except KeyError:
+            self.successors(q, a)
+            raise UndeclaredSymbol(f"unknown disturbance {b!r}") from None
 
 
 def _string_list(raw, key):

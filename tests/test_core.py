@@ -130,16 +130,28 @@ class TestSuccessors:
                     scan = {t for (src, c, _, t) in system.transitions
                             if src == q and c == a}
                     assert set(system.successors(q, a)) == scan
+                    assert system.successors(q, a) == tuple(dict.fromkeys(
+                        q2 for b in system.disturbances
+                        for q2 in system.successors_under(q, a, b)))
 
     def test_unknown_state_rejected(self, agent_system):
         system, _ = agent_system
         with pytest.raises(UndeclaredSymbol, match="unknown state 'q9'"):
             system.successors("q9", "a1")
+        with pytest.raises(UndeclaredSymbol, match="unknown state 'q9'"):
+            system.successors_under("q9", "a1", "1")
 
     def test_unknown_control_rejected(self, agent_system):
         system, _ = agent_system
         with pytest.raises(UndeclaredSymbol, match="unknown control 'zz'"):
             system.successors("q1", "zz")
+        with pytest.raises(UndeclaredSymbol, match="unknown control 'zz'"):
+            system.successors_under("q1", "zz", "1")
+
+    def test_unknown_disturbance_rejected(self, agent_system):
+        system, _ = agent_system
+        with pytest.raises(UndeclaredSymbol, match="unknown disturbance 'zz'"):
+            system.successors_under("q1", "a1", "zz")
 
 
 class TestOutcomes:
