@@ -15,12 +15,13 @@ library targets, direct enumeration is the reference semantics.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 from . import ltl
 from .core import Lasso
-from .errors import AutomatonError
+from .errors import AutomatonError, UndeclaredSymbol
 
 # ---------------------------------------------------------------------------
 # guards
@@ -738,9 +739,14 @@ class ProductAutomaton:
     so every successor of a product state pairs a world successor with the
     same automaton state.  States are numbered in breadth-first discovery
     order from the roots, which come first.  ``moves[i][c]`` lists the
-    states reached from state ``i`` under the ``c``-th control in
-    ``system.successors`` order; the synthesis game plays on it.  ``successors`` and
-    ``successors_under`` list states in discovery order, ``edges`` in construction order.
+    numbers of the states reached from state ``i`` under the ``c``-th
+    control in ``system.successors`` order; the synthesis game plays on it.
+    Outside the move table states are ``(world, automaton state)`` tuples:
+    ``states`` and ``accepting`` hold them, ``index`` maps one to its
+    number, ``successors`` and ``successors_under`` list them in discovery
+    order and ``edges`` in construction order.  The views raise
+    ``UndeclaredSymbol`` for a state outside the product or an undeclared
+    control or disturbance.
     """
 
     def __init__(self, system, states, moves, accepting):
@@ -751,18 +757,32 @@ class ProductAutomaton:
         self.disturbances = system.disturbances
         self.moves = moves
         self.accepting = frozenset(accepting)
-        self.index = {s: i for i, s in enumerate(self.states)}
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Each state's number, built when a view first asks for it."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    def _number(self, state):
+        try:
+            return self.index[state]
+        except KeyError:
+            raise UndeclaredSymbol(f"unknown product state {state!r}") from None
 
     def _paired(self, state, control, disturbance):
         """World successors under one control and disturbance, paired with
         the one automaton successor of ``state``."""
-        x2 = self.states[self.moves[self.index[state]][0][0]][1]
+        x2 = self.states[self.moves[self._number(state)][0][0]][1]
         return [(q2, x2) for q2 in
                 self.system.successors_under(state[0], control, disturbance)]
 
     def successors(self, state, control) -> tuple:
-        row = self.moves[self.index[state]][self.controls.index(control)]
-        return tuple(self.states[j] for j in sorted(row))
+        row = self.moves[self._number(state)]
+        try:
+            targets = row[self.controls.index(control)]
+        except ValueError:
+            raise UndeclaredSymbol(f"unknown control {control!r}") from None
+        return tuple(self.states[j] for j in sorted(targets))
 
     def successors_under(self, state, control, disturbance) -> tuple:
         return tuple(sorted(self._paired(state, control, disturbance),
@@ -781,38 +801,57 @@ class ProductAutomaton:
 
 def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutomaton:
     """Product of the system rooted at each of ``roots`` (in order, repeats
-    dropped) with a total automaton."""
-    states = set(system.states)
+    dropped) with a total automaton.
+
+    The search runs on integers.  World and automaton states are numbered
+    in declaration order, and node ``(q, x)`` is ``q * m + x`` for ``m``
+    automaton states.  A world state's label id and its successors under
+    each control are read from the system once, when the search first
+    reaches it, and the automaton steps once per (automaton state, label
+    id).  The state tuples are built once, at the end.
+    """
+    number = {q: i for i, q in enumerate(system.states)}
     for q0 in roots:
-        if q0 not in states:
+        if q0 not in number:
             raise AutomatonError(f"unknown initial state {q0!r}")
     if not is_total(automaton):
         raise AutomatonError("specification automaton must be total")
-    x0 = automaton.initial[0]
-    delta = {}
-
-    def step(x, letter):
-        if (x, letter) not in delta:
-            delta[x, letter] = automaton.successors(x, letter)[0]
-        return delta[x, letter]
-
-    index = {}
+    worlds, names, m = system.states, automaton.states, len(automaton.states)
+    x_number = {x: i for i, x in enumerate(names)}
+    labels = {}
+    # per world state: (its label id * m, its successors under each control)
+    compiled = [None] * len(worlds)
+    # label id * m + x -> the automaton successor of x
+    step = {}
+    place = {}
     for q0 in roots:
-        index.setdefault((q0, x0), len(index))
-    order = list(index)
+        place.setdefault(number[q0] * m + x_number[automaton.initial[0]], len(place))
+    order = list(place)
     moves = []
-    for q, x in order:
-        x2 = step(x, valuation.label(q))
+    for node in order:
+        q, x = divmod(node, m)
+        world = compiled[q]
+        if world is None:
+            world = compiled[q] = (
+                labels.setdefault(valuation.label(worlds[q]), len(labels)) * m,
+                [system.successors(worlds[q], a) for a in system.controls])
+        x2 = step.get(world[0] + x)
+        if x2 is None:
+            letter = valuation.label(worlds[q])
+            x2 = step[world[0] + x] = x_number[automaton.successors(names[x], letter)[0]]
         row = []
-        for a in system.controls:
-            ts = []
-            for q2 in system.successors(q, a):
-                j = index.get((q2, x2))
+        for succ in world[1]:
+            targets = []
+            for q2 in succ:
+                t = number[q2] * m + x2
+                j = place.get(t)
                 if j is None:
-                    j = index[q2, x2] = len(order)
-                    order.append((q2, x2))
-                ts.append(j)
-            row.append(ts)
+                    j = place[t] = len(order)
+                    order.append(t)
+                targets.append(j)
+            row.append(targets)
         moves.append(row)
-    accepting = [s for s in order if s[1] in automaton.accepting]
-    return ProductAutomaton(system, order, moves, accepting)
+    states = [(worlds[node // m], names[node % m]) for node in order]
+    accepting = automaton.accepting
+    return ProductAutomaton(system, states, moves,
+                            [s for s in states if s[1] in accepting])

@@ -35,13 +35,21 @@ class SCR:
     successors: frozenset
 
 
+def _rule(s) -> SCR:
+    """``s`` as an ``SCR`` with a frozenset of successors; an instance that
+    already is one is kept as it is."""
+    if type(s) is SCR and type(s.successors) is frozenset:
+        return s
+    if isinstance(s, SCR):
+        return SCR(s.id, s.world, s.action, frozenset(s.successors))
+    return SCR(*s)
+
+
 class ReactivePlan:
     """An ordered set of SCRs with ids 1..k; execution starts at plan state 1."""
 
     def __init__(self, scrs):
-        rules = sorted((SCR(s.id, s.world, s.action, frozenset(s.successors))
-                        if isinstance(s, SCR) else SCR(*s) for s in scrs),
-                       key=lambda s: s.id)
+        rules = sorted(map(_rule, scrs), key=lambda s: s.id)
         if not rules:
             raise PlanValidationError("a plan needs at least one SCR")
         ids = [s.id for s in rules]

@@ -54,8 +54,9 @@ class GameSolution:
 
 
 def _attractor(target, predecessors, unranked, k):
-    """Control attractor of the product states ``target``: each state's
-    entry layer, and the layer at which each choice completes (0 if never).
+    """Control attractor of the product states ``target``, as three lists:
+    each state's entry layer (-1 outside), the states in the order they
+    entered, and the layer at which each choice completes (0 if never).
 
     Choice ``i*k + c`` is control's move ``c`` at state ``i``;
     ``predecessors[j]`` lists the choices with target ``j``, and
@@ -64,9 +65,11 @@ def _attractor(target, predecessors, unranked, k):
     ranked, and a state enters at its first complete choice.  Each
     move-table entry is looked at once, so this costs O(|moves|).
     """
-    rank = dict.fromkeys(target, 0)
+    rank = [-1] * len(predecessors)
+    for j in target:
+        rank[j] = 0
     complete = [0] * len(unranked)
-    queue = list(rank)
+    queue = list(target)
     for j in queue:
         layer = rank[j] + 1
         for choice in predecessors[j]:
@@ -75,10 +78,10 @@ def _attractor(target, predecessors, unranked, k):
                 continue
             complete[choice] = layer
             i = choice // k
-            if i not in rank:
+            if rank[i] < 0:
                 rank[i] = layer
                 queue.append(i)
-    return rank, complete
+    return rank, queue, complete
 
 
 def solve_buchi_game(product) -> GameSolution:
@@ -91,31 +94,41 @@ def solve_buchi_game(product) -> GameSolution:
     completed at the lowest layer, then the first in declared control
     order.  A state's status and rank depend only on the part of the game
     reachable from it, so every root of the product is solved at once.
+    The fixpoint runs on flat lists indexed by state and choice number;
+    the returned ``GameSolution`` is built from them once, with its
+    entries in the order the states entered the final attractor.
     """
     n, k = len(product.states), len(product.controls)
     predecessors = [[] for _ in range(n)]
-    for i, row in enumerate(product.moves):
-        for c, targets in enumerate(row):
+    sizes = []
+    choice = 0
+    for row in product.moves:
+        for targets in row:
+            sizes.append(len(targets))
             for j in targets:
-                predecessors[j].append(i * k + c)
-    sizes = [len(targets) for row in product.moves for targets in row]
-    accepting = [product.index[s] for s in product.accepting]
+                predecessors[j].append(choice)
+            choice += 1
+    accepting = [i for i, s in enumerate(product.states) if s in product.accepting]
     # at first every state is in the region, so every choice stays in it
-    region, complete = range(n), [1] * (n * k)
+    rank, won, complete = [0] * n, range(n), [1] * (n * k)
     while True:
         recurrent = [i for i in accepting
-                     if i in region and any(complete[i * k:i * k + k])]
-        rank, complete = _attractor(recurrent, predecessors, sizes[:], k)
+                     if rank[i] >= 0 and any(complete[i * k:i * k + k])]
+        size = len(won)
+        rank, won, complete = _attractor(recurrent, predecessors, sizes[:], k)
         # the regions shrink, so an equal size means a fixpoint
-        if len(rank) == len(region):
+        if len(won) == size:
             break
-        region = rank
-    strategy = {
-        i: product.controls[min((complete[i * k + c], c) for c in range(k)
-                                if complete[i * k + c])[1]]
-        for i in rank
-    }
-    return GameSolution(frozenset(rank), strategy, rank)
+    controls = product.controls
+    strategy = {}
+    for i in won:
+        best = pick = 0
+        for c in range(k):
+            layer = complete[i * k + c]
+            if layer and (not best or layer < best):
+                best, pick = layer, c
+        strategy[i] = controls[pick]
+    return GameSolution(frozenset(won), strategy, {i: rank[i] for i in won})
 
 
 def spec_automaton(formula=None, valuation=None, automaton=None):
@@ -141,21 +154,33 @@ def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
     every disturbance-resolved successor, as plan well-formedness demands.
     Targets are visited in the order in which a product rooted at ``root``
     alone discovers them, re-derived by one breadth-first search over
-    ``product.moves``, so the plan does not depend on other roots.
+    ``product.moves``, so the plan does not depend on other roots.  Both
+    searches keep each state's place in a list indexed by state number.
     """
-    moves, strategy = product.moves, solution.strategy
-    _, local = buchi._discovery((root,), lambda i: (j for row in moves[i] for j in row))
-
-    def chosen(i):
-        return moves[i][product.controls.index(strategy[i])]
-
-    order, ids = buchi._discovery(
-        (root,), lambda i: sorted(chosen(i), key=local.__getitem__))
-    return ReactivePlan([
-        SCR(ids[i] + 1, product.world(product.states[i]), strategy[i],
-            frozenset(ids[j] + 1 for j in chosen(i)))
-        for i in order
-    ])
+    moves, strategy, states = product.moves, solution.strategy, product.states
+    local = [-1] * len(moves)
+    local[root] = 0
+    order = [root]
+    for i in order:
+        for targets in moves[i]:
+            for j in targets:
+                if local[j] < 0:
+                    local[j] = len(order)
+                    order.append(j)
+    control = {a: c for c, a in enumerate(product.controls)}
+    ids = [0] * len(moves)
+    ids[root] = 1
+    order = [root]
+    scrs = []
+    for i in order:
+        action = strategy[i]
+        row = moves[i][control[action]]
+        for j in sorted(row, key=local.__getitem__) if len(row) > 1 else row:
+            if not ids[j]:
+                order.append(j)
+                ids[j] = len(order)
+        scrs.append(SCR(ids[i], states[i][0], action, frozenset([ids[j] for j in row])))
+    return ReactivePlan(scrs)
 
 
 def synthesize(system, formula, valuation, initial_hint=None,

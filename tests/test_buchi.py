@@ -18,8 +18,9 @@ from astra.buchi import (
     totalize,
 )
 from astra.core import Lasso, Valuation
-from astra.errors import AutomatonError
+from astra.errors import AutomatonError, UndeclaredSymbol
 from astra.ltl import Atom, Until
+from astra.planner import spec_automaton
 
 from generators import random_formula, random_letter_lasso, random_system
 from oracles import (
@@ -409,9 +410,30 @@ class TestProduct:
                 (expected,) = total.successors(run.at(i), word.at(i))
                 assert run.at(i + 1) == expected
 
+    @staticmethod
+    def assert_matches_reference(system, roots, total, valuation):
+        prod = product(system, roots, total, valuation)
+        order, targets = per_disturbance_product(system, roots, total, valuation)
+        assert prod.states == tuple(order)
+        assert prod.initial == order[0]
+        assert prod.accepting == {s for s in order if s[1] in total.accepting}
+        assert prod.index == {s: i for i, s in enumerate(order)}
+        place = prod.index.__getitem__
+        for s in order:
+            for c, a in enumerate(system.controls):
+                union = [t for b in system.disturbances for t in targets[s, a, b]]
+                assert prod.moves[place(s)][c] == [place(t) for t in dict.fromkeys(union)]
+                assert prod.successors(s, a) == tuple(sorted(set(union), key=place))
+                for b in system.disturbances:
+                    assert prod.successors_under(s, a, b) == \
+                        tuple(sorted(targets[s, a, b], key=place))
+        assert prod.edges == tuple((s, a, b, t) for (s, a, b), ts in targets.items()
+                                   for t in ts)
+
     def test_matches_per_disturbance_reference(self):
         # the views and the move table agree with a product that keeps one
-        # target list per disturbance, on several roots in shuffled order
+        # target list per disturbance, on several roots in shuffled order,
+        # and again on the same roots listed with repeats
         rng = random.Random(41)
         checked = 0
         while checked < 300:
@@ -423,20 +445,48 @@ class TestProduct:
                 continue
             checked += 1
             roots = rng.sample(system.states, rng.randint(1, len(system.states)))
-            prod = product(system, roots, total, valuation)
-            order, targets = per_disturbance_product(system, roots, total, valuation)
-            assert prod.states == tuple(order)
-            place = prod.index.__getitem__
-            for s in order:
-                for c, a in enumerate(system.controls):
-                    union = [t for b in system.disturbances for t in targets[s, a, b]]
-                    assert prod.moves[place(s)][c] == [place(t) for t in dict.fromkeys(union)]
-                    assert prod.successors(s, a) == tuple(sorted(set(union), key=place))
-                    for b in system.disturbances:
-                        assert prod.successors_under(s, a, b) == \
-                            tuple(sorted(targets[s, a, b], key=place))
-            assert prod.edges == tuple((s, a, b, t) for (s, a, b), ts in targets.items()
-                                       for t in ts)
+            self.assert_matches_reference(system, roots, total, valuation)
+            repeated = [r for pair in zip(roots[::-1], roots) for r in pair] + roots
+            self.assert_matches_reference(system, repeated, total, valuation)
+
+    @pytest.mark.parametrize("filename", [
+        "aut_until.json", "aut_always_implies.json", "aut_response.json",
+    ])
+    def test_named_automaton_states_match_reference(self, filename):
+        # automaton states named in the file, not s0, s1, ...; each file is
+        # total already, so dropping the edges into its last state makes
+        # spec_automaton's completion add a sink
+        loaded = load_automaton(DATA / filename)
+        last = loaded.states[-1]
+        partial = BuchiAutomaton(loaded.states, loaded.initial, loaded.props,
+                                 [e for e in loaded.edges if e.dst != last],
+                                 loaded.accepting)
+        automata = [spec_automaton(automaton=loaded), spec_automaton(automaton=partial)]
+        assert automata[0] is loaded
+        assert "sink" in automata[1].states and "sink" not in loaded.states
+        rng = random.Random(43)
+        for _ in range(40):
+            system, valuation = random_system(rng, max_states=6, max_controls=3,
+                                              max_disturbances=3)
+            roots = rng.choices(system.states, k=rng.randint(1, 2 * len(system.states)))
+            for total in automata:
+                self.assert_matches_reference(system, roots, total, valuation)
+
+    def test_views_raise_typed_errors(self):
+        system = _self_loop_system()
+        valuation = Valuation(["p"], {"q": {"p"}})
+        spec = totalize(ltl_to_buchi(ltl.parse_formula("G F p", ("p",)), props=("p",)))
+        prod = product(system, ["q"], spec, valuation)
+        state = prod.initial
+        with pytest.raises(UndeclaredSymbol, match="unknown control 'zz'"):
+            prod.successors(state, "zz")
+        with pytest.raises(UndeclaredSymbol, match="unknown disturbance 'zz'"):
+            prod.successors_under(state, "a", "zz")
+        outside = ("q", "nowhere")
+        with pytest.raises(UndeclaredSymbol, match="unknown product state"):
+            prod.successors(outside, "a")
+        with pytest.raises(UndeclaredSymbol, match="unknown product state"):
+            prod.successors_under(outside, "a", "b")
 
 
 def _self_loop_system():

@@ -59,6 +59,23 @@ class TestWellFormedness:
         with pytest.raises(PlanValidationError):
             ReactivePlan([SCR(1, "q", "a", frozenset({3}))])
 
+    def test_rules_become_scrs_with_frozenset_successors(self):
+        class TaggedSCR(SCR):
+            pass
+
+        finished = SCR(1, "q", "a", frozenset({1, 2}))
+        plan = ReactivePlan([TaggedSCR(3, "q", "a", frozenset({1})),
+                             SCR(2, "q", "a", {1, 3}), finished])
+        assert plan.by_id[1] is finished
+        for rule in plan.scrs:
+            assert type(rule) is SCR
+            assert type(rule.successors) is frozenset
+        assert [rule.successors for rule in plan.scrs] == [{1, 2}, {1, 3}, {1}]
+        for rules in ([SCR(1, "q", "a", {1}), SCR(3, "q", "a", {1})],
+                      [TaggedSCR(2, "q", "a", frozenset({2}))]):
+            with pytest.raises(PlanValidationError):
+                ReactivePlan(rules)
+
     def test_validate_against_system(self, agent_system, example_plan):
         system, _ = agent_system
         example_plan.validate_against(system)
