@@ -810,6 +810,8 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     reaches it, and the automaton steps once per (automaton state, label
     id).  The state tuples are built once, at the end.
     """
+    if not roots:
+        raise AutomatonError("a product needs at least one root")
     number = {q: i for i, q in enumerate(system.states)}
     for q0 in roots:
         if q0 not in number:

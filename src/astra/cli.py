@@ -34,7 +34,7 @@ EXIT_ERROR = 3
 
 def _add_spec_arguments(sub, plan_file=False, out=False, initial=False):
     sub.add_argument("--system", required=True, help="system file (JSON)")
-    group = sub.add_mutually_exclusive_group()
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", help="specification formula")
     group.add_argument("--automaton", help="specification automaton file (JSON)")
     if initial:
@@ -93,14 +93,11 @@ def _load_spec(args, valuation):
     """Returns (formula, explicit_automaton); exactly one is not None."""
     if args.spec is not None:
         return parse_formula(args.spec, props=valuation.props), None
-    if args.automaton is not None:
-        return None, buchi.load_automaton(args.automaton)
-    raise AstraError("exactly one of --spec or --automaton is required")
+    return None, buchi.load_automaton(args.automaton)
 
 
-def _total_spec(args, valuation):
-    """The total specification automaton for ``--spec`` or ``--automaton``."""
-    formula, automaton = _load_spec(args, valuation)
+def _total_spec(formula, automaton, valuation):
+    """The total specification automaton for a formula or an automaton."""
     spec = planner.spec_automaton(formula, valuation, automaton)
     if spec is None:
         raise AstraError("the specification automaton is not totalizable")
@@ -195,55 +192,36 @@ def cmd_simulate(args) -> int:
 
     rng = random.Random(args.seed)
     script = _scripted_disturbances(args, system) if args.policy == "scripted" else None
-    tracker = None
     if args.policy == "adversarial":
-        spec = total if automaton is not None else planner.spec_automaton(formula, valuation)
-        if spec is None:
-            raise AstraError(
-                "the adversarial policy needs a totalizable specification"
-            )
-        prod = buchi.product(system, [start], spec, valuation)
-        tracker = (prod, planner.solve_buchi_game(prod).rank, prod.initial)
-
-    def pick(step_index, state, action):
-        nonlocal tracker
-        if args.policy == "scripted":
-            b = script[step_index]
-            return b, rng.choice(system.successors_under(state, action, b))
-        if args.policy == "random":
-            b = rng.choice(system.disturbances)
-            return b, rng.choice(system.successors_under(state, action, b))
-        prod, rank, ps = tracker
-        worst = None
-        for b in system.disturbances:
-            for target in prod.successors_under(ps, action, b):
-                key = rank.get(prod.index[target], float("inf"))
-                if worst is None or key > worst[0]:
-                    worst = (key, b, target)
-        _, b, target = worst
-        tracker = (prod, rank, target)
-        return b, target[0]
+        prod = buchi.product(system, [start], _total_spec(formula, automaton, valuation),
+                             valuation)
+        rank, ps = planner.solve_buchi_game(prod).rank, prod.initial
 
     state = start
     controller, action = controller.feed(state)
+    # the plan covers every system successor of each rule (validate_against),
+    # so a controller attached after the first observation stays attached
+    if controller.detached:
+        if verified:
+            print("error: detached from a verified plan (model mismatch)",
+                  file=sys.stderr)
+            return EXIT_ERROR
+        print("note: detached from plan; continuing with its default action")
     seen_pairs = {(controller.cursor, state)}
     lasso_detected = False
-    was_detached = controller.detached
-    if was_detached and verified:
-        print("error: detached from a verified plan (model mismatch)",
-              file=sys.stderr)
-        return EXIT_ERROR
     for step in range(1, args.steps + 1):
-        disturbance, nxt = pick(step - 1, state, action)
-        print(f"{step} {state} {action} {disturbance} {nxt}")
+        if args.policy == "adversarial":
+            # the disturbance toward the largest attractor rank, first on ties
+            _, b, ps = max(((rank.get(prod.index[t], float("inf")), b, t)
+                            for b in system.disturbances
+                            for t in prod.successors_under(ps, action, b)),
+                           key=lambda entry: entry[0])
+            nxt = ps[0]
+        else:
+            b = script[step - 1] if script else rng.choice(system.disturbances)
+            nxt = rng.choice(system.successors_under(state, action, b))
+        print(f"{step} {state} {action} {b} {nxt}")
         controller, action = controller.feed(nxt)
-        if controller.detached and not was_detached:
-            if verified:
-                print("error: detached from a verified plan (model mismatch)",
-                      file=sys.stderr)
-                return EXIT_ERROR
-            print("note: detached from plan; continuing with its default action")
-        was_detached = controller.detached
         pair = (controller.cursor, nxt)
         if pair in seen_pairs:
             lasso_detected = True
@@ -265,20 +243,18 @@ def cmd_export(args) -> int:
                              "declares its own propositions")
         if args.automaton is not None:
             content = dot.automaton_dot(buchi.load_automaton(args.automaton))
-        elif args.system is not None:
-            system, valuation = load_system(args.system)
-            formula = parse_formula(args.spec, props=valuation.props)
-            content = dot.automaton_dot(buchi.ltl_to_buchi(formula, props=valuation.props))
         else:
-            content = dot.automaton_dot(buchi.ltl_to_buchi(parse_formula(args.spec)))
+            props = None if args.system is None else load_system(args.system)[1].props
+            formula = parse_formula(args.spec, props=props)
+            content = dot.automaton_dot(buchi.ltl_to_buchi(formula, props=props))
     elif args.kind == "product":
         system, valuation = load_system(args.system)
-        spec = _total_spec(args, valuation)
+        spec = _total_spec(*_load_spec(args, valuation), valuation)
         root = args.initial if args.initial is not None else system.states[0]
         content = dot.product_dot(buchi.product(system, [root], spec, valuation))
     else:  # tfin
         system, valuation = load_system(args.system)
-        spec = _total_spec(args, valuation)
+        spec = _total_spec(*_load_spec(args, valuation), valuation)
         plan = load_plan(args.plan)
         plan.validate_against(system)
         root = args.initial if args.initial is not None else plan.world_of(1)

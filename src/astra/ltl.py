@@ -252,8 +252,6 @@ class _Parser:
             raise FormulaSyntaxError("the next operator is not supported", at)
         if token in _RESERVED or not token[0].isalpha() and token[0] != "_":
             raise FormulaSyntaxError(f"unexpected {token!r}", at)
-        if token in ("<end>", ")", "&", "|", "->", "!"):
-            raise FormulaSyntaxError(f"unexpected {token!r}", at)
         if self.props is not None and token not in self.props:
             raise UnknownProposition(token, at)
         return Atom(token)

@@ -152,7 +152,13 @@ def plan_from_dict(raw: dict) -> ReactivePlan:
             )
         scrs.append(SCR(entry["id"], entry["world"], entry["action"],
                         frozenset(entry["successors"])))
-    return ReactivePlan(scrs)
+    plan = ReactivePlan(scrs)
+    if "initial" in raw and raw["initial"] != plan.world_of(1):
+        raise PlanValidationError(
+            f"plan 'initial' {raw['initial']!r} is not plan state 1's world "
+            f"{plan.world_of(1)!r}"
+        )
+    return plan
 
 
 def plan_to_dict(plan: ReactivePlan, initial=None) -> dict:

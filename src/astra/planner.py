@@ -156,7 +156,10 @@ def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
     alone discovers them, re-derived by one breadth-first search over
     ``product.moves``, so the plan does not depend on other roots.  Both
     searches keep each state's place in a list indexed by state number.
+    Raises ``AstraError`` when ``root`` is not a winning state's number.
     """
+    if root not in solution.winning:
+        raise AstraError(f"product state {root!r} is not a winning state")
     moves, strategy, states = product.moves, solution.strategy, product.states
     local = [-1] * len(moves)
     local[root] = 0

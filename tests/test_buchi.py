@@ -188,6 +188,7 @@ class TestTotality:
             {"s"},
         )
         assert not is_total(automaton)
+        assert totalize(automaton) is None
 
     def test_totalize_keeps_total_automata(self):
         automaton = load_automaton(DATA / "aut_until.json")
@@ -205,6 +206,29 @@ class TestTotality:
         for _ in range(150):
             w = random_letter_lasso(rng, ("p1", "p2"))
             assert nba_accepts(total, w) == nba_accepts(incomplete, w)
+
+    def test_totalize_sink_name_avoids_declared_states(self):
+        automaton = BuchiAutomaton(
+            ["sink", "acc"], ["sink"], ("p1", "p2"),
+            [
+                Edge("sink", guard_from_text("p1 & !p2"), "sink"),
+                Edge("sink", guard_from_text("p2"), "acc"),
+                Edge("acc", guard_true(), "acc"),
+            ],
+            {"acc"},
+        )
+        total = totalize(automaton)
+        assert total.states == ("sink", "acc", "sink_2")
+        assert is_total(total) and total.initial == ("sink",)
+        assert total.successors("sink_2", frozenset()) == ("sink_2",)
+
+    def test_totalize_without_initial_state_is_the_lone_sink(self):
+        automaton = BuchiAutomaton(["s"], [], ("p1",), [Edge("s", guard_true(), "s")],
+                                   {"s"})
+        total = totalize(automaton)
+        assert total.states == ("sink",) and total.initial == ("sink",)
+        assert total.accepting == frozenset()
+        assert is_total(total)
 
     def test_totalize_rejects_proper_nondeterminism(self):
         automaton = BuchiAutomaton(
@@ -374,6 +398,12 @@ class TestProduct:
         system, valuation = agent_system
         with pytest.raises(AutomatonError):
             product(system, ["q1"], wait_automaton(), valuation)
+
+    def test_requires_a_root(self, agent_system):
+        system, valuation = agent_system
+        spec = ltl_to_buchi(ltl.TRUE, props=valuation.props)
+        with pytest.raises(AutomatonError, match="at least one root"):
+            product(system, [], spec, valuation)
 
     def test_projections_of_accepted_lassos(self):
         # any accepting lasso in the product projects to a system trajectory

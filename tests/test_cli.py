@@ -375,6 +375,42 @@ class TestSimulate:
         assert code == 3
         assert "detached" in stderr
 
+    def test_detachment_under_unverified_plan_is_noted(
+            self, agent_system_file, example_plan_file, capsys):
+        # the example plan violates "G p2" and starts at q1, not q3
+        code, stdout, stderr = run(
+            "simulate", "--system", agent_system_file, "--spec", "G p2",
+            "--plan", example_plan_file, "--initial", "q3", "--steps", "3",
+            capsys=capsys,
+        )
+        assert code == 0
+        assert stderr == "warning: plan failed verification; simulating anyway\n"
+        assert stdout == (
+            "note: detached from plan; continuing with its default action\n"
+            "1 q3 a1 1 q3\n"
+            "2 q3 a1 1 q3\n"
+            "3 q3 a1 1 q3\n"
+            "satisfied (lasso detected)\n"
+        )
+
+    def test_adversarial_needs_a_totalizable_spec(self, tmp_path, agent_system_file,
+                                                  example_plan_file, capsys):
+        # the example plan meets "F G p3", whose translation does not totalize
+        code, stdout, stderr = run(
+            "simulate", "--system", agent_system_file, "--spec", "F G p3",
+            "--plan", example_plan_file, "--policy", "adversarial", capsys=capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert stderr == "error: the specification automaton is not totalizable\n"
+        automaton = write_json(tmp_path / "aut.json", EVENTUALLY_ALWAYS_P1_AUTOMATON)
+        code, stdout, stderr = run(
+            "simulate", "--system", agent_system_file, "--automaton", automaton,
+            "--plan", example_plan_file, "--policy", "adversarial", capsys=capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert stderr == ("warning: plan failed verification; simulating anyway\n"
+                          "error: the specification automaton is not totalizable\n")
+
 
 class TestExport:
     def test_plan_dot_has_expected_shape(self, tmp_path, example_plan_file, capsys):
@@ -477,12 +513,19 @@ class TestUsage:
         )
         assert code == 3
 
-    def test_neither_spec_nor_automaton(self, tmp_path, agent_system_file, capsys):
-        code, _, _ = run(
-            "synth", "--system", agent_system_file,
-            "--out", str(tmp_path / "p.json"), capsys=capsys,
-        )
-        assert code == 3
+    def test_neither_spec_nor_automaton(self, tmp_path, agent_system_file,
+                                        example_plan_file, capsys):
+        system, plan = ("--system", agent_system_file), ("--plan", example_plan_file)
+        out = ("--out", str(tmp_path / "p.json"))
+        for argv in (("synth", *system, *out), ("verify", *system, *plan),
+                     ("simulate", *system, *plan), ("export", "automaton", *out),
+                     ("export", "product", *system, *out),
+                     ("export", "tfin", *system, *plan, *out)):
+            code, stdout, stderr = run(*argv, capsys=capsys)
+            assert code == 3 and stdout == "", argv
+            assert stderr.startswith("usage: astra ")
+            assert stderr.endswith(
+                "error: one of the arguments --spec --automaton is required\n")
 
     def test_help_exits_zero(self, capsys):
         assert run("--help", capsys=capsys)[0] == 0
@@ -514,6 +557,10 @@ class TestUsage:
             ("plan.json", {"scrs": [{"id": "x", "world": "q", "action": "a",
                                      "successors": []}]}, "plan"),
             ("plan2.json", {"scrs": 5}, "plan"),
+            *((f"plan_initial_{i}.json",
+               {**json.loads(pathlib.Path(example_plan_file).read_text()),
+                "initial": initial}, "plan")
+              for i, initial in enumerate(([1, 2], "zz"))),
             ("aut.json", {**UNTIL_AUTOMATON, "states": [["a"]]}, "automaton"),
             ("aut2.json", {**UNTIL_AUTOMATON, "accepting": [{"x": 1}]}, "automaton"),
             ("aut3.json", {**UNTIL_AUTOMATON, "initial": [["wait"]]}, "automaton"),

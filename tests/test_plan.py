@@ -20,7 +20,9 @@ from astra.plan import (
     SCR,
     check_plan,
     find_reachable_cycle,
+    plan_from_dict,
     plan_satisfies,
+    plan_to_dict,
     plan_trajectories,
     plan_trajectory_exists,
     plan_violation,
@@ -31,7 +33,7 @@ from astra.plan import (
 
 from astra.planner import spec_automaton
 
-from generators import random_formula, random_plan
+from generators import random_formula, random_plan, random_system
 from oracles import (
     closed_loop_lassos,
     matching_paths,
@@ -98,6 +100,13 @@ class TestWellFormedness:
         ])
         with pytest.raises(PlanValidationError):
             plan.validate_against(system)
+
+    def test_initial_key_must_name_plan_state_one_world(self, example_plan):
+        raw = plan_to_dict(example_plan)
+        assert plan_from_dict({**raw, "initial": "q1"}) == example_plan
+        for initial in ([1, 2], "zz", "q2", None):
+            with pytest.raises(PlanValidationError, match="plan 'initial'"):
+                plan_from_dict({**raw, "initial": initial})
 
 
 class TestTrajectoryExistence:
@@ -549,6 +558,33 @@ class TestController:
         assert action == "a1" and ctrl.detached
         ctrl, action = ctrl.feed("q1")
         assert action == "a1" and ctrl.detached
+
+    def test_attached_controller_follows_every_system_successor(self):
+        # a plan that passes validate_against covers every successor of a
+        # rule's world under its action, so feeding one never detaches
+        rng = random.Random(41)
+        for _ in range(80):
+            system, _ = random_system(rng, max_states=6, max_controls=3,
+                                      max_disturbances=3, double_successor_p=0.4)
+            copies = {q: rng.randint(1, 2) for q in system.states}
+            nodes = [(q, c) for q in system.states for c in range(copies[q])]
+            rng.shuffle(nodes)
+            ids = {node: i for i, node in enumerate(nodes, start=1)}
+            rules = []
+            for (q, _), i in ids.items():
+                action = rng.choice(system.controls)
+                successors = frozenset(ids[q2, rng.randrange(copies[q2])]
+                                       for q2 in system.successors(q, action))
+                rules.append(SCR(i, q, action, successors))
+            plan = ReactivePlan(rules)
+            plan.validate_against(system)
+            Controller(plan)  # unique successor worlds
+            for rule in plan.scrs:
+                for q2 in system.successors(rule.world, rule.action):
+                    ctrl, action = Controller(plan, rule.id).feed(q2)
+                    assert not ctrl.detached
+                    assert plan.world_of(ctrl.cursor) == q2
+                    assert action == plan.by_id[ctrl.cursor].action
 
     def test_online_offline_agreement(self):
         # after every prefix of the history, the controller emits the action

@@ -387,6 +387,19 @@ class TestInputErrors:
         with pytest.raises(AutomatonError, match="unknown initial state 'zz'"):
             synthesize(system, formula, valuation, initial_hint="zz")
 
+    def test_extract_plan_needs_a_winning_root(self, agent_system):
+        # "G p2" is won from q1 by staying put and lost at once from q3
+        system, valuation = agent_system
+        spec = planner.spec_automaton(ltl.parse_formula("G p2", valuation.props),
+                                      valuation)
+        prod = buchi.product(system, system.states, spec, valuation)
+        solution = solve_buchi_game(prod)
+        assert 0 in solution.winning and 2 not in solution.winning
+        extract_plan(prod, solution, 0)
+        for root in (2, len(prod.states), prod.initial):
+            with pytest.raises(AstraError, match="is not a winning state"):
+                extract_plan(prod, solution, root)
+
     def test_missing_specification(self, agent_system):
         system, valuation = agent_system
         with pytest.raises(AstraError, match="a formula or an automaton is required"):
