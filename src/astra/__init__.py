@@ -71,7 +71,6 @@ from .plan import (
 )
 from .planner import (
     FOUND,
-    GameSolution,
     NOT_FOUND,
     SynthesisResult,
     UNKNOWN,

@@ -79,8 +79,7 @@ def _merge_implicants(i1, i2):
         if x is None or y is None or diff >= 0:
             return None
         diff = k
-    if diff < 0:
-        return None
+    # the two implicants are distinct, so they differ somewhere
     return i1[:diff] + (None,) + i1[diff + 1 :]
 
 
@@ -689,9 +688,9 @@ def _indexed_lasso(rows, accepting, inside=None):
 
 
 def _bfs_path(sources, dst, successors):
-    """A shortest path, as a list, from one of ``sources`` to ``dst``, or
-    ``None`` when ``dst`` is unreachable.  Ties go to earlier sources, then
-    to earlier successors in ``successors(node)`` order."""
+    """A shortest path, as a list, from one of ``sources`` to ``dst``, which
+    must be reachable.  Ties go to earlier sources, then to earlier
+    successors in ``successors(node)`` order."""
     parent = dict.fromkeys(sources)
     queue = list(parent)
     for node in queue:
@@ -701,8 +700,6 @@ def _bfs_path(sources, dst, successors):
             if nxt not in parent:
                 parent[nxt] = node
                 queue.append(nxt)
-    if dst not in parent:
-        return None
     path = [dst]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])

@@ -133,13 +133,7 @@ def cmd_verify(args) -> int:
     formula, automaton = _load_spec(args, valuation)
     plan = load_plan(args.plan)
     plan.validate_against(system)
-    total = None
-    if automaton is not None:
-        total = planner.spec_automaton(automaton=automaton)
-        if total is None:
-            raise AstraError(
-                "verification against an automaton needs a totalizable automaton"
-            )
+    total = None if automaton is None else _total_spec(None, automaton, valuation)
     witness = check_plan(plan, valuation, formula, total)
     if witness is NO_TRAJECTORY:
         print("violated: the plan generates no trajectory (no reachable cycle)")
@@ -193,9 +187,13 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     script = _scripted_disturbances(args, system) if args.policy == "scripted" else None
     if args.policy == "adversarial":
-        prod = buchi.product(system, [start], _total_spec(formula, automaton, valuation),
-                             valuation)
-        rank, ps = planner.solve_buchi_game(prod).rank, prod.initial
+        # the automaton route reuses the automaton resolved for verification
+        if total is None:
+            total = _total_spec(formula, automaton, valuation)
+        prod = buchi.product(system, [start], total, valuation)
+        _, rank = planner.solve_buchi_game(prod)
+        # a lost state (rank -1) ranks above every won one
+        rank, ps = [r if r >= 0 else len(rank) for r in rank], prod.initial
 
     state = start
     controller, action = controller.feed(state)
@@ -212,7 +210,7 @@ def cmd_simulate(args) -> int:
     for step in range(1, args.steps + 1):
         if args.policy == "adversarial":
             # the disturbance toward the largest attractor rank, first on ties
-            _, b, ps = max(((rank.get(prod.index[t], float("inf")), b, t)
+            _, b, ps = max(((rank[prod.index[t]], b, t)
                             for b in system.disturbances
                             for t in prod.successors_under(ps, action, b)),
                            key=lambda entry: entry[0])
@@ -287,4 +285,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (AstraError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # every recursive walk in the library is over a formula or a guard
+        print("error: the formula nests too deeply", file=sys.stderr)
         return EXIT_ERROR

@@ -343,13 +343,6 @@ def plan_satisfies(plan: ReactivePlan, formula: ltl.Formula, valuation) -> bool:
 # simplification
 
 
-def _bfs_shortest_walk(plan, src, dst):
-    """Shortest plan-state walk from ``src`` to ``dst`` using at least one
-    edge; ties resolved toward smaller plan ids."""
-    path = buchi._bfs_path(plan.successor_ids(src), dst, plan.successor_ids)
-    return None if path is None else (src,) + tuple(path)
-
-
 def find_reachable_cycle(plan: ReactivePlan):
     """The first plan state (in id order) carrying both a shortest cycle
     through itself and a shortest path from plan state 1, as
@@ -367,7 +360,9 @@ def find_reachable_cycle(plan: ReactivePlan):
     first = next((i for i, c in enumerate(comp) if c >= 0), None)
     if first is None:
         return None
-    return _bfs_shortest_walk(plan, 1, first), _bfs_shortest_walk(plan, first, first)
+    # shortest walks of at least one edge, ties toward smaller plan ids
+    return tuple((src, *buchi._bfs_path(rows[src], first, rows.__getitem__))
+                 for src in (1, first))
 
 
 def simplify_plan(plan: ReactivePlan) -> ReactivePlan:

@@ -4,7 +4,8 @@ The system is composed with the total specification automaton in one
 product rooted at every candidate initial state.  Its game is played on
 the product states: control picks an action, the disturbances pick any of
 its targets in the product's move table.  It is solved once by the
-classical nested fixpoint over a counter-based attractor, and the winning
+classical nested fixpoint over a counter-based attractor into one list of
+control indices and one of attractor ranks per product state, and the
 positional strategy from the first winning candidate is unfolded into a
 reactive plan.  Every successor of a product state carries the same
 automaton state, so that plan already keeps at most one successor per
@@ -40,19 +41,6 @@ class SynthesisResult:
         return self.status == FOUND
 
 
-@dataclass(frozen=True)
-class GameSolution:
-    """Winning product states, positional strategy and attractor ranks of
-    the Buchi game on a product.  ``strategy`` maps each winning state to
-    its control and ``rank`` to its attractor rank, counted in control
-    moves: the least number of moves within which control can force the
-    play into the attractor's target."""
-
-    winning: frozenset
-    strategy: dict
-    rank: dict
-
-
 def _attractor(target, predecessors, unranked, k):
     """Control attractor of the product states ``target``, as three lists:
     each state's entry layer (-1 outside), the states in the order they
@@ -84,9 +72,15 @@ def _attractor(target, predecessors, unranked, k):
     return rank, queue, complete
 
 
-def solve_buchi_game(product) -> GameSolution:
-    """Winning region and positional strategy for control's objective of
-    visiting accepting product states infinitely often.
+def solve_buchi_game(product):
+    """Positional strategy and attractor ranks of control's objective of
+    visiting accepting product states infinitely often, as two lists
+    ``(strategy, rank)`` indexed by product state number, both -1 outside
+    the winning region.  ``strategy[i]`` is the index, in
+    ``product.controls`` order, of the control to take at state ``i``, and
+    ``rank[i]`` its attractor rank, counted in control moves: the least
+    number of moves within which control can force the play into the
+    attractor's target.
 
     Classical nested fixpoint: shrink a candidate region to the control
     attractor of those accepting states from which control can step back
@@ -94,9 +88,6 @@ def solve_buchi_game(product) -> GameSolution:
     completed at the lowest layer, then the first in declared control
     order.  A state's status and rank depend only on the part of the game
     reachable from it, so every root of the product is solved at once.
-    The fixpoint runs on flat lists indexed by state and choice number;
-    the returned ``GameSolution`` is built from them once, with its
-    entries in the order the states entered the final attractor.
     """
     n, k = len(product.states), len(product.controls)
     predecessors = [[] for _ in range(n)]
@@ -119,16 +110,15 @@ def solve_buchi_game(product) -> GameSolution:
         # the regions shrink, so an equal size means a fixpoint
         if len(won) == size:
             break
-    controls = product.controls
-    strategy = {}
+    strategy = [-1] * n
     for i in won:
         best = pick = 0
         for c in range(k):
             layer = complete[i * k + c]
             if layer and (not best or layer < best):
                 best, pick = layer, c
-        strategy[i] = controls[pick]
-    return GameSolution(frozenset(won), strategy, {i: rank[i] for i in won})
+        strategy[i] = pick
+    return strategy, rank
 
 
 def spec_automaton(formula=None, valuation=None, automaton=None):
@@ -145,9 +135,9 @@ def spec_automaton(formula=None, valuation=None, automaton=None):
     return buchi.totalize(translated)
 
 
-def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
-    """Unfold a winning positional strategy from product state ``root`` into
-    a reactive plan.
+def extract_plan(product, strategy, root=0) -> ReactivePlan:
+    """Unfold the positional strategy of :func:`solve_buchi_game` from
+    product state ``root`` into a reactive plan.
 
     Plan state i carries the world component of the i-th product state
     reached (breadth-first) under the strategy; its successor set covers
@@ -158,9 +148,9 @@ def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
     searches keep each state's place in a list indexed by state number.
     Raises ``AstraError`` when ``root`` is not a winning state's number.
     """
-    if root not in solution.winning:
+    if root not in range(len(strategy)) or strategy[root] < 0:
         raise AstraError(f"product state {root!r} is not a winning state")
-    moves, strategy, states = product.moves, solution.strategy, product.states
+    moves, controls, states = product.moves, product.controls, product.states
     local = [-1] * len(moves)
     local[root] = 0
     order = [root]
@@ -170,19 +160,18 @@ def extract_plan(product, solution: GameSolution, root=0) -> ReactivePlan:
                 if local[j] < 0:
                     local[j] = len(order)
                     order.append(j)
-    control = {a: c for c, a in enumerate(product.controls)}
     ids = [0] * len(moves)
     ids[root] = 1
     order = [root]
     scrs = []
     for i in order:
-        action = strategy[i]
-        row = moves[i][control[action]]
+        c = strategy[i]
+        row = moves[i][c]
         for j in sorted(row, key=local.__getitem__) if len(row) > 1 else row:
             if not ids[j]:
                 order.append(j)
                 ids[j] = len(order)
-        scrs.append(SCR(ids[i], states[i][0], action, frozenset([ids[j] for j in row])))
+        scrs.append(SCR(ids[i], states[i][0], controls[c], frozenset([ids[j] for j in row])))
     return ReactivePlan(scrs)
 
 
@@ -206,12 +195,12 @@ def synthesize(system, formula, valuation, initial_hint=None,
         return SynthesisResult(UNKNOWN)
     candidates = [initial_hint] if initial_hint is not None else system.states
     prod = buchi.product(system, candidates, spec, valuation)
-    solution = solve_buchi_game(prod)
-    root = next((r for r in range(len(candidates)) if r in solution.winning), None)
+    strategy, _ = solve_buchi_game(prod)
+    root = next((r for r in range(len(candidates)) if strategy[r] >= 0), None)
     if root is None:
         return SynthesisResult(NOT_FOUND)
     q0 = candidates[root]
-    plan = extract_plan(prod, solution, root)
+    plan = extract_plan(prod, strategy, root)
     if check_plan(plan, valuation, formula, spec) is not None:
         raise VerificationFailure(
             f"synthesized plan from {q0!r} failed independent verification"

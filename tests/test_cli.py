@@ -42,6 +42,18 @@ ALWAYS_P2_AUTOMATON = {
     ],
 }
 
+# "p2 U p3" without the rejecting sink: it totalizes but is not total
+PARTIAL_UNTIL_AUTOMATON = {
+    "states": ["wait", "acc"],
+    "initial": ["wait"],
+    "accepting": ["acc"],
+    "edges": [
+        {"from": "wait", "guard": "p3", "to": "acc"},
+        {"from": "wait", "guard": "p2 & !p3", "to": "wait"},
+        {"from": "acc", "guard": "true", "to": "acc"},
+    ],
+}
+
 # "F G p1" as a guess-the-point automaton: two targets on every p1 letter,
 # so no total completion exists
 EVENTUALLY_ALWAYS_P1_AUTOMATON = {
@@ -115,6 +127,17 @@ class TestSynth:
             )
             assert (code, stdout, stderr) == \
                 (3, "", "error: unknown initial state 'zz'\n"), spec
+
+    def test_deep_formula_is_input_error(self, tmp_path, agent_system_file, capsys):
+        # a recursion limit hit while walking the formula is an input error,
+        # not a crash with the negative-verdict exit code
+        out = tmp_path / "p.json"
+        code, stdout, stderr = run(
+            "synth", "--system", agent_system_file, "--spec", " & ".join(["p2"] * 2000),
+            "--out", str(out), capsys=capsys,
+        )
+        assert (code, stdout, stderr) == (3, "", "error: the formula nests too deeply\n")
+        assert not out.exists()
 
     def test_malformed_system_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -193,9 +216,7 @@ class TestVerify:
         )
         assert code == 3
         assert stdout == ""
-        assert stderr == (
-            "error: verification against an automaton needs a totalizable automaton\n"
-        )
+        assert stderr == "error: the specification automaton is not totalizable\n"
 
 
 class TestSimulate:
@@ -392,6 +413,27 @@ class TestSimulate:
             "3 q3 a1 1 q3\n"
             "satisfied (lasso detected)\n"
         )
+
+    def test_adversarial_totalizes_the_automaton_once(self, tmp_path, monkeypatch,
+                                                      agent_system_file,
+                                                      example_plan_file, capsys):
+        # verification and the adversary's game share one resolved automaton
+        from astra import buchi
+
+        totalized = []
+
+        def counted_totalize(*args, _original=buchi.totalize):
+            totalized.append(args[0])
+            return _original(*args)
+        monkeypatch.setattr(buchi, "totalize", counted_totalize)
+        automaton = write_json(tmp_path / "aut.json", PARTIAL_UNTIL_AUTOMATON)
+        code, stdout, stderr = run(
+            "simulate", "--system", agent_system_file, "--automaton", automaton,
+            "--plan", example_plan_file, "--policy", "adversarial", capsys=capsys,
+        )
+        assert (code, stderr) == (0, "")
+        assert len(stdout.splitlines()) == 21
+        assert len(totalized) == 1
 
     def test_adversarial_needs_a_totalizable_spec(self, tmp_path, agent_system_file,
                                                   example_plan_file, capsys):

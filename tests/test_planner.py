@@ -52,16 +52,16 @@ class TestGameSolver:
         valuation = Valuation(["p"], {"q": {"p"}})
         spec = buchi.totalize(buchi.ltl_to_buchi(ltl.always(Atom("p")), props=("p",)))
         prod = buchi.product(system, ["q"], spec, valuation)
-        solution = solve_buchi_game(prod)
-        assert 0 in solution.winning
-        assert solution.strategy[0] == "a"
+        strategy, rank = solve_buchi_game(prod)
+        assert prod.controls[strategy[0]] == "a" and rank[0] == 0
 
     def test_unwinnable_arena_is_empty(self):
         system = self_loop_system()
         valuation = Valuation(["p"], {"q": set()})
         spec = buchi.totalize(buchi.ltl_to_buchi(ltl.always(Atom("p")), props=("p",)))
         prod = buchi.product(system, ["q"], spec, valuation)
-        assert 0 not in solve_buchi_game(prod).winning
+        lost = [-1] * len(prod.states)
+        assert solve_buchi_game(prod) == (lost, lost)
 
     def test_matches_strategy_enumeration(self):
         # winning-set membership agrees with exhaustive search over
@@ -78,7 +78,7 @@ class TestGameSolver:
             if len(prod.states) > 6:
                 continue
             checked += 1
-            ours = 0 in solve_buchi_game(prod).winning
+            ours = solve_buchi_game(prod)[0][0] >= 0
             assert ours == positional_winner_exists(prod)
 
     def test_matches_layered_solver(self):
@@ -98,24 +98,28 @@ class TestGameSolver:
             if spec is None:
                 continue
             prod = buchi.product(system, system.states, spec, valuation)
-            solution = solve_buchi_game(prod)
-            winning, strategy, rank = layered_buchi_solution(TaggedArena(prod))
-            state_rank = {prod.index[v[1]]: r for v, r in rank.items() if v[0] == "s"}
-            assert all(r % 2 == 0 for r in state_rank.values())
-            assert solution.winning == {prod.index[v[1]] for v in winning if v[0] == "s"}
-            assert solution.strategy == {prod.index[s]: a for s, a in strategy.items()}
-            assert solution.rank == {i: r // 2 for i, r in state_rank.items()}
+            strategy, rank = solve_buchi_game(prod)
+            winning, ref_strategy, ref_rank = layered_buchi_solution(TaggedArena(prod))
+            expected_strategy = [-1] * len(prod.states)
+            for s, a in ref_strategy.items():
+                expected_strategy[prod.index[s]] = prod.controls.index(a)
+            expected_rank = [-1] * len(prod.states)
+            for v, r in ref_rank.items():
+                if v[0] == "s":
+                    assert r % 2 == 0
+                    expected_rank[prod.index[v[1]]] = r // 2
+            assert {i for i, c in enumerate(strategy) if c >= 0} == \
+                {prod.index[v[1]] for v in winning if v[0] == "s"}
+            assert (strategy, rank) == (expected_strategy, expected_rank)
             for q0 in system.states:
                 single = buchi.product(system, [q0], spec, valuation)
-                own = solve_buchi_game(single)
+                own_strategy, own_rank = solve_buchi_game(single)
                 inside = [prod.index[s] for s in single.states]
-                assert {inside[i]: r for i, r in own.rank.items()} == \
-                    {j: solution.rank[j] for j in inside if j in solution.rank}
-                assert {inside[i]: a for i, a in own.strategy.items()} == \
-                    {j: solution.strategy[j] for j in inside if j in solution.strategy}
+                assert own_rank == [rank[j] for j in inside]
+                assert own_strategy == [strategy[j] for j in inside]
                 products += 1
-                partial += 0 < len(own.winning) < len(inside)
-                deep += max(own.rank.values(), default=0) >= 2
+                partial += 0 < sum(c >= 0 for c in own_strategy) < len(inside)
+                deep += max(own_rank) >= 2
         # the corpus is not degenerate: some games are won only in part,
         # and some attractors are several layers deep
         assert partial >= 10 and deep >= 20
@@ -347,10 +351,10 @@ class TestSynthesize:
             if spec is None:
                 continue
             prod = buchi.product(system, system.states, spec, valuation)
-            solution = solve_buchi_game(prod)
+            strategy, _ = solve_buchi_game(prod)
             for root in range(len(system.states)):
-                if root in solution.winning:
-                    plan = extract_plan(prod, solution, root)
+                if strategy[root] >= 0:
+                    plan = extract_plan(prod, strategy, root)
                     plan.require_unique_world_successors()
                     assert simplify_plan(plan) == plan
                     roots += 1
@@ -393,12 +397,14 @@ class TestInputErrors:
         spec = planner.spec_automaton(ltl.parse_formula("G p2", valuation.props),
                                       valuation)
         prod = buchi.product(system, system.states, spec, valuation)
-        solution = solve_buchi_game(prod)
-        assert 0 in solution.winning and 2 not in solution.winning
-        extract_plan(prod, solution, 0)
-        for root in (2, len(prod.states), prod.initial):
+        strategy, _ = solve_buchi_game(prod)
+        assert strategy[0] >= 0 and strategy[2] == -1
+        extract_plan(prod, strategy, 0)
+        # a bare list index would wrap a negative root round: -len(states)
+        # to the winning state 0
+        for root in (2, -1, -len(prod.states), len(prod.states), prod.initial):
             with pytest.raises(AstraError, match="is not a winning state"):
-                extract_plan(prod, solution, root)
+                extract_plan(prod, strategy, root)
 
     def test_missing_specification(self, agent_system):
         system, valuation = agent_system
