@@ -42,12 +42,13 @@ print("synthesized from:", result.initial)
 
 automaton = spec_automaton(spec, valuation)
 prod = product(system, [result.initial], automaton, valuation)
-print("product states:", len(prod.states), "accepting:", len(prod.accepting))
+print("product states:", len(prod.states), "accepting:", sum(prod.accepting))
 
 fin = build_accepting_system(prod, result.controller)
 print("recurrence-free prefixes:", len(fin), "(cap", pigeonhole_cap(prod), ")")
 for index in range(len(fin)):
-    trace = " ".join(f"({q},{x})" for q, x in fin.nodes[index])
+    names = [prod.states[i] for i in fin.nodes[index]]
+    trace = " ".join(f"({q},{x})" for q, x in names)
     targets = ",".join(str(t + 1) for t in fin.edges[index])
     print(f"  node {index + 1}: [{trace}] do {fin.actions[index]} -> {{{targets}}}")
 

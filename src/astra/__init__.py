@@ -67,7 +67,6 @@ from .plan import (
     plan_violation,
     plan_violation_total,
     simplify_plan,
-    strategy_action,
 )
 from .planner import (
     FOUND,

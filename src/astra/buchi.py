@@ -15,13 +15,12 @@ library targets, direct enumeration is the reference semantics.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
 from . import ltl
 from .core import Lasso
-from .errors import AutomatonError, UndeclaredSymbol
+from .errors import AutomatonError
 
 # ---------------------------------------------------------------------------
 # guards
@@ -728,6 +727,7 @@ def nba_accepts(automaton: BuchiAutomaton, word: Lasso) -> bool:
 # product with an alternating transition system
 
 
+@dataclass(frozen=True, eq=False)
 class ProductAutomaton:
     """Synchronous product of a system with a total specification
     automaton, restricted to the states reachable from its roots.
@@ -735,65 +735,18 @@ class ProductAutomaton:
     The automaton component reads the valuation of the current world state,
     so every successor of a product state pairs a world successor with the
     same automaton state.  States are numbered in breadth-first discovery
-    order from the roots, which come first.  ``moves[i][c]`` lists the
-    numbers of the states reached from state ``i`` under the ``c``-th
-    control in ``system.successors`` order; the synthesis game plays on it.
-    Outside the move table states are ``(world, automaton state)`` tuples:
-    ``states`` and ``accepting`` hold them, ``index`` maps one to its
-    number, ``successors`` and ``successors_under`` list them in discovery
-    order and ``edges`` in construction order.  The views raise
-    ``UndeclaredSymbol`` for a state outside the product or an undeclared
-    control or disturbance.
+    order from the roots, which come first.  ``states[i]`` names state
+    ``i`` as a ``(world, automaton state)`` pair, ``accepting[i]`` tells
+    whether its automaton state is accepting, and ``moves[i][c]`` lists the
+    numbers of the states reached from it under the ``c``-th control of
+    ``system``, in ``system.successors`` order; the synthesis game plays on
+    these lists.
     """
 
-    def __init__(self, system, states, moves, accepting):
-        self.system = system
-        self.states = tuple(states)
-        self.initial = self.states[0]
-        self.controls = system.controls
-        self.disturbances = system.disturbances
-        self.moves = moves
-        self.accepting = frozenset(accepting)
-
-    @functools.cached_property
-    def index(self) -> dict:
-        """Each state's number, built when a view first asks for it."""
-        return {s: i for i, s in enumerate(self.states)}
-
-    def _number(self, state):
-        try:
-            return self.index[state]
-        except KeyError:
-            raise UndeclaredSymbol(f"unknown product state {state!r}") from None
-
-    def _paired(self, state, control, disturbance):
-        """World successors under one control and disturbance, paired with
-        the one automaton successor of ``state``."""
-        x2 = self.states[self.moves[self._number(state)][0][0]][1]
-        return [(q2, x2) for q2 in
-                self.system.successors_under(state[0], control, disturbance)]
-
-    def successors(self, state, control) -> tuple:
-        row = self.moves[self._number(state)]
-        try:
-            targets = row[self.controls.index(control)]
-        except ValueError:
-            raise UndeclaredSymbol(f"unknown control {control!r}") from None
-        return tuple(self.states[j] for j in sorted(targets))
-
-    def successors_under(self, state, control, disturbance) -> tuple:
-        return tuple(sorted(self._paired(state, control, disturbance),
-                            key=self.index.__getitem__))
-
-    @property
-    def edges(self) -> tuple:
-        """``(state, control, disturbance, target)`` in construction order."""
-        return tuple((s, a, b, t) for s in self.states for a in self.controls
-                     for b in self.disturbances for t in self._paired(s, a, b))
-
-    @staticmethod
-    def world(state):
-        return state[0]
+    system: object
+    states: tuple
+    moves: list
+    accepting: list
 
 
 def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutomaton:
@@ -805,7 +758,7 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     automaton states.  A world state's label id and its successors under
     each control are read from the system once, when the search first
     reaches it, and the automaton steps once per (automaton state, label
-    id).  The state tuples are built once, at the end.
+    id).  The state names are built once, at the end.
     """
     if not roots:
         raise AutomatonError("a product needs at least one root")
@@ -850,7 +803,6 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
                 targets.append(j)
             row.append(targets)
         moves.append(row)
-    states = [(worlds[node // m], names[node % m]) for node in order]
-    accepting = automaton.accepting
-    return ProductAutomaton(system, states, moves,
-                            [s for s in states if s[1] in accepting])
+    states = tuple((worlds[node // m], names[node % m]) for node in order)
+    flags = [x in automaton.accepting for x in names]
+    return ProductAutomaton(system, states, moves, [flags[node % m] for node in order])

@@ -192,8 +192,8 @@ def cmd_simulate(args) -> int:
             total = _total_spec(formula, automaton, valuation)
         prod = buchi.product(system, [start], total, valuation)
         _, rank = planner.solve_buchi_game(prod)
-        # a lost state (rank -1) ranks above every won one
-        rank, ps = [r if r >= 0 else len(rank) for r in rank], prod.initial
+        # a lost state (rank -1) ranks above every won one; play from state 0
+        rank, ps = [r if r >= 0 else len(rank) for r in rank], 0
 
     state = start
     controller, action = controller.feed(state)
@@ -209,12 +209,15 @@ def cmd_simulate(args) -> int:
     lasso_detected = False
     for step in range(1, args.steps + 1):
         if args.policy == "adversarial":
-            # the disturbance toward the largest attractor rank, first on ties
-            _, b, ps = max(((rank[prod.index[t]], b, t)
-                            for b in system.disturbances
-                            for t in prod.successors_under(ps, action, b)),
-                           key=lambda entry: entry[0])
-            nxt = ps[0]
+            # the disturbance toward the largest attractor rank, first on
+            # ties; the targets under each disturbance in state number order
+            row = prod.moves[ps][system.controls.index(action)]
+            number = {prod.states[j][0]: j for j in row}
+            b, ps = max(((b, j) for b in system.disturbances
+                         for j in sorted(number[q2] for q2 in
+                                         system.successors_under(state, action, b))),
+                        key=lambda entry: rank[entry[1]])
+            nxt = prod.states[ps][0]
         else:
             b = script[step - 1] if script else rng.choice(system.disturbances)
             nxt = rng.choice(system.successors_under(state, action, b))

@@ -4,10 +4,11 @@ Given a product automaton and a controller all of whose closed-loop
 outcomes are accepted, the outcome prefixes in which no accepting product
 state recurs form a finite transition system: extensions that would repeat
 an accepting state fold back to the unique shorter prefix ending in that
-state.  Reading one rule off each node of this system yields a reactive
-plan, which is how existence of a winning strategy implies existence of a
-plan.  This module is a test harness for that construction; the planner
-itself does not use it.
+state.  Prefixes are sequences of product state numbers, extended through
+the product's move table.  Reading one rule off each node of this system
+yields a reactive plan, which is how existence of a winning strategy
+implies existence of a plan.  This module is a test harness for that
+construction; the planner itself does not use it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .buchi import ProductAutomaton
-from .errors import CapExceeded
+from .errors import CapExceeded, UndeclaredSymbol
 from .plan import ReactivePlan, SCR
 
 
@@ -23,10 +24,10 @@ from .plan import ReactivePlan, SCR
 class AcceptingTransitionSystem:
     """Finite system over recurrence-free outcome prefixes.
 
-    ``nodes`` are product-state sequences in discovery order, with node 0
-    the one-element prefix at the product's initial state.  ``actions`` and
-    ``edges`` are per node index; ``label`` of a node is its last product
-    state.
+    ``nodes`` are sequences of product state numbers in discovery order,
+    with node 0 the one-element prefix at product state 0.  ``actions`` and
+    ``edges`` are per node index; ``label`` of a node is the name, a
+    ``(world, automaton state)`` pair, of its last product state.
     """
 
     nodes: tuple
@@ -35,7 +36,7 @@ class AcceptingTransitionSystem:
     product: ProductAutomaton
 
     def label(self, index):
-        return self.nodes[index][-1]
+        return self.product.states[self.nodes[index][-1]]
 
     def __len__(self):
         return len(self.nodes)
@@ -44,7 +45,7 @@ class AcceptingTransitionSystem:
 def pigeonhole_cap(product: ProductAutomaton) -> int:
     """Upper bound on recurrence-free outcome-prefix length for winning
     controllers: anything longer must repeat an accepting state."""
-    return len(product.states) * (len(product.accepting) + 1) + 1
+    return len(product.states) * (sum(product.accepting) + 1) + 1
 
 
 def build_accepting_system(product: ProductAutomaton,
@@ -54,33 +55,36 @@ def build_accepting_system(product: ProductAutomaton,
     The controller is lifted to product-state sequences by acting on their
     world projections; each node keeps the controller fed with its world
     states, so extending it costs one ``feed``.  Each node extends by every
-    disturbance-resolved successor under its action; an extension whose
-    accepting state recurs folds back to the unique recurrence-free prefix
-    ending in that state.  Every accepting state occurs at most once in a
-    node, so each node keeps their positions, and both the recurrence test
-    and the fold-back target cost one lookup.
+    state of ``product.moves`` under its action, in state number order; an
+    extension whose accepting state recurs folds back to the unique
+    recurrence-free prefix ending in that state.  Every accepting state
+    occurs at most once in a node, so each node keeps their positions, and
+    both the recurrence test and the fold-back target cost one lookup.
     A prefix longer than the pigeonhole bound means the controller is not
     actually winning.
     """
     cap = pigeonhole_cap(product)
-    start = product.initial
-    root = (start,)
+    states, moves, accepting = product.states, product.moves, product.accepting
+    column = {a: c for c, a in enumerate(product.system.controls)}
+    root = (0,)
     nodes = [root]
     ids = {root: 0}
-    stepped = [controller.feed(product.world(start))]
-    positions = [{start: 0} if start in product.accepting else {}]
+    stepped = [controller.feed(states[0][0])]
+    positions = [{0: 0} if accepting[0] else {}]
     actions = []
     edges = []
     for index, node in enumerate(nodes):
         fed, action = stepped[index]
         actions.append(action)
+        if action not in column:
+            raise UndeclaredSymbol(f"unknown control {action!r}")
         targets = []
-        for successor in product.successors(node[-1], action):
-            at = positions[index].get(successor)
+        for j in sorted(moves[node[-1]][column[action]]):
+            at = positions[index].get(j)
             if at is not None:
                 targets.append(ids[node[: at + 1]])
                 continue
-            extension = node + (successor,)
+            extension = node + (j,)
             if len(extension) > cap:
                 raise CapExceeded(
                     f"outcome prefix grew past {cap}; controller is not winning"
@@ -88,10 +92,9 @@ def build_accepting_system(product: ProductAutomaton,
             ids[extension] = len(nodes)
             targets.append(len(nodes))
             nodes.append(extension)
-            stepped.append(fed.feed(product.world(successor)))
+            stepped.append(fed.feed(states[j][0]))
             positions.append(
-                {**positions[index], successor: len(node)}
-                if successor in product.accepting else positions[index]
+                {**positions[index], j: len(node)} if accepting[j] else positions[index]
             )
         edges.append(tuple(targets))
     return AcceptingTransitionSystem(tuple(nodes), tuple(actions), tuple(edges), product)

@@ -63,28 +63,37 @@ def _product_name(state) -> str:
 
 
 def product_dot(prod) -> str:
+    """One line per (state, control, disturbance, world successor), in
+    state number, declared and system successor order; every successor of
+    state ``i`` carries its one automaton successor, that of the first
+    target of ``moves[i][0]``."""
+    system = prod.system
     lines = ["rankdir=LR;", "node [shape=circle];"]
-    for state in prod.states:
-        shape = "doublecircle" if state in prod.accepting else "circle"
+    for state, flag in zip(prod.states, prod.accepting):
+        shape = "doublecircle" if flag else "circle"
         lines.append(f"{_quote(_product_name(state))} [shape={shape}];")
     lines.append("__start [shape=point];")
-    lines.append(f"__start -> {_quote(_product_name(prod.initial))};")
-    for s, a, b, t in prod.edges:
-        lines.append(
-            f"{_quote(_product_name(s))} -> {_quote(_product_name(t))} "
-            f"[label={_quote(f'{a},{b}')}];"
-        )
+    lines.append(f"__start -> {_quote(_product_name(prod.states[0]))};")
+    for state, row in zip(prod.states, prod.moves):
+        source = _quote(_product_name(state))
+        x2 = prod.states[row[0][0]][1]
+        for a in system.controls:
+            for b in system.disturbances:
+                for q2 in system.successors_under(state[0], a, b):
+                    lines.append(f"{source} -> {_quote(_product_name((q2, x2)))} "
+                                 f"[label={_quote(f'{a},{b}')}];")
     return _digraph("product", lines)
 
 
 def accepting_system_dot(system) -> str:
     """Nodes named by index and labelled by their last product state;
     accepting-labelled nodes are bold."""
+    accepting = system.product.accepting
     lines = ["rankdir=LR;", "node [shape=circle];"]
-    for index in range(len(system)):
+    for index, node in enumerate(system.nodes):
         q, x = system.label(index)
         label = f"{index + 1}: ({q},{x}) / {system.actions[index]}"
-        style = ', style=bold' if system.label(index) in system.product.accepting else ""
+        style = ', style=bold' if accepting[node[-1]] else ""
         lines.append(f"{index + 1} [label={_quote(label)}{style}];")
     lines.append("__start [shape=point];")
     lines.append("__start -> 1;")

@@ -116,14 +116,6 @@ def until_subformulas(formula: Formula) -> tuple:
     return tuple(seen)
 
 
-def formula_size(formula: Formula) -> int:
-    if isinstance(node := formula, (TrueF, Atom)):
-        return 1
-    if isinstance(node, Not):
-        return 1 + formula_size(node.arg)
-    return 1 + formula_size(node.left) + formula_size(node.right)
-
-
 _PRECEDENCE = {TrueF: 100, Atom: 100, Not: 90, And: 80, Until: 70}
 
 

@@ -449,20 +449,3 @@ class Controller:
         ctrl = Controller(self.plan, nxt)
         action = self.default_action if nxt is DETACHED else self.plan.by_id[nxt].action
         return ctrl, action
-
-
-def strategy_action(plan: ReactivePlan, history) -> str:
-    """The action the plan prescribes after observing ``history``.
-
-    Feeds the history, state by state, to a fresh :class:`Controller`: the
-    action of the unique plan-state path matching the history from plan
-    state 1, or the action of plan state 1 after any mismatch.  Requires
-    per-SCR unique successor worlds.
-    """
-    states = tuple(history)
-    if not states:
-        raise ValueError("the observed history must be non-empty")
-    controller = Controller(plan)
-    for observed in states:
-        controller, action = controller.feed(observed)
-    return action

@@ -76,8 +76,8 @@ def solve_buchi_game(product):
     """Positional strategy and attractor ranks of control's objective of
     visiting accepting product states infinitely often, as two lists
     ``(strategy, rank)`` indexed by product state number, both -1 outside
-    the winning region.  ``strategy[i]`` is the index, in
-    ``product.controls`` order, of the control to take at state ``i``, and
+    the winning region.  ``strategy[i]`` is the index, in the system's
+    control order, of the control to take at state ``i``, and
     ``rank[i]`` its attractor rank, counted in control moves: the least
     number of moves within which control can force the play into the
     attractor's target.
@@ -89,7 +89,7 @@ def solve_buchi_game(product):
     order.  A state's status and rank depend only on the part of the game
     reachable from it, so every root of the product is solved at once.
     """
-    n, k = len(product.states), len(product.controls)
+    n, k = len(product.states), len(product.system.controls)
     predecessors = [[] for _ in range(n)]
     sizes = []
     choice = 0
@@ -99,7 +99,7 @@ def solve_buchi_game(product):
             for j in targets:
                 predecessors[j].append(choice)
             choice += 1
-    accepting = [i for i, s in enumerate(product.states) if s in product.accepting]
+    accepting = [i for i, flag in enumerate(product.accepting) if flag]
     # at first every state is in the region, so every choice stays in it
     rank, won, complete = [0] * n, range(n), [1] * (n * k)
     while True:
@@ -148,9 +148,10 @@ def extract_plan(product, strategy, root=0) -> ReactivePlan:
     searches keep each state's place in a list indexed by state number.
     Raises ``AstraError`` when ``root`` is not a winning state's number.
     """
-    if root not in range(len(strategy)) or strategy[root] < 0:
+    if (not isinstance(root, int) or isinstance(root, bool)
+            or root not in range(len(strategy)) or strategy[root] < 0):
         raise AstraError(f"product state {root!r} is not a winning state")
-    moves, controls, states = product.moves, product.controls, product.states
+    moves, controls, states = product.moves, product.system.controls, product.states
     local = [-1] * len(moves)
     local[root] = 0
     order = [root]

@@ -16,9 +16,12 @@ one breadth-first search per plan state, and prefix and suffix rescans.
 The plan-violation references after them search the plan x automaton
 product keyed by ``(plan state, automaton state)`` tuples, with Tarjan
 over dicts, as the library did before it numbered the product.
-The system x automaton product reference at the very end keeps one target
+The system x automaton product reference near the end keeps one target
 list per (state, control, disturbance), keyed by product-state tuples, as
-the library did before it kept one move list per (state, control).
+the library did before it kept one move list per (state, control); the
+adversary reference after it plays ``astra simulate --policy adversarial``
+on those tuples.  ``TupleProduct`` reads the library's numbered product
+through its state names for the oracles that walk product states.
 """
 
 import math
@@ -28,14 +31,23 @@ import networkx as nx
 
 from astra import buchi, ltl
 from astra.core import Lasso
-from astra.plan import SCR, ReactivePlan
+from astra.plan import SCR, Controller, ReactivePlan
+
+
+def formula_size(formula):
+    """The number of nodes of a core-grammar formula."""
+    if isinstance(formula, (ltl.TrueF, ltl.Atom)):
+        return 1
+    if isinstance(formula, ltl.Not):
+        return 1 + formula_size(formula.arg)
+    return 1 + formula_size(formula.left) + formula_size(formula.right)
 
 
 def oracle_eval(word, formula, position=1):
     """Unrolling evaluator: truth tables are computed bottom-up over an
     unrolled horizon whose end folds back one cycle length, and until is
     iterated from all-false to its least fixpoint on that folded range."""
-    horizon = word.classes * (ltl.formula_size(formula) + 2) + position
+    horizon = word.classes * (formula_size(formula) + 2) + position
     cycle_len = len(word.cycle)
     positions = range(1, horizon + 1)
 
@@ -100,6 +112,27 @@ def has_rejecting_cycle(nodes, successors, root, accepting):
     return False
 
 
+class TupleProduct:
+    """A ``buchi.ProductAutomaton`` read through its state names, as the
+    library read it before the product kept only state numbers:
+    ``initial`` names state 0, ``accepting`` is the set of accepting names,
+    ``index`` maps a name to its number, and ``successors(state, control)``
+    lists the names reached under a control in discovery order."""
+
+    def __init__(self, product):
+        self.states = product.states
+        self.initial = product.states[0]
+        self.controls = product.system.controls
+        self.accepting = frozenset(
+            s for s, flag in zip(product.states, product.accepting) if flag)
+        self.index = {s: i for i, s in enumerate(product.states)}
+        self.moves = product.moves
+
+    def successors(self, state, control):
+        row = self.moves[self.index[state]][self.controls.index(control)]
+        return tuple(self.states[j] for j in sorted(row))
+
+
 def positional_winner_exists(prod, node_budget=None):
     """Exhaustive search over positional strategies on the product.
 
@@ -108,6 +141,7 @@ def positional_winner_exists(prod, node_budget=None):
     contains a reachable cycle through non-accepting states (the adversary
     can trap the play there forever).
     """
+    prod = TupleProduct(prod)
 
     def closure(assign):
         reach = [prod.initial]
@@ -164,7 +198,7 @@ class TaggedArena:
     A choice node exists only for a control with successors."""
 
     def __init__(self, product):
-        self.product = product
+        product = self.product = TupleProduct(product)
         self.control_nodes = tuple(("s", s) for s in product.states)
         self.accepting = frozenset(("s", s) for s in product.accepting)
         self.moves = {}
@@ -257,8 +291,9 @@ def per_candidate_synthesis(system, spec, valuation, initial_hint=None):
         return "unknown", None, None
     candidates = [initial_hint] if initial_hint is not None else system.states
     for q0 in candidates:
-        prod = buchi.product(system, [q0], spec, valuation)
-        winning, strategy, _ = layered_buchi_solution(TaggedArena(prod))
+        arena = TaggedArena(buchi.product(system, [q0], spec, valuation))
+        winning, strategy, _ = layered_buchi_solution(arena)
+        prod = arena.product
         if ("s", prod.initial) not in winning:
             continue
         ids, order = {prod.initial: 1}, [prod.initial]
@@ -291,10 +326,12 @@ def rescanning_accepting_system(product, controller):
     """``(nodes, actions, edges)`` of the recurrence-free outcome prefixes
     of a winning controller, by the definition: every extension is tested
     with ``recurrence_index``, and a repeating one folds back to the one
-    recurrence-free prefix of it that ends in its last state."""
+    recurrence-free prefix of it that ends in its last state.  Nodes are
+    sequences of state names."""
+    product = TupleProduct(product)
     root = (product.initial,)
     nodes, ids = [root], {root: 0}
-    fed = {root: controller.feed(product.world(product.initial))}
+    fed = {root: controller.feed(product.initial[0])}
     actions, edges = [], []
     for node in nodes:
         ctrl, action = fed[node]
@@ -306,7 +343,7 @@ def rescanning_accepting_system(product, controller):
                 if extension not in ids:
                     ids[extension] = len(nodes)
                     nodes.append(extension)
-                    fed[extension] = ctrl.feed(product.world(successor))
+                    fed[extension] = ctrl.feed(successor[0])
                 target = extension
             else:
                 (target,) = [
@@ -677,3 +714,39 @@ def per_disturbance_product(system, roots, automaton, valuation):
                         order.append(t)
                 targets[(q, x), a, b] = ts
     return order, targets
+
+
+def tuple_adversary_run(system, valuation, spec, plan, steps):
+    """The stdout of ``astra simulate --policy adversarial`` for ``plan``
+    from its first world state, ``spec`` its total automaton, by the rule
+    on product-state tuples: each step plays the (disturbance, target) of
+    largest attractor rank over ``per_disturbance_product``'s targets,
+    disturbances in declared order and targets in discovery order, the
+    first on ties.  Ranks come from ``layered_buchi_solution``; a lost
+    state ranks above every won one."""
+    start = plan.world_of(1)
+    arena = TaggedArena(buchi.product(system, [start], spec, valuation))
+    _, _, ranks = layered_buchi_solution(arena)
+    order, targets = per_disturbance_product(system, [start], spec, valuation)
+    place = {s: i for i, s in enumerate(order)}
+
+    def rank(state):
+        return ranks.get(("s", state), math.inf)
+
+    controller, action = Controller(plan).feed(start)
+    seen = {(controller.cursor, start)}
+    state, lines, lasso = order[0], [], False
+    for step in range(1, steps + 1):
+        best = None
+        for b in system.disturbances:
+            for t in sorted(targets[state, action, b], key=place.__getitem__):
+                if best is None or rank(t) > rank(best[1]):
+                    best = (b, t)
+        b, nxt = best
+        lines.append(f"{step} {state[0]} {action} {b} {nxt[0]}")
+        controller, action = controller.feed(nxt[0])
+        lasso = lasso or (controller.cursor, nxt[0]) in seen
+        seen.add((controller.cursor, nxt[0]))
+        state = nxt
+    lines.append("satisfied (lasso detected)" if lasso else "inconclusive prefix")
+    return "".join(f"{line}\n" for line in lines)

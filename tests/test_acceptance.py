@@ -147,7 +147,7 @@ def test_criterion_05_completeness_suite(corpus):
         all_checked = True
         for q0 in inst.system.states:
             prod = buchi.product(inst.system, [q0], inst.spec, inst.valuation)
-            if len(prod.states) * (1 + len(prod.controls)) > ARENA_NODE_LIMIT:
+            if len(prod.states) * (1 + len(inst.system.controls)) > ARENA_NODE_LIMIT:
                 all_checked = False
                 continue
             if positional_winner_exists(prod):

@@ -18,7 +18,8 @@ from astra.buchi import (
     totalize,
 )
 from astra.core import Lasso, Valuation
-from astra.errors import AutomatonError, UndeclaredSymbol
+from astra.dot import product_dot
+from astra.errors import AutomatonError
 from astra.ltl import Atom, Until
 from astra.planner import spec_automaton
 
@@ -27,6 +28,7 @@ from oracles import (
     accepting_lasso_exists,
     component_accepting_lasso,
     has_rejecting_cycle,
+    TupleProduct,
     per_disturbance_product,
     reference_totalize,
 )
@@ -389,10 +391,8 @@ class TestProduct:
         # two steps of hand unrolling: the first move consumes the letter {p}
         # and lands in an accepting component that then loops
         (x0,) = spec.initial
-        assert prod.initial == ("q", x0)
-        (target,) = prod.successors(("q", x0), "a")
-        assert target in prod.accepting
-        assert prod.successors(target, "a") == (target,)
+        assert prod.states[0] == ("q", x0) and not prod.accepting[0]
+        assert prod.moves == [[[1]], [[1]]] and prod.accepting[1]
 
     def test_requires_total_automaton(self, agent_system):
         system, valuation = agent_system
@@ -417,7 +417,7 @@ class TestProduct:
             if total is None:
                 continue
             checked += 1
-            prod = product(system, [system.states[0]], total, valuation)
+            prod = TupleProduct(product(system, [system.states[0]], total, valuation))
 
             def successors(node):
                 out = []
@@ -443,22 +443,23 @@ class TestProduct:
     @staticmethod
     def assert_matches_reference(system, roots, total, valuation):
         prod = product(system, roots, total, valuation)
+        view = TupleProduct(prod)
         order, targets = per_disturbance_product(system, roots, total, valuation)
         assert prod.states == tuple(order)
-        assert prod.initial == order[0]
-        assert prod.accepting == {s for s in order if s[1] in total.accepting}
-        assert prod.index == {s: i for i, s in enumerate(order)}
-        place = prod.index.__getitem__
+        assert prod.accepting == [s[1] in total.accepting for s in order]
+        place = view.index.__getitem__
         for s in order:
             for c, a in enumerate(system.controls):
                 union = [t for b in system.disturbances for t in targets[s, a, b]]
                 assert prod.moves[place(s)][c] == [place(t) for t in dict.fromkeys(union)]
-                assert prod.successors(s, a) == tuple(sorted(set(union), key=place))
+                assert view.successors(s, a) == tuple(sorted(set(union), key=place))
+                # each per-disturbance target pairs a world successor with
+                # the one automaton state of the control's targets, the
+                # rule product_dot and the adversary read them by
+                (x2,) = {t[1] for t in view.successors(s, a)}
                 for b in system.disturbances:
-                    assert prod.successors_under(s, a, b) == \
-                        tuple(sorted(targets[s, a, b], key=place))
-        assert prod.edges == tuple((s, a, b, t) for (s, a, b), ts in targets.items()
-                                   for t in ts)
+                    assert targets[s, a, b] == tuple(
+                        (q2, x2) for q2 in system.successors_under(s[0], a, b))
 
     def test_matches_per_disturbance_reference(self):
         # the views and the move table agree with a product that keeps one
@@ -502,21 +503,36 @@ class TestProduct:
             for total in automata:
                 self.assert_matches_reference(system, roots, total, valuation)
 
-    def test_views_raise_typed_errors(self):
-        system = _self_loop_system()
-        valuation = Valuation(["p"], {"q": {"p"}})
-        spec = totalize(ltl_to_buchi(ltl.parse_formula("G F p", ("p",)), props=("p",)))
-        prod = product(system, ["q"], spec, valuation)
-        state = prod.initial
-        with pytest.raises(UndeclaredSymbol, match="unknown control 'zz'"):
-            prod.successors(state, "zz")
-        with pytest.raises(UndeclaredSymbol, match="unknown disturbance 'zz'"):
-            prod.successors_under(state, "a", "zz")
-        outside = ("q", "nowhere")
-        with pytest.raises(UndeclaredSymbol, match="unknown product state"):
-            prod.successors(outside, "a")
-        with pytest.raises(UndeclaredSymbol, match="unknown product state"):
-            prod.successors_under(outside, "a", "b")
+    def test_product_dot_follows_per_disturbance_construction(self):
+        # the DOT export has one edge line per (state, control, disturbance,
+        # target) of the per-disturbance reference, in its construction
+        # order, on systems with two or three disturbances
+        rng = random.Random(53)
+        checked = 0
+        while checked < 150:
+            system, valuation = random_system(rng, max_states=6, max_controls=3,
+                                              max_disturbances=3,
+                                              double_successor_p=0.3)
+            f = random_formula(rng, valuation.props, rng.randint(1, 5))
+            total = totalize(ltl_to_buchi(f, props=valuation.props))
+            if len(system.disturbances) < 2 or total is None:
+                continue
+            checked += 1
+            roots = rng.sample(system.states, min(2, len(system.states)))
+            order, targets = per_disturbance_product(system, roots, total, valuation)
+
+            def name(state):
+                return f'"{state[0]},{state[1]}"'
+
+            lines = ["rankdir=LR;", "node [shape=circle];"]
+            lines += [f"{name(s)} [shape="
+                      f"{'doublecircle' if s[1] in total.accepting else 'circle'}];"
+                      for s in order]
+            lines += ["__start [shape=point];", f"__start -> {name(order[0])};"]
+            lines += [f'{name(s)} -> {name(t)} [label="{a},{b}"];'
+                      for (s, a, b), ts in targets.items() for t in ts]
+            expected = "digraph product {\n" + "".join(f"  {l}\n" for l in lines) + "}\n"
+            assert product_dot(product(system, roots, total, valuation)) == expected
 
 
 def _self_loop_system():

@@ -6,11 +6,14 @@ import random
 import subprocess
 import sys
 
+from astra import ltl, planner
 from astra.cli import main
-from astra.plan import load_plan, plan_to_dict
+from astra.core import load_system
+from astra.plan import dump_plan, load_plan, plan_to_dict
 
 from conftest import child_env, system_file_dict, write_json
-from generators import random_system
+from generators import random_formula, random_system
+from oracles import tuple_adversary_run
 
 DATA = pathlib.Path(__file__).parent / "data"
 PINS = DATA / "cli_pins.json"
@@ -712,6 +715,61 @@ class TestPinnedOutputs:
         assert sorted(actual) == sorted(expected)
         for key, text in expected.items():
             assert actual[key] == text, key
+
+
+# response and recurrence templates over a system's propositions, whose
+# games rank states several moves apart more often than random formulas do
+ADVERSARY_TEMPLATES = ("F {0}", "G F {0}", "F ({0} & {1})", "G F {0} & G F {1}",
+                       "G ({0} -> F !{0})", "{0} U {1}")
+
+
+class TestAdversaryReference:
+    def test_adversary_plays_the_tuple_rule(self, tmp_path):
+        # on random systems with random or templated formulas, from several
+        # starts, the adversary prints what the rule on product-state
+        # tuples plays; each plan is synthesized from its start, for "true"
+        # where the formula is lost there, so some runs play on lost states
+        rng = random.Random(61)
+        systems = runs = lost = off_first = 0
+        sys_path, plan_path = tmp_path / "system.json", tmp_path / "plan.json"
+        while systems < 60:
+            # the system file declares the propositions some state carries
+            write_json(sys_path, system_file_dict(*random_system(
+                rng, max_states=6, max_controls=3, max_disturbances=3,
+                max_props=2, double_successor_p=0.3)))
+            system, valuation = load_system(sys_path)
+            if valuation.props and rng.random() < 0.5:
+                text = rng.choice(ADVERSARY_TEMPLATES).format(
+                    *(rng.choice(valuation.props) for _ in range(2)))
+            else:
+                text = ltl.formula_to_str(
+                    random_formula(rng, valuation.props, rng.randint(1, 6)))
+            formula = ltl.parse_formula(text, valuation.props)
+            spec = planner.spec_automaton(formula, valuation)
+            if spec is None:
+                continue
+            systems += 1
+            for start in rng.sample(system.states, min(3, len(system.states))):
+                result = planner.synthesize(system, formula, valuation,
+                                            initial_hint=start)
+                if not result.found:
+                    lost += 1
+                    result = planner.synthesize(system, ltl.TRUE, valuation,
+                                                initial_hint=start)
+                dump_plan(result.plan, plan_path, initial=start)
+                stdout = _cli_stdout(
+                    "simulate", "--system", str(sys_path), "--spec", text,
+                    "--plan", str(plan_path), "--policy", "adversarial",
+                    "--initial", start, "--steps", "16")
+                expected = tuple_adversary_run(system, valuation, spec,
+                                               result.plan, 16)
+                assert stdout == expected + "exit 0\n"
+                runs += 1
+                off_first += any(line.split()[3] != system.disturbances[0]
+                                 for line in expected.splitlines()[:-1])
+        # the corpus is not degenerate: many runs start where the formula
+        # is lost, and some leave the first disturbance for a higher rank
+        assert runs >= 120 and lost >= 40 and off_first >= 3
 
 
 class TestModuleEntryPoint:

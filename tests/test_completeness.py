@@ -10,11 +10,11 @@ from astra.completeness import (
     plan_from_accepting_system,
 )
 from astra.core import Valuation, validate_ats
-from astra.errors import CapExceeded
-from astra.plan import Controller, plan_satisfies
+from astra.errors import CapExceeded, UndeclaredSymbol
+from astra.plan import SCR, Controller, ReactivePlan, plan_satisfies
 
 from generators import random_formula, random_system
-from oracles import recurrence_index, rescanning_accepting_system
+from oracles import TupleProduct, recurrence_index, rescanning_accepting_system
 
 INF = math.inf
 
@@ -59,10 +59,10 @@ def winning_setup(formula_text, props, labels):
 class TestBuildAcceptingSystem:
     def test_single_winning_loop_folds_back(self):
         prod, result = winning_setup("G p", ["p"], {"p"})
-        assert prod.initial in prod.accepting
+        assert prod.accepting[0]
         fin = build_accepting_system(prod, result.controller)
         assert len(fin) == 1
-        assert fin.nodes[0] == (prod.initial,)
+        assert fin.nodes[0] == (0,)
         assert fin.edges[0] == (0,)
 
     def test_accepting_labelled_nodes_fold_back(self):
@@ -81,17 +81,18 @@ class TestBuildAcceptingSystem:
             fin = build_accepting_system(prod, result.controller)
             built += 1
             node_set = set(fin.nodes)
+            accepting = {i for i, flag in enumerate(prod.accepting) if flag}
             for index in range(len(fin)):
                 node = fin.nodes[index]
-                if fin.label(index) in prod.accepting:
-                    assert node + (fin.label(index),) not in node_set
+                if node[-1] in accepting:
+                    assert node + (node[-1],) not in node_set
                 for target in fin.edges[index]:
                     child = fin.nodes[target]
                     extends = child == node + (child[-1],)
                     folds_back = (
                         len(child) <= len(node)
                         and node[: len(child)] == child
-                        and recurrence_index(node + (child[-1],), prod.accepting) != INF
+                        and recurrence_index(node + (child[-1],), accepting) != INF
                     )
                     assert extends or folds_back
 
@@ -110,7 +111,8 @@ class TestBuildAcceptingSystem:
             prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
-            assert (fin.nodes, fin.actions, fin.edges) == \
+            named = tuple(tuple(prod.states[i] for i in node) for node in fin.nodes)
+            assert (named, fin.actions, fin.edges) == \
                 rescanning_accepting_system(prod, result.controller)
 
     def test_replayed_paths_are_accepted_runs(self):
@@ -126,13 +128,14 @@ class TestBuildAcceptingSystem:
             prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
+            view = TupleProduct(prod)
 
             def successors(index):
                 return fin.edges[index]
 
             witness = buchi.accepting_lasso(
                 0, successors,
-                lambda idx: fin.label(idx) in prod.accepting,
+                lambda idx: fin.label(idx) in view.accepting,
             )
             # every infinite path of the finite system is an accepted run:
             # some lasso exists and any lasso's labels walk product edges
@@ -143,17 +146,15 @@ class TestBuildAcceptingSystem:
                 src, dst = labels.at(i), labels.at(i + 1)
                 assert any(
                     dst2 == dst
-                    for a in prod.controls
-                    for dst2 in prod.successors(src, a)
+                    for a in view.controls
+                    for dst2 in view.successors(src, a)
                 )
-            assert any(fin.label(idx) in prod.accepting for idx in witness.cycle)
+            assert any(fin.label(idx) in view.accepting for idx in witness.cycle)
 
     def test_cap_exceeded_for_losing_controller(self, agent_system):
         system, valuation = agent_system
         # looping at q3 against "always p2" drives the automaton into its
         # rejecting sink, whose non-accepting repeats never close a prefix
-        from astra.plan import ReactivePlan, SCR
-
         formula = ltl.parse_formula("G p2", valuation.props)
         spec = planner.spec_automaton(formula, valuation)
         prod = buchi.product(system, ["q3"], spec, valuation)
@@ -162,6 +163,13 @@ class TestBuildAcceptingSystem:
         ])
         with pytest.raises(CapExceeded):
             build_accepting_system(prod, Controller(bad_plan))
+
+
+    def test_undeclared_action_is_typed_error(self):
+        prod, _ = winning_setup("G p", ["p"], {"p"})
+        stray = ReactivePlan([SCR(1, "q", "zz", frozenset({1}))])
+        with pytest.raises(UndeclaredSymbol, match="unknown control 'zz'"):
+            build_accepting_system(prod, Controller(stray))
 
 
 class TestPlanFromAcceptingSystem:
@@ -191,7 +199,7 @@ class TestPlanFromAcceptingSystem:
             prod = buchi.product(system, [result.initial], spec, valuation)
             fin = build_accepting_system(prod, result.controller)
             built += 1
-            assert fin.nodes[0] == (prod.initial,)
+            assert fin.nodes[0] == (0,)
             assert max(len(node) for node in fin.nodes) <= pigeonhole_cap(prod)
             regenerated = plan_from_accepting_system(fin)
             regenerated.validate_against(system)
@@ -231,7 +239,7 @@ class TestUniqueLifts:
                 continue
             checked += 1
             q0 = system.states[0]
-            prod = buchi.product(system, [q0], spec, valuation)
+            prod = TupleProduct(buchi.product(system, [q0], spec, valuation))
 
             def lifts(world_seq):
                 layers = [[s] for s in [prod.initial] if s[0] == world_seq[0]]

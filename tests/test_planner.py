@@ -53,7 +53,7 @@ class TestGameSolver:
         spec = buchi.totalize(buchi.ltl_to_buchi(ltl.always(Atom("p")), props=("p",)))
         prod = buchi.product(system, ["q"], spec, valuation)
         strategy, rank = solve_buchi_game(prod)
-        assert prod.controls[strategy[0]] == "a" and rank[0] == 0
+        assert system.controls[strategy[0]] == "a" and rank[0] == 0
 
     def test_unwinnable_arena_is_empty(self):
         system = self_loop_system()
@@ -99,22 +99,24 @@ class TestGameSolver:
                 continue
             prod = buchi.product(system, system.states, spec, valuation)
             strategy, rank = solve_buchi_game(prod)
-            winning, ref_strategy, ref_rank = layered_buchi_solution(TaggedArena(prod))
+            arena = TaggedArena(prod)
+            winning, ref_strategy, ref_rank = layered_buchi_solution(arena)
+            index = arena.product.index
             expected_strategy = [-1] * len(prod.states)
             for s, a in ref_strategy.items():
-                expected_strategy[prod.index[s]] = prod.controls.index(a)
+                expected_strategy[index[s]] = system.controls.index(a)
             expected_rank = [-1] * len(prod.states)
             for v, r in ref_rank.items():
                 if v[0] == "s":
                     assert r % 2 == 0
-                    expected_rank[prod.index[v[1]]] = r // 2
+                    expected_rank[index[v[1]]] = r // 2
             assert {i for i, c in enumerate(strategy) if c >= 0} == \
-                {prod.index[v[1]] for v in winning if v[0] == "s"}
+                {index[v[1]] for v in winning if v[0] == "s"}
             assert (strategy, rank) == (expected_strategy, expected_rank)
             for q0 in system.states:
                 single = buchi.product(system, [q0], spec, valuation)
                 own_strategy, own_rank = solve_buchi_game(single)
-                inside = [prod.index[s] for s in single.states]
+                inside = [index[s] for s in single.states]
                 assert own_rank == [rank[j] for j in inside]
                 assert own_strategy == [strategy[j] for j in inside]
                 products += 1
@@ -401,8 +403,9 @@ class TestInputErrors:
         assert strategy[0] >= 0 and strategy[2] == -1
         extract_plan(prod, strategy, 0)
         # a bare list index would wrap a negative root round: -len(states)
-        # to the winning state 0
-        for root in (2, -1, -len(prod.states), len(prod.states), prod.initial):
+        # to the winning state 0; a float or a bool would pass a range test
+        for root in (2, -1, -len(prod.states), len(prod.states), prod.states[0],
+                     0.0, True):
             with pytest.raises(AstraError, match="is not a winning state"):
                 extract_plan(prod, strategy, root)
 
