@@ -52,7 +52,6 @@ from .buchi import (
 from .plan import (
     Controller,
     DETACHED,
-    NO_TRAJECTORY,
     ReactivePlan,
     SCR,
     check_plan,
@@ -63,7 +62,6 @@ from .plan import (
     plan_satisfies,
     plan_to_dict,
     plan_trajectories,
-    plan_trajectory_exists,
     plan_violation,
     plan_violation_total,
     simplify_plan,

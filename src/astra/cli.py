@@ -21,7 +21,7 @@ from . import buchi, dot, planner
 from .core import load_system
 from .errors import AstraError
 from .ltl import parse_formula
-from .plan import NO_TRAJECTORY, Controller, check_plan, dump_plan, load_plan
+from .plan import Controller, check_plan, dump_plan, load_plan
 from .completeness import build_accepting_system
 
 logger = logging.getLogger(__name__)
@@ -135,9 +135,6 @@ def cmd_verify(args) -> int:
     plan.validate_against(system)
     total = None if automaton is None else _total_spec(None, automaton, valuation)
     witness = check_plan(plan, valuation, formula, total)
-    if witness is NO_TRAJECTORY:
-        print("violated: the plan generates no trajectory (no reachable cycle)")
-        return EXIT_NEGATIVE
     if witness is not None:
         _print_counterexample(witness)
         return EXIT_NEGATIVE
@@ -164,6 +161,8 @@ def _scripted_disturbances(args, system):
 
 
 def cmd_simulate(args) -> int:
+    if args.script is not None and args.policy != "scripted":
+        raise AstraError("--script is read only with --policy scripted")
     system, valuation = load_system(args.system)
     formula, automaton = _load_spec(args, valuation)
     plan = load_plan(args.plan)

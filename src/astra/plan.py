@@ -1,28 +1,28 @@
 """Reactive plans and their executable controllers.
 
 A reactive plan is a finite set of situation control rules (plan state,
-world state, action, successor plan states).  This module covers plan
-well-formedness, generated trajectories, reachable-cycle search, plan
-simplification, and the strategy obtained by walking a simplified plan
-along an observed state history.  :func:`check_plan` is the one
-verification entry: it decides whether a plan meets a formula or a total
-automaton, and says why not when it does not.  The check runs on an
-indexed product: the plan graph times the automaton, explored from plan
-state 1 with every node an integer, searched for an accepting lasso by
-:func:`buchi.accepting_lasso`'s integer core.
+world state, action, successor plan states).  Every rule names at least
+one successor, as every plan for a non-blocking system must, so every
+plan generates a trajectory: a cycle is reachable from plan state 1.
+This module covers plan well-formedness, generated trajectories,
+reachable-cycle search, plan simplification, and the strategy obtained
+by walking a simplified plan along an observed state history.
+:func:`check_plan` is the one verification entry: it decides whether a
+plan meets a formula or a total automaton, and says why not when it does
+not.  The check runs on an indexed product: the plan graph times the
+automaton, explored from plan state 1 with every node an integer,
+searched for an accepting lasso by :func:`buchi.accepting_lasso`'s
+integer core.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 from . import buchi, ltl
 from .core import Lasso
 from .errors import AstraError, ExplosionGuard, PlanValidationError, UniquenessViolated
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ def _rule(s) -> SCR:
 
 
 class ReactivePlan:
-    """An ordered set of SCRs with ids 1..k; execution starts at plan state 1."""
+    """An ordered set of SCRs with ids 1..k, each naming at least one
+    successor among them; execution starts at plan state 1."""
 
     def __init__(self, scrs):
         rules = sorted(map(_rule, scrs), key=lambda s: s.id)
@@ -59,6 +60,8 @@ class ReactivePlan:
         self.by_id = {s.id: s for s in self.scrs}
         self._successor_ids = {s.id: tuple(sorted(s.successors)) for s in self.scrs}
         for s in self.scrs:
+            if not s.successors:
+                raise PlanValidationError(f"SCR {s.id} lists no successor plan states")
             dangling = [j for j in self._successor_ids[s.id] if j not in self.by_id]
             if dangling:
                 raise PlanValidationError(
@@ -183,29 +186,6 @@ def dump_plan(plan: ReactivePlan, path, initial=None):
 # trajectories
 
 
-def plan_trajectory_exists(plan: ReactivePlan) -> bool:
-    """Whether the plan generates any infinite trajectory: a cycle of plan
-    states must be reachable from plan state 1."""
-    color = {}
-    stack = [(1, iter(plan.successor_ids(1)))]
-    color[1] = "open"
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for nxt in it:
-            if color.get(nxt) == "open":
-                return True
-            if nxt not in color:
-                color[nxt] = "open"
-                stack.append((nxt, iter(plan.successor_ids(nxt))))
-                advanced = True
-                break
-        if not advanced:
-            color[node] = "done"
-            stack.pop()
-    return False
-
-
 def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
     """All world-state lassos of plan trajectories whose plan-state lasso
     uses at most ``bound`` plan states in prefix plus cycle.
@@ -311,13 +291,9 @@ def plan_violation_total(plan: ReactivePlan, automaton, valuation) -> Lasso | No
     return _violation(plan, automaton, valuation, rejecting, inside=rejecting)
 
 
-NO_TRAJECTORY = "no-trajectory"
-
-
 def check_plan(plan: ReactivePlan, valuation, formula=None, automaton=None):
-    """``None`` when the plan generates at least one trajectory and none of
-    its trajectories violates the specification; otherwise why not:
-    :data:`NO_TRAJECTORY`, or a violating trajectory as a world lasso.
+    """``None`` when none of the plan's trajectories violates the
+    specification; otherwise a violating trajectory as a world lasso.
 
     A ``formula`` is checked against a fresh translation of its negation,
     and ``automaton`` is then ignored, so the check stays independent of
@@ -326,16 +302,13 @@ def check_plan(plan: ReactivePlan, valuation, formula=None, automaton=None):
     """
     if formula is None and automaton is None:
         raise AstraError("a formula or an automaton is required")
-    if not plan_trajectory_exists(plan):
-        return NO_TRAJECTORY
     if formula is not None:
         return plan_violation(plan, formula, valuation)
     return plan_violation_total(plan, automaton, valuation)
 
 
 def plan_satisfies(plan: ReactivePlan, formula: ltl.Formula, valuation) -> bool:
-    """Whether the plan generates at least one trajectory and none of its
-    trajectories violates the formula."""
+    """Whether none of the plan's trajectories violates the formula."""
     return check_plan(plan, valuation, formula) is None
 
 
@@ -346,20 +319,19 @@ def plan_satisfies(plan: ReactivePlan, formula: ltl.Formula, valuation) -> bool:
 def find_reachable_cycle(plan: ReactivePlan):
     """The first plan state (in id order) carrying both a shortest cycle
     through itself and a shortest path from plan state 1, as
-    ``(prefix, suffix)`` id tuples; ``None`` when no state qualifies.
+    ``(prefix, suffix)`` id tuples.
 
     Paths have at least one edge, so for plan state 1 the prefix is itself
     a cycle through 1.  Breadth-first search realizes the shortest-path
     requirement with unit edge weights.  The qualifying states are those on
     a cycle reachable from plan state 1, found by one strongly connected
-    component pass, so the search costs O(states + edges).
+    component pass, so the search costs O(states + edges).  Every rule
+    names a successor, so such a cycle always exists.
     """
     # row 0 stands for no plan state: ids run from 1
     rows = [()] + [plan.successor_ids(i) for i in range(1, len(plan) + 1)]
     comp = buchi._cyclic_components(rows, (1,))
-    first = next((i for i, c in enumerate(comp) if c >= 0), None)
-    if first is None:
-        return None
+    first = next(i for i, c in enumerate(comp) if c >= 0)
     # shortest walks of at least one edge, ties toward smaller plan ids
     return tuple((src, *buchi._bfs_path(rows[src], first, rows.__getitem__))
                  for src in (1, first))
@@ -370,16 +342,13 @@ def simplify_plan(plan: ReactivePlan) -> ReactivePlan:
 
     Per SCR and world state, at most one successor survives: the one on the
     discovered prefix, else the one on the suffix, else the lowest id.  The
-    result still generates a trajectory whenever the input does, and its
-    trajectories are a subset of the input's.  Costs O(states + edges).
+    result keeps that prefix and cycle, so it generates a trajectory, and
+    its trajectories are a subset of the input's.  Costs O(states + edges).
     """
-    cycle = find_reachable_cycle(plan)
-    if cycle is None:
-        logger.info("plan has no reachable cycle; returning it unchanged")
-        return plan
     # a shortest path or walk passes each plan state at most once before
     # its end, so each state has at most one next state on it
-    prefix_next, suffix_next = (dict(zip(path, path[1:])) for path in cycle)
+    prefix_next, suffix_next = (dict(zip(path, path[1:]))
+                                for path in find_reachable_cycle(plan))
 
     rules = []
     for s in plan.scrs:

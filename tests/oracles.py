@@ -566,12 +566,19 @@ def per_state_reachable_cycle(plan):
     return None
 
 
+def keeps_reachable_cycle(plan, simplified):
+    """Whether every edge of ``per_state_reachable_cycle(plan)``, prefix and
+    cycle, is an edge of ``simplified``: the lasso that simplification
+    promises to keep."""
+    return all(j in simplified.successor_ids(i)
+               for path in per_state_reachable_cycle(plan)
+               for i, j in zip(path, path[1:]))
+
+
 def on_path_simplify_plan(plan):
     """``plan.simplify_plan`` by rescanning the prefix, then the suffix, of
     ``per_state_reachable_cycle`` for each same-world successor group."""
     cycle = per_state_reachable_cycle(plan)
-    if cycle is None:
-        return plan
 
     def on_path(path, i, group):
         for n in range(len(path) - 1):

@@ -317,6 +317,19 @@ class TestSimulate:
             assert code == 3 and stdout == "", entries
             assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
 
+    def test_script_needs_the_scripted_policy(self, tmp_path, agent_system_file,
+                                              example_plan_file, capsys):
+        script = write_json(tmp_path / "script.json", ["zz"])
+        for extra in (("--policy", "adversarial", "--script", str(tmp_path / "none.json")),
+                      ("--policy", "random", "--script", script),
+                      ("--script", script)):
+            code, stdout, stderr = run(
+                "simulate", "--system", agent_system_file, "--spec", "p2 U p3",
+                "--plan", example_plan_file, *extra, capsys=capsys,
+            )
+            assert code == 3 and stdout == "", extra
+            assert stderr == "error: --script is read only with --policy scripted\n"
+
     def test_undeclared_script_entry_fails_before_the_first_step(
             self, tmp_path, agent_system_file, example_plan_file, capsys):
         # the agent declares the one disturbance "1"
@@ -633,6 +646,19 @@ class TestUsage:
                 )
             assert code == 3, (name, code)
             assert stderr.startswith("error:")
+
+    def test_rule_without_successors_is_an_error(self, tmp_path, agent_system_file,
+                                                 capsys):
+        plan = write_json(tmp_path / "dead_end.json", {"scrs": [
+            {"id": 1, "world": "q1", "action": "a1", "successors": [2]},
+            {"id": 2, "world": "q2", "action": "a2", "successors": []},
+        ]})
+        checked = ("--system", agent_system_file, "--spec", "true", "--plan", plan)
+        for argv in (("verify", *checked), ("simulate", *checked),
+                     ("export", "plan", "--plan", plan, "--out", str(tmp_path / "p.dot"))):
+            code, stdout, stderr = run(*argv, capsys=capsys)
+            assert code == 3 and stdout == "", argv
+            assert stderr == "error: SCR 2 lists no successor plan states\n", argv
 
     def test_verify_rejects_initial(self, agent_system_file, example_plan_file,
                                     capsys):
