@@ -11,6 +11,10 @@ alphabet is the subsets of the atoms the guards read, not of every declared
 proposition.  All letter-level decisions (totality, determinism, completion)
 enumerate the assignments over those atoms; at the proposition counts this
 library targets, direct enumeration is the reference semantics.
+
+The translation's tableau runs on integers: a set of literals is a pair of
+atom masks, and obligation sets, fulfilled sets and acceptance marks are
+masks over the ranks of the formula's untils and their negations.
 """
 
 from __future__ import annotations
@@ -164,8 +168,8 @@ class BuchiAutomaton:
     """(states, initial, alphabet 2^props as guards, edges, accepting).
 
     ``props`` are the atoms the guards read: the given ``props`` that some
-    guard reads, in the given order, then any other guard atom in order of
-    appearance.  A proposition no guard reads cannot change a run."""
+    guard reads, each once in the given order, then any other guard atom in
+    order of appearance.  A proposition no guard reads cannot change a run."""
 
     def __init__(self, states, initial, props, edges, accepting):
         self.states = tuple(states)
@@ -184,7 +188,7 @@ class BuchiAutomaton:
             if edge.src not in state_set or edge.dst not in state_set:
                 raise AutomatonError(f"edge {edge} references an undeclared state")
             read.update(dict.fromkeys(edge.guard.atoms))
-        declared = [p for p in props if p in read]
+        declared = [p for p in dict.fromkeys(props) if p in read]
         self.props = tuple(declared + [a for a in read if a not in declared])
         out = {s: [] for s in self.states}
         for edge in self.edges:
@@ -246,75 +250,54 @@ def _formula_key(node):
     return (4, _formula_key(node.left), _formula_key(node.right))
 
 
-def _consistent(lits1, lits2):
-    merged = lits1 | lits2
-    pos = {l.name for l in merged if isinstance(l, ltl.Atom)}
-    neg = {l.arg.name for l in merged if isinstance(l, ltl.Not)}
-    return not (pos & neg)
-
-
 def _cross(combos1, combos2):
-    out = []
-    seen = set()
-    for l1, n1, f1 in combos1:
-        for l2, n2, f2 in combos2:
-            if not _consistent(l1, l2):
-                continue
-            combo = (l1 | l2, n1 | n2, f1 | f2)
-            if combo not in seen:
-                seen.add(combo)
-                out.append(combo)
-    return tuple(out)
+    return {(p1 | p2, n1 | n2, x1 | x2, f1 | f2)
+            for p1, n1, x1, f1 in combos1 for p2, n2, x2, f2 in combos2
+            if not (p1 | p2) & (n1 | n2)}
 
 
-_NO_COMBOS = ()
-_UNIT = ((frozenset(), frozenset(), frozenset()),)
+_UNIT = frozenset({(0, 0, 0, 0)})
 
 
-def _expansions(node, memo):
-    """Decompositions of an obligation into (literals now, obligations next,
-    untils fulfilled now).  Any run step discharging the obligation must
-    match one decomposition."""
+def _expansions(node, memo, rank):
+    """Decompositions of an obligation: the set of (atoms true now, atoms
+    false now, obligations next, untils fulfilled now), each a bit mask.
+    ``memo`` starts with the decomposition of every literal, and ``rank``
+    gives the bit of each until and of its negation.  Any run step
+    discharging the obligation must match one decomposition; their order
+    does not matter (see :func:`ltl_to_buchi`)."""
     if node in memo:
         return memo[node]
     if isinstance(node, ltl.TrueF):
         result = _UNIT
-    elif isinstance(node, ltl.Atom):
-        result = ((frozenset([node]), frozenset(), frozenset()),)
     elif isinstance(node, ltl.And):
-        result = _cross(_expansions(node.left, memo), _expansions(node.right, memo))
+        result = _cross(_expansions(node.left, memo, rank),
+                        _expansions(node.right, memo, rank))
     elif isinstance(node, ltl.Until):
-        fulfil = tuple(
-            (l, n, f | {node}) for l, n, f in _expansions(node.right, memo)
-        )
-        postpone = tuple(
-            (l, n | {node}, f) for l, n, f in _expansions(node.left, memo)
-        )
-        result = fulfil + tuple(c for c in postpone if c not in fulfil)
+        u = rank[node]
+        result = ({(p, n, x, f | u) for p, n, x, f in _expansions(node.right, memo, rank)}
+                  | {(p, n, x | u, f) for p, n, x, f in _expansions(node.left, memo, rank)})
     else:
         arg = node.arg
         if isinstance(arg, ltl.TrueF):
-            result = _NO_COMBOS
-        elif isinstance(arg, ltl.Atom):
-            result = ((frozenset([node]), frozenset(), frozenset()),)
+            result = set()
         elif isinstance(arg, ltl.Not):
-            result = _expansions(arg.arg, memo)
+            result = _expansions(arg.arg, memo, rank)
         elif isinstance(arg, ltl.And):
-            left = _expansions(ltl.Not(arg.left), memo)
-            right = _expansions(ltl.Not(arg.right), memo)
-            result = left + tuple(c for c in right if c not in left)
+            result = (_expansions(ltl.Not(arg.left), memo, rank)
+                      | _expansions(ltl.Not(arg.right), memo, rank))
         else:
             # !(a U b)  ==  !b & (!a | next !(a U b))
-            postponed = ((frozenset(), frozenset([node]), frozenset()),)
-            right = _expansions(ltl.Not(arg.right), memo)
-            left = _expansions(ltl.Not(arg.left), memo)
-            result = _cross(right, left + tuple(c for c in postponed if c not in left))
+            result = _cross(_expansions(ltl.Not(arg.right), memo, rank),
+                            _expansions(ltl.Not(arg.left), memo, rank)
+                            | {(0, 0, rank[node], 0)})
     memo[node] = result
     return result
 
 
 def _initial_obligations(formula):
-    out = set()
+    """The formula's conjuncts other than ``true``, each once."""
+    out = {}
     stack = [formula]
     while stack:
         node = stack.pop()
@@ -323,28 +306,13 @@ def _initial_obligations(formula):
         if isinstance(node, ltl.And):
             stack.extend((node.left, node.right))
             continue
-        out.add(node)
-    return frozenset(out)
+        out[node] = None
+    return tuple(out)
 
 
-def _literal_minterms(lits, atoms):
-    """Full assignments over ``atoms`` consistent with the literal set."""
-    pos = {l.name for l in lits if isinstance(l, ltl.Atom)}
-    neg = {l.arg.name for l in lits if isinstance(l, ltl.Not)}
-    free = tuple(a for a in atoms if a not in pos and a not in neg)
-    return {frozenset(pos) | extra for extra in all_letters(free)}
-
-
-def _obligation_moves(obligations, atoms, memo):
-    """Outgoing moves of an obligation set, merged per (target, marks)."""
-    combos = _UNIT
-    for ob in sorted(obligations, key=_formula_key):
-        combos = _cross(combos, _expansions(ob, memo))
-    merged = {}
-    for lits, nexts, fulfilled in combos:
-        key = (nexts, fulfilled)
-        merged.setdefault(key, set()).update(_literal_minterms(lits, atoms))
-    return merged
+def _bits(mask):
+    """The set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _prune_subsumed(edges):
@@ -357,7 +325,7 @@ def _prune_subsumed(edges):
         for dst2, marks2, minterms2 in edges:
             if (dst2, marks2) == (dst, marks):
                 continue
-            if dst2 <= dst and marks2 >= marks:
+            if not dst2 & ~dst and not marks & ~marks2:
                 keep -= minterms2
         if keep:
             pruned.append((dst, marks, keep))
@@ -458,31 +426,59 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     against direct lasso evaluation in the test suite, not by matching any
     particular published automaton shape.
 
+    The tableau runs on bit masks.  Atom ``i`` of the sorted atoms is bit
+    ``i`` of a literal mask and of a letter ``m``, which stands for
+    ``all_letters(atoms)[m]``.  After the first step a state holds only
+    untils and their negations; sorted once by ``_formula_key``, rank ``i``
+    is bit ``i`` of an obligation, fulfilled or mark mask, and the initial
+    state's other conjuncts take the bits after them.  A state's edges are
+    sorted by the ascending set bits of (next, fulfilled), which orders them
+    as their sorted formula keys would, so decompositions are crossed and
+    merged as unordered sets.
+
     ``props`` only orders the formula's atoms in the automaton's ``props``
     (and so in the guard text ``totalize`` renders); it does not widen the
     alphabet by propositions the formula does not read.
     """
     atoms = tuple(sorted(ltl.atoms(formula)))
-    untils = ltl.until_subformulas(formula)
     memo = {}
+    for i, a in enumerate(atoms):
+        memo[ltl.Atom(a)] = {(1 << i, 0, 0, 0)}
+        memo[ltl.Not(ltl.Atom(a))] = {(0, 1 << i, 0, 0)}
+    untils = ltl.until_subformulas(formula)
+    ranked = sorted(untils + tuple(ltl.Not(u) for u in untils), key=_formula_key)
+    rank = {node: 1 << i for i, node in enumerate(ranked)}
+    conjuncts = _initial_obligations(formula)
+    for node in conjuncts:
+        rank.setdefault(node, 1 << len(rank))
+    obligations = list(rank)
+    until_mask = sum(rank[u] for u in untils)
+    full = (1 << len(atoms)) - 1
+    steps = {}
 
-    init = _initial_obligations(formula)
+    init = sum(rank[node] for node in conjuncts)
     moves = {}
     order = [init]
     seen = {init}
     for state in order:
-        merged = _obligation_moves(state, atoms, memo)
-        edges = []
-        for (nexts, fulfilled), minterms in sorted(
-            merged.items(),
-            key=lambda kv: (sorted(map(_formula_key, kv[0][0])),
-                            sorted(map(_formula_key, kv[0][1]))),
-        ):
-            marks = frozenset(
-                u for u in untils if u not in nexts or u in fulfilled
-            )
-            edges.append((nexts, marks, minterms))
-        edges = _prune_subsumed(edges)
+        combos = _UNIT
+        for i in _bits(state):
+            if i not in steps:
+                steps[i] = _expansions(obligations[i], memo, rank)
+            combos = _cross(combos, steps[i])
+        merged = {}
+        for pos, neg, nexts, fulfilled in combos:
+            minterms = merged.setdefault((nexts, fulfilled), set())
+            free = sub = full & ~(pos | neg)
+            while True:
+                minterms.add(pos | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+        edges = _prune_subsumed([
+            (nexts, until_mask & ~nexts | fulfilled, merged[nexts, fulfilled])
+            for nexts, fulfilled in sorted(merged, key=lambda k: (_bits(k[0]), _bits(k[1])))
+        ])
         moves[state] = edges
         for dst, _, _ in edges:
             if dst not in seen:
@@ -491,14 +487,14 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
 
     # acceptance sets that constrain nothing are dropped before degeneralizing
     relevant = [
-        u for u in untils
-        if any(u not in marks for edges in moves.values() for _, marks, _ in edges)
+        rank[u] for u in untils
+        if any(not rank[u] & marks for edges in moves.values() for _, marks, _ in edges)
     ]
     k = len(relevant)
 
     def advance(level, marks):
         j = 0 if level == k else level
-        while j < k and relevant[j] in marks:
+        while j < k and relevant[j] & marks:
             j += 1
         return j
 
@@ -527,13 +523,13 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     kept = [n for i, n in enumerate(nodes) if i in live]
     names = {n: f"s{i}" for i, n in enumerate(kept)}
 
+    letters = all_letters(atoms)
     edges = []
     for node in kept:
         for target, minterms in node_edges[node]:
             if number[target] in live:
-                edges.append(
-                    Edge(names[node], guard_from_minterms(atoms, minterms), names[target])
-                )
+                guard = Guard(atoms, frozenset(letters[m] for m in minterms))
+                edges.append(Edge(names[node], guard, names[target]))
     return BuchiAutomaton(
         states=[names[n] for n in kept],
         initial=(names[start],),

@@ -131,6 +131,8 @@ class Valuation:
     def __init__(self, props, mapping):
         self.props = tuple(props)
         prop_set = set(self.props)
+        if len(prop_set) != len(self.props):
+            raise SystemValidationError("duplicate entries in propositions")
         self._map = {}
         for state, assigned in mapping.items():
             assigned = frozenset(assigned)

@@ -100,7 +100,7 @@ def atoms(formula: Formula) -> frozenset:
 
 def until_subformulas(formula: Formula) -> tuple:
     """All until nodes, in first-visit depth-first order (deduplicated)."""
-    seen = []
+    seen = {}
     def walk(node):
         if isinstance(node, Not):
             walk(node.arg)
@@ -108,8 +108,7 @@ def until_subformulas(formula: Formula) -> tuple:
             walk(node.left)
             walk(node.right)
         elif isinstance(node, Until):
-            if node not in seen:
-                seen.append(node)
+            seen.setdefault(node)
             walk(node.left)
             walk(node.right)
     walk(formula)

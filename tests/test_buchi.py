@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pathlib
 import random
 
@@ -39,6 +41,54 @@ PROPS = ("p1", "p2", "p3")
 
 def letters(*sets):
     return tuple(frozenset(s) for s in sets)
+
+
+def g_ladder(k):
+    """``!(G … G (p | q))`` with ``k`` nested ``G``."""
+    formula = ltl.or_(Atom("p"), Atom("q"))
+    for _ in range(k):
+        formula = ltl.always(formula)
+    return ltl.Not(formula)
+
+
+def gf_ladder(k):
+    """``(G F)^k p``."""
+    formula = Atom("p")
+    for _ in range(k):
+        formula = ltl.always(ltl.eventually(formula))
+    return formula
+
+
+def automaton_digest(automaton):
+    """A short sha256 over every part of an automaton, edges in order."""
+    payload = json.dumps([
+        automaton.states, automaton.initial, automaton.props,
+        sorted(automaton.accepting),
+        [(e.src, e.guard.text, e.dst) for e in automaton.edges],
+    ])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def translation_digests():
+    """``{name: digest}`` of ``ltl_to_buchi`` on a seeded corpus: each
+    random formula over four atoms with the atoms reversed as ``props``,
+    its negation, and the depth and width ladders."""
+    atoms = ("a", "b", "c", "d")
+    rng = random.Random(2001)
+    digests = {}
+    for i in range(400):
+        f = random_formula(rng, atoms, rng.randint(1, 12))
+        digests[f"phi {i}"] = automaton_digest(ltl_to_buchi(f, props=atoms[::-1]))
+        digests[f"not {i}"] = automaton_digest(ltl_to_buchi(ltl.Not(f)))
+    for k in (10, 20, 40):
+        digests[f"not G^{k} (p | q)"] = automaton_digest(ltl_to_buchi(g_ladder(k)))
+    for k in (2, 4, 6):
+        digests[f"(G F)^{k} p"] = automaton_digest(ltl_to_buchi(gf_ladder(k)))
+    wide = Atom("x0")
+    for i in range(1, 6):
+        wide = ltl.or_(wide, Atom(f"x{i}"))
+    digests["G (x0 | ... | x5)"] = automaton_digest(ltl_to_buchi(ltl.always(wide)))
+    return digests
 
 
 def wait_automaton():
@@ -132,6 +182,38 @@ class TestTranslation:
             w = random_letter_lasso(rng, PROPS)
             assert nba_accepts(ltl_to_buchi(f, props=PROPS), w) == ltl.eval_lasso(w, f, 1)
 
+    def test_translations_match_recorded_digests(self):
+        """The exact automata (states, edge order, guard text) of a seeded
+        corpus.  ``translation_digests()`` recorded
+        ``tests/data/translation_digests.json``; record it again only for an
+        intended change of the translation's output."""
+        expected = json.loads((DATA / "translation_digests.json").read_text(encoding="utf-8"))
+        actual = translation_digests()
+        assert sorted(actual) == sorted(expected)
+        assert [k for k in expected if actual[k] != expected[k]] == []
+
+    def test_formula_keys_once_per_obligation(self, monkeypatch):
+        # the tableau sorts the untils and their negations once and runs on
+        # their ranks; no node is keyed again per state or per edge
+        original, depth, keyed = buchi._formula_key, [0], []
+
+        def counted(node):
+            if not depth[0]:
+                keyed.append(node)
+            depth[0] += 1
+            try:
+                return original(node)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(buchi, "_formula_key", counted)
+        for formula, states in ((g_ladder(40), 42), (gf_ladder(6), 8)):
+            keyed.clear()
+            assert len(ltl_to_buchi(formula).states) == states
+            assert len(keyed) == len(set(keyed))
+            assert len(keyed) <= (2 * len(ltl.until_subformulas(formula))
+                                  + len(buchi._initial_obligations(formula)))
+
 
 class TestAlphabet:
     def test_props_are_the_read_atoms_in_declared_order(self):
@@ -143,6 +225,13 @@ class TestAlphabet:
         assert wider.props == ("p2", "p1")
         assert BuchiAutomaton(["s"], ["s"], ("p1",), [Edge("s", guard_from_text("q"), "s")],
                               ()).props == ("q",)
+
+    def test_repeated_props_are_kept_once(self):
+        automaton = ltl_to_buchi(ltl.always(Atom("p")), props=("p", "p"))
+        assert automaton.props == ("p",)
+        total = totalize(automaton)
+        assert total.props == ("p",)
+        assert [e.guard.text for e in total.edges] == ["p", "!p", "true"]
 
     def test_totalize_matches_lift_then_render_reference(self):
         rng = random.Random(88)

@@ -90,6 +90,10 @@ class TestValidate:
         with pytest.raises(SystemValidationError):
             validate_ats(raw)
 
+    def test_repeated_proposition_rejected(self):
+        with pytest.raises(SystemValidationError, match="duplicate entries in propositions"):
+            core.Valuation(["p", "p"], {"q": {"p"}})
+
     def test_durations_other_than_one_rejected(self):
         raw = minimal_raw()
         for value in (2, True, 1.0, "1"):
