@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import ltl
 from .core import Lasso
-from .errors import AutomatonError
+from .errors import AutomatonError, ExplosionGuard, FormulaTooDeep
 
 # ---------------------------------------------------------------------------
 # guards
@@ -36,7 +36,8 @@ class Guard:
     ``minterms`` holds every satisfying assignment as the frozenset of atoms
     made true; letters are matched by projecting them onto ``atoms``.
     ``text`` is the written guard, or else the minimal DNF of ``minterms``
-    rendered on first read.  Equality compares atoms, minterms and text.
+    rendered on first read.  Equality compares atoms, minterms and text;
+    two guards that were not written render alike, so neither is rendered.
     """
 
     __slots__ = ("atoms", "minterms", "_text")
@@ -55,7 +56,8 @@ class Guard:
 
     def __eq__(self, other):
         return (isinstance(other, Guard) and self.atoms == other.atoms
-                and self.minterms == other.minterms and self.text == other.text)
+                and self.minterms == other.minterms
+                and (self._text is other._text or self.text == other.text))
 
     def __hash__(self):
         return hash((self.atoms, self.minterms))
@@ -90,11 +92,22 @@ def _covers(implicant, minterm, atoms):
     return all(v is None or (a in minterm) == v for a, v in zip(atoms, implicant))
 
 
+# The most atoms a guard may read for its text to be rendered.  The
+# Quine-McCluskey pass below merges every pair of implicants at each level,
+# so its time grows 6-10x per atom: on a 2-vCPU virtual machine the 6- and
+# 7-atom disjunctions take 0.05 and 0.37 s, the 8-atom one 3 s.
+RENDER_ATOMS = 7
+
+
 def _render_dnf(atoms, minterms):
     if not minterms:
         return "false"
     if len(minterms) == 2 ** len(atoms):
         return "true"
+    if len(atoms) > RENDER_ATOMS:
+        raise ExplosionGuard(
+            f"a guard over {len(atoms)} atoms is too large to write out "
+            f"(at most {RENDER_ATOMS})")
     def implicant_key(imp):
         return tuple(2 if v is None else int(v) for v in imp)
 
@@ -439,7 +452,17 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     ``props`` only orders the formula's atoms in the automaton's ``props``
     (and so in the guard text ``totalize`` renders); it does not widen the
     alphabet by propositions the formula does not read.
+
+    A formula nested past the interpreter's recursion limit raises
+    ``FormulaTooDeep``.
     """
+    try:
+        return _tableau(formula, props)
+    except RecursionError:
+        raise FormulaTooDeep("the formula nests too deeply") from None
+
+
+def _tableau(formula, props):
     atoms = tuple(sorted(ltl.atoms(formula)))
     memo = {}
     for i, a in enumerate(atoms):
@@ -735,8 +758,9 @@ class ProductAutomaton:
     ``i`` as a ``(world, automaton state)`` pair, ``accepting[i]`` tells
     whether its automaton state is accepting, and ``moves[i][c]`` lists the
     numbers of the states reached from it under the ``c``-th control of
-    ``system``, in ``system.successors`` order; the synthesis game plays on
-    these lists.
+    ``system``, in ``system.successors`` order.  ``product`` builds them from
+    the system's integer ``rows``, compiled once, when the system was built;
+    the synthesis game plays on these lists.
     """
 
     system: object
@@ -749,51 +773,56 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     """Product of the system rooted at each of ``roots`` (in order, repeats
     dropped) with a total automaton.
 
-    The search runs on integers.  World and automaton states are numbered
-    in declaration order, and node ``(q, x)`` is ``q * m + x`` for ``m``
-    automaton states.  A world state's label id and its successors under
-    each control are read from the system once, when the search first
-    reaches it, and the automaton steps once per (automaton state, label
-    id).  The state names are built once, at the end.
+    The search runs on integers.  World states are numbered by
+    ``system.index`` and automaton states in declaration order, and node
+    ``(q, x)`` is ``q * m + x`` for ``m`` automaton states; ``place[node]``
+    is its number in the product, -1 until the search reaches it.  A world
+    state's successors under each control are the system's ``rows``,
+    compiled once, when the system was built.  A world state's label id is
+    read when the search first reaches it, and the automaton steps once per
+    (automaton state, label id).  The state names are built once, at the
+    end.
     """
     if not roots:
         raise AutomatonError("a product needs at least one root")
-    number = {q: i for i, q in enumerate(system.states)}
+    index = system.index
     for q0 in roots:
-        if q0 not in number:
+        if q0 not in index:
             raise AutomatonError(f"unknown initial state {q0!r}")
     if not is_total(automaton):
         raise AutomatonError("specification automaton must be total")
-    worlds, names, m = system.states, automaton.states, len(automaton.states)
+    worlds, rows, names, m = system.states, system.rows, automaton.states, len(automaton.states)
     x_number = {x: i for i, x in enumerate(names)}
     labels = {}
-    # per world state: (its label id * m, its successors under each control)
-    compiled = [None] * len(worlds)
+    # per world state: its label id * m
+    label_base = [-1] * len(worlds)
     # label id * m + x -> the automaton successor of x
     step = {}
-    place = {}
+    place = [-1] * (len(worlds) * m)
+    order = []
+    x0 = x_number[automaton.initial[0]]
     for q0 in roots:
-        place.setdefault(number[q0] * m + x_number[automaton.initial[0]], len(place))
-    order = list(place)
+        node = index[q0] * m + x0
+        if place[node] < 0:
+            place[node] = len(order)
+            order.append(node)
     moves = []
     for node in order:
         q, x = divmod(node, m)
-        world = compiled[q]
-        if world is None:
-            world = compiled[q] = (
-                labels.setdefault(valuation.label(worlds[q]), len(labels)) * m,
-                [system.successors(worlds[q], a) for a in system.controls])
-        x2 = step.get(world[0] + x)
+        base = label_base[q]
+        if base < 0:
+            base = label_base[q] = labels.setdefault(valuation.label(worlds[q]), len(labels)) * m
+        x2 = step.get(base + x)
         if x2 is None:
             letter = valuation.label(worlds[q])
-            x2 = step[world[0] + x] = x_number[automaton.successors(names[x], letter)[0]]
+            x2 = step[base + x] = x_number[automaton.successors(names[x], letter)[0]]
         row = []
-        for succ in world[1]:
+        for succ in rows[q]:
             targets = []
             for q2 in succ:
-                t = number[q2] * m + x2
-                j = place.get(t)
-                if j is None:
+                t = q2 * m + x2
+                j = place[t]
+                if j < 0:
                     j = place[t] = len(order)
                     order.append(t)
                 targets.append(j)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BlockedState,
@@ -165,6 +166,13 @@ class AlternatingTransitionSystem:
     (state, control, disturbance) triple has at least one successor.
     Declaration order of states and labels is preserved and drives all
     deterministic iteration in this library.
+
+    The successor relation is compiled once, at construction, into an
+    integer form: ``index[q]`` is the position of state ``q`` in ``states``,
+    and ``rows[i][c]`` lists the positions of the successors of state ``i``
+    under the ``c``-th control, in ``successors`` order.  ``successors``
+    answers from these rows, ``successors_under`` from the same positions
+    kept per disturbance, and ``buchi.product`` reads the rows directly.
     """
 
     def __init__(self, states, controls, disturbances, transitions, obs_map=None):
@@ -178,63 +186,71 @@ class AlternatingTransitionSystem:
             if len(set(seq)) != len(seq):
                 raise SystemValidationError(f"duplicate entries in {name}")
 
-        self._state_set = state_set = frozenset(self.states)
-        self._control_set = control_set = frozenset(self.controls)
-        disturbance_set = set(self.disturbances)
+        self.index = index = {q: i for i, q in enumerate(self.states)}
+        self._control_index = {a: c for c, a in enumerate(self.controls)}
+        self._disturbance_index = {b: d for d, b in enumerate(self.disturbances)}
+        k, nd = len(self.controls), len(self.disturbances)
+        # slot (i * k + c) * nd + d: the successors of state i under the
+        # c-th control and the d-th disturbance
+        under = [[] for _ in range(len(self.states) * k * nd)]
         self.transitions = tuple(tuple(t) for t in transitions)
-        by_qab = {}
         for q, a, b, q2 in self.transitions:
-            if q not in state_set or q2 not in state_set:
+            i, j = index.get(q), index.get(q2)
+            if i is None or j is None:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared state")
-            if a not in control_set:
+            c = self._control_index.get(a)
+            if c is None:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared control {a!r}")
-            if b not in disturbance_set:
+            d = self._disturbance_index.get(b)
+            if d is None:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared disturbance {b!r}")
-            by_qab.setdefault((q, a, b), []).append(q2)
-        for q in self.states:
-            for a in self.controls:
-                for b in self.disturbances:
-                    if (q, a, b) not in by_qab:
-                        raise BlockedState(q, a, b)
+            under[(i * k + c) * nd + d].append(j)
+        for slot, targets in enumerate(under):
+            if not targets:
+                i, c = divmod(slot // nd, k)
+                raise BlockedState(self.states[i], self.controls[c],
+                                   self.disturbances[slot % nd])
 
-        order = {q: i for i, q in enumerate(self.states)}
-        self._succ_qab = {
-            key: tuple(sorted(set(targets), key=order.__getitem__))
-            for key, targets in by_qab.items()
-        }
-        self._succ_qa = {
-            (q, a): tuple(dict.fromkeys(
-                q2 for b in self.disturbances for q2 in self._succ_qab[q, a, b]))
-            for q in self.states for a in self.controls
-        }
+        self._under = [tuple(sorted(set(targets))) for targets in under]
+        self.rows = tuple(
+            tuple(tuple(dict.fromkeys(chain.from_iterable(self._under[s : s + nd])))
+                  for s in range(i * k * nd, (i + 1) * k * nd, nd))
+            for i in range(len(self.states)))
 
         if obs_map is None:
             obs_map = {q: q for q in self.states}
         missing = [q for q in self.states if q not in obs_map]
         if missing:
             raise UndeclaredSymbol(f"observation map is missing states {missing}")
-        extra = [q for q in obs_map if q not in state_set]
+        extra = [q for q in obs_map if q not in index]
         if extra:
             raise UndeclaredSymbol(f"observation map references undeclared states {extra}")
         self.obs_map = dict(obs_map)
 
+    def _position(self, q, a):
+        i = self.index.get(q)
+        if i is None:
+            raise UndeclaredSymbol(f"unknown state {q!r}")
+        c = self._control_index.get(a)
+        if c is None:
+            raise UndeclaredSymbol(f"unknown control {a!r}")
+        return i, c
+
     def successors(self, q, a) -> tuple:
         """All states reachable from ``q`` under control ``a``: those of
         ``successors_under`` for each declared disturbance in turn, each once."""
-        if q not in self._state_set:
-            raise UndeclaredSymbol(f"unknown state {q!r}")
-        if a not in self._control_set:
-            raise UndeclaredSymbol(f"unknown control {a!r}")
-        return self._succ_qa[(q, a)]
+        i, c = self._position(q, a)
+        return tuple(map(self.states.__getitem__, self.rows[i][c]))
 
     def successors_under(self, q, a, b) -> tuple:
         """States reachable from ``q`` under control ``a`` and disturbance
         ``b``, in state declaration order."""
-        try:
-            return self._succ_qab[(q, a, b)]
-        except KeyError:
-            self.successors(q, a)
-            raise UndeclaredSymbol(f"unknown disturbance {b!r}") from None
+        i, c = self._position(q, a)
+        d = self._disturbance_index.get(b)
+        if d is None:
+            raise UndeclaredSymbol(f"unknown disturbance {b!r}")
+        slot = (i * len(self.controls) + c) * len(self.disturbances) + d
+        return tuple(map(self.states.__getitem__, self._under[slot]))
 
 
 def _string_list(raw, key):
@@ -253,7 +269,7 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
     if not isinstance(raw, dict):
         raise SystemValidationError("system description must be a JSON object")
     allowed = {"states", "controls", "disturbances", "transitions",
-               "observations", "valuation", "durations"}
+               "observations", "valuation", "propositions", "durations"}
     unknown = set(raw) - allowed
     if unknown:
         raise SystemValidationError(f"unknown keys in system description: {sorted(unknown)}")
@@ -297,7 +313,12 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
 
 
 def parse_valuation(raw: dict, system: AlternatingTransitionSystem) -> Valuation:
-    """Extract the valuation from a system description, defaulting to empty sets."""
+    """Extract the valuation from a system description, defaulting to empty sets.
+
+    The declared propositions are the optional ``"propositions"`` list, so
+    that a formula may name one that no state carries, followed by every
+    other label in order of first appearance over the states.
+    """
     table = raw.get("valuation", {})
     if not isinstance(table, dict) or not all(
         isinstance(ps, list) for ps in table.values()
@@ -306,13 +327,12 @@ def parse_valuation(raw: dict, system: AlternatingTransitionSystem) -> Valuation
     extra = set(table) - set(system.states)
     if extra:
         raise UndeclaredSymbol(f"valuation references undeclared states {sorted(extra)}")
-    props = []
-    for q in system.states:
-        for p in table.get(q, []):
-            if not isinstance(p, str) or not p.isidentifier():
-                raise SystemValidationError(f"invalid proposition name {p!r}")
-            if p not in props:
-                props.append(p)
+    props = _string_list(raw, "propositions") if "propositions" in raw else []
+    labels = [p for q in system.states for p in table.get(q, [])]
+    for p in props + labels:
+        if not isinstance(p, str) or not p.isidentifier():
+            raise SystemValidationError(f"invalid proposition name {p!r}")
+    props = props + [p for p in dict.fromkeys(labels) if p not in props]
     mapping = {q: frozenset(table.get(q, [])) for q in system.states}
     return Valuation(props, mapping)
 

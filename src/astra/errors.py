@@ -52,6 +52,10 @@ class UnknownProposition(AstraError):
         super().__init__(f"unknown proposition {name!r}{where}")
 
 
+class FormulaTooDeep(AstraError):
+    """A formula nests past the interpreter's recursion limit."""
+
+
 class AutomatonError(AstraError):
     """An automaton description is malformed (bad guard, dangling state, ...)."""
 

@@ -21,7 +21,7 @@ from astra.buchi import (
 )
 from astra.core import Lasso, Valuation
 from astra.dot import product_dot
-from astra.errors import AutomatonError
+from astra.errors import AutomatonError, ExplosionGuard
 from astra.ltl import Atom, Until
 from astra.planner import spec_automaton
 
@@ -137,6 +137,26 @@ class TestGuards:
         g = guard_from_text("  p2 &  !p1 ")
         assert g.text == str(g) == "p2 &  !p1"
         assert g.atoms == ("p1", "p2")
+
+    def test_rendering_refuses_guards_past_the_atom_budget(self):
+        # the budget counts the atoms a guard reads, however cheap its
+        # Quine-McCluskey pass would be
+        for k in (buchi.RENDER_ATOMS, buchi.RENDER_ATOMS + 1, 10):
+            atoms = tuple(f"x{i}" for i in range(k))
+            g = buchi.guard_from_minterms(atoms, [atoms])
+            if k <= buchi.RENDER_ATOMS:
+                assert g.text == " & ".join(atoms)
+            else:
+                with pytest.raises(ExplosionGuard, match=f"guard over {k} atoms"):
+                    g.text
+        # constant guards render at any width, and equal guards that were
+        # not written compare equal without rendering
+        atoms = tuple(f"x{i}" for i in range(10))
+        wide = buchi.guard_from_minterms(atoms, [atoms])
+        assert wide == buchi.guard_from_minterms(atoms, [atoms])
+        assert wide != buchi.guard_from_minterms(atoms, [atoms[1:]])
+        assert buchi.guard_from_minterms(atoms, buchi.all_letters(atoms)).text == "true"
+        assert buchi.guard_from_minterms(atoms, []).text == "false"
 
     def test_equality_compares_atoms_minterms_and_text(self):
         rendered = buchi.guard_from_minterms(("p1",), [{"p1"}])
@@ -568,6 +588,29 @@ class TestProduct:
             self.assert_matches_reference(system, roots, total, valuation)
             repeated = [r for pair in zip(roots[::-1], roots) for r in pair] + roots
             self.assert_matches_reference(system, repeated, total, valuation)
+
+    def test_reads_the_compiled_rows(self):
+        # the system's successor rows are compiled once, at construction;
+        # the product reads them and never asks the system for successors
+        rng = random.Random(47)
+        checked = 0
+        while checked < 30:
+            system, valuation = random_system(rng, max_states=6, max_controls=3,
+                                              max_disturbances=3)
+            total = totalize(ltl_to_buchi(random_formula(rng, valuation.props, 3),
+                                          props=valuation.props))
+            if total is None:
+                continue
+            checked += 1
+            calls = []
+
+            def counted(q, a, successors=system.successors):
+                calls.append((q, a))
+                return successors(q, a)
+
+            system.successors = counted
+            prod = product(system, system.states, total, valuation)
+            assert calls == [] and len(prod.states) >= len(system.states)
 
     @pytest.mark.parametrize("filename", [
         "aut_until.json", "aut_always_implies.json", "aut_response.json",

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 from astra import ltl, planner
 from astra.cli import main
@@ -141,6 +142,34 @@ class TestSynth:
         )
         assert (code, stdout, stderr) == (3, "", "error: the formula nests too deeply\n")
         assert not out.exists()
+
+    def test_declared_proposition_no_state_carries(self, tmp_path, agent_system,
+                                                   capsys):
+        # "crash" labels no state, so only the "propositions" list declares
+        # it; without the list "G !crash" names an unknown proposition
+        raw = system_file_dict(*agent_system)
+        plain = write_json(tmp_path / "plain.json", raw)
+        declared = write_json(tmp_path / "declared.json",
+                              {**raw, "propositions": ["crash", "p2"]})
+        out = tmp_path / "p.json"
+        code, stdout, stderr = run("synth", "--system", plain, "--spec", "G !crash",
+                                   "--out", str(out), capsys=capsys)
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: unknown proposition 'crash' (at position 4)\n"
+        code, stdout, stderr = run("synth", "--system", declared, "--spec", "G !crash",
+                                   "--out", str(out), capsys=capsys)
+        assert (code, stdout, stderr) == (0, "initial: q1\nverified: true\n", "")
+        # the list comes first, then every other label in today's order
+        assert load_system(declared)[1].props == ("crash", "p2", "p1", "p3")
+        assert load_system(plain)[1].props == ("p1", "p2", "p3")
+        for bad, message in ((["not a name"], "invalid proposition name 'not a name'"),
+                             (["p1", "p1"], "duplicate entries in propositions"),
+                             (["p1", 2], "'propositions' must be a list of strings"),
+                             ("p1", "'propositions' must be a list of strings")):
+            path = write_json(tmp_path / "bad.json", {**raw, "propositions": bad})
+            code, stdout, stderr = run("synth", "--system", path, "--spec", "true",
+                                       "--out", str(out), capsys=capsys)
+            assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
 
     def test_malformed_system_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -554,6 +583,19 @@ class TestExport:
         code, _, _ = run("export", "automaton", "--automaton", automaton,
                          "--out", str(out), capsys=capsys)
         assert code == 0 and out.exists()
+
+    def test_wide_guard_fails_fast(self, tmp_path, capsys):
+        # the one edge of "G (x0 | ... | x9)" reads ten atoms, past the
+        # budget of guard texts that are written out
+        spec = "G (" + " | ".join(f"x{i}" for i in range(10)) + ")"
+        out = tmp_path / "o.dot"
+        start = time.perf_counter()
+        code, stdout, stderr = run("export", "automaton", "--spec", spec,
+                                   "--out", str(out), capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: a guard over 10 atoms is too large to write out (at most 7)\n"
+        assert not out.exists()
 
     def test_missing_inputs_are_errors(self, tmp_path, capsys):
         code, _, _ = run("export", "plan", "--out", str(tmp_path / "x.dot"),

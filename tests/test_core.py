@@ -126,17 +126,35 @@ class TestSuccessors:
         assert set(system.successors("q2", "a2")) == {"q1", "q3"}
 
     def test_matches_table_scan(self):
+        # successors_under lists a triple's targets in state declaration
+        # order, successors those of each declared disturbance in turn, each
+        # once; the compiled rows hold the same successors by position
         rng = random.Random(11)
         for _ in range(50):
-            system, _ = random_system(rng)
+            system, _ = random_system(rng, max_states=6, max_controls=3,
+                                      max_disturbances=3, double_successor_p=0.4)
+            listed = set(system.transitions)
             for q in system.states:
-                for a in system.controls:
-                    scan = {t for (src, c, _, t) in system.transitions
-                            if src == q and c == a}
-                    assert set(system.successors(q, a)) == scan
-                    assert system.successors(q, a) == tuple(dict.fromkeys(
-                        q2 for b in system.disturbances
-                        for q2 in system.successors_under(q, a, b)))
+                for c, a in enumerate(system.controls):
+                    under = {b: tuple(t for t in system.states if (q, a, b, t) in listed)
+                             for b in system.disturbances}
+                    for b in system.disturbances:
+                        assert system.successors_under(q, a, b) == under[b]
+                    expected = tuple(dict.fromkeys(
+                        t for b in system.disturbances for t in under[b]))
+                    assert system.successors(q, a) == expected
+                    assert system.rows[system.index[q]][c] == tuple(
+                        system.index[t] for t in expected)
+            q, a, b = system.states[-1], system.controls[-1], system.disturbances[-1]
+            for call, message in (
+                (lambda: system.successors("zz", a), "unknown state 'zz'"),
+                (lambda: system.successors(q, "zz"), "unknown control 'zz'"),
+                (lambda: system.successors_under("zz", a, b), "unknown state 'zz'"),
+                (lambda: system.successors_under(q, "zz", b), "unknown control 'zz'"),
+                (lambda: system.successors_under(q, a, "zz"), "unknown disturbance 'zz'"),
+            ):
+                with pytest.raises(UndeclaredSymbol, match=message):
+                    call()
 
     def test_unknown_state_rejected(self, agent_system):
         system, _ = agent_system

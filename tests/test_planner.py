@@ -5,7 +5,7 @@ import pytest
 
 from astra import buchi, ltl, planner
 from astra.core import Valuation, validate_ats
-from astra.errors import AstraError, AutomatonError
+from astra.errors import AstraError, AutomatonError, FormulaTooDeep
 from astra.ltl import Atom, Until
 from astra.plan import (
     Controller,
@@ -408,6 +408,17 @@ class TestInputErrors:
                      0.0, True):
             with pytest.raises(AstraError, match="is not a winning state"):
                 extract_plan(prod, strategy, root)
+
+    def test_deep_formula_is_a_typed_error(self, agent_system):
+        # "G p2" is won from q1, so a long "p2 & ... & p2" chain is found;
+        # at 500 terms the check's translation of the negation nests past
+        # the recursion limit and says so with a typed error
+        system, valuation = agent_system
+        short = ltl.parse_formula(" & ".join(["p2"] * 50), valuation.props)
+        assert synthesize(system, short, valuation, initial_hint="q1").status == FOUND
+        chain = ltl.parse_formula(" & ".join(["p2"] * 500), valuation.props)
+        with pytest.raises(FormulaTooDeep, match="^the formula nests too deeply$"):
+            synthesize(system, chain, valuation, initial_hint="q1")
 
     def test_missing_specification(self, agent_system):
         system, valuation = agent_system
