@@ -1,4 +1,8 @@
+import hashlib
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +15,70 @@ from astra.ltl import And, Atom, Not, TRUE, Until
 from generators import random_formula, random_letter_lasso
 from oracles import oracle_eval
 
+DATA = pathlib.Path(__file__).parent / "data"
 PROPS = ("p1", "p2", "p3")
+WORDS = ("p1", "p2", "q", "_r", "true", "false")
+TOKENS = WORDS + ("X", "U", "F", "G", "!", "&", "|", "->", "(", ")", "#", "-", "1")
 
 
 def letters(*sets):
     return tuple(frozenset(s) for s in sets)
+
+
+def random_formula_tokens(rng, size):
+    """The tokens of a random formula in the full surface syntax."""
+    if size <= 1:
+        return [rng.choice(WORDS)]
+    if rng.random() < 0.3:
+        tokens = [rng.choice("!FG")] + random_formula_tokens(rng, size - 1)
+    else:
+        left = rng.randint(1, size - 1)
+        tokens = (random_formula_tokens(rng, left) + [rng.choice(("&", "|", "U", "->"))]
+                  + random_formula_tokens(rng, size - left))
+    return ["(", *tokens, ")"] if rng.random() < 0.3 else tokens
+
+
+def random_token_text(rng):
+    """A formula with up to two tokens deleted, inserted or replaced, or a
+    token soup; tokens are joined by zero to two spaces, so neighbouring
+    words may also run together."""
+    if rng.random() < 0.2:
+        tokens = [rng.choice(TOKENS) for _ in range(rng.randint(0, 8))]
+    else:
+        tokens = random_formula_tokens(rng, rng.randint(1, 8))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(len(tokens) + 1)
+            action = rng.choice(("insert", "replace", "delete")) if tokens else "insert"
+            if action == "insert":
+                tokens.insert(i, rng.choice(TOKENS))
+            elif action == "replace":
+                tokens[min(i, len(tokens) - 1)] = rng.choice(TOKENS)
+            else:
+                del tokens[min(i, len(tokens) - 1)]
+    return "".join(rng.choice(("", " ", " ", "  ")) + t for t in tokens)
+
+
+def parse_outcome(text, props):
+    """``repr`` of the parsed formula, or the error's class, text and position."""
+    try:
+        return repr(ltl.parse_formula(text, props))
+    except (FormulaSyntaxError, UnknownProposition) as err:
+        return [type(err).__name__, str(err), err.position]
+
+
+def parse_digests():
+    """``{batch: digest}`` of ``parse_formula`` on 5000 seeded token strings,
+    each parsed with any identifier and with ``PROPS`` declared."""
+    rng = random.Random(2020)
+    digests = {}
+    for batch in range(100):
+        outcomes = []
+        for _ in range(50):
+            text = random_token_text(rng)
+            outcomes.append([text, parse_outcome(text, None), parse_outcome(text, PROPS)])
+        payload = json.dumps(outcomes).encode("utf-8")
+        digests[f"batch {batch}"] = hashlib.sha256(payload).hexdigest()[:16]
+    return digests
 
 
 class TestParser:
@@ -69,6 +132,16 @@ class TestParser:
     def test_unbalanced_parens(self):
         with pytest.raises(FormulaSyntaxError):
             ltl.parse_formula("(p1 & p2", PROPS)
+
+    def test_parses_match_recorded_digests(self):
+        """The exact tree, or error class, message and position, of every
+        string in a seeded corpus.  ``parse_digests()`` recorded
+        ``tests/data/parse_digests.json``; record it again only for an
+        intended change of the parser's output."""
+        expected = json.loads((DATA / "parse_digests.json").read_text(encoding="utf-8"))
+        actual = parse_digests()
+        assert sorted(actual) == sorted(expected)
+        assert [k for k in expected if actual[k] != expected[k]] == []
 
     def test_roundtrip_through_writer(self):
         rng = random.Random(7)
