@@ -37,7 +37,8 @@ class Guard:
     made true; letters are matched by projecting them onto ``atoms``.
     ``text`` is the written guard, or else the minimal DNF of ``minterms``
     rendered on first read.  Equality compares atoms, minterms and text;
-    two guards that were not written render alike, so neither is rendered.
+    two guards that were not written render alike, so neither is rendered,
+    and a guard past ``RENDER_ATOMS`` has no text to match a written one.
     """
 
     __slots__ = ("atoms", "minterms", "_text")
@@ -55,9 +56,12 @@ class Guard:
         return frozenset(p for p in self.atoms if p in letter) in self.minterms
 
     def __eq__(self, other):
-        return (isinstance(other, Guard) and self.atoms == other.atoms
-                and self.minterms == other.minterms
-                and (self._text is other._text or self.text == other.text))
+        try:
+            return (isinstance(other, Guard) and self.atoms == other.atoms
+                    and self.minterms == other.minterms
+                    and (self._text is other._text or self.text == other.text))
+        except ExplosionGuard:
+            return False
 
     def __hash__(self):
         return hash((self.atoms, self.minterms))

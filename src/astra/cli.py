@@ -289,6 +289,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
-        # every recursive walk in the library is over a formula or a guard
-        print("error: the formula nests too deeply", file=sys.stderr)
+        # deep formulas fail typed (FormulaTooDeep): this is a deeply nested file
+        print("error: an input file nests too deeply", file=sys.stderr)
         return EXIT_ERROR

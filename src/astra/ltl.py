@@ -1,17 +1,19 @@
 """Next-free linear temporal logic: syntax, parsing, satisfaction on lassos.
 
 The core grammar is atoms, ``true``, negation, conjunction, and until.
-Everything else the parser accepts is rewritten into the core grammar at
-parse time using
+The parser reads these operators, binding tightest first, and rewrites
+the others into the core grammar as it goes:
 
-    a | b   ==  !(!a & !b)
-    a -> b  ==  !(a & !b)
-    F a     ==  true U a
-    G a     ==  !(true U !a)
-    false   ==  !true
+    !a   F a   G a    prefix        F a == true U a,  G a == !(true U !a)
+    a & b             left-assoc
+    a | b             left-assoc    a | b == !(!a & !b)
+    a U b             right-assoc
+    a -> b            right-assoc   a -> b == !(a & !b)
 
-Double negations introduced by the source text are kept as written.
-There is no next operator; ``X`` is rejected.
+and ``false == !true``.  Double negations introduced by the source text
+are kept as written.  There is no next operator; ``X`` is rejected.
+Parsing, printing and the walks keep their own stacks, so they have no
+nesting limit.
 
 Satisfaction is evaluated on ultimately periodic words represented as
 :class:`~astra.core.Lasso` values over proposition sets.
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .core import Lasso, Valuation
-from .errors import FormulaSyntaxError, UnknownProposition
+from .errors import FormulaSyntaxError, FormulaTooDeep, UnknownProposition
 
 
 class Formula:
@@ -83,62 +85,73 @@ def false() -> Formula:
     return Not(TRUE)
 
 
-def atoms(formula: Formula) -> frozenset:
-    """Names of all atomic propositions occurring in the formula."""
-    out = set()
+# The operator table above, read by the parser and the printer: binary
+# token -> (binding power, right-associative, builder).  The prefix
+# operators bind tighter than every binary one.
+_BINARY = {
+    "->": (1, True, implies),
+    "U": (2, True, Until),
+    "|": (3, False, or_),
+    "&": (4, False, And),
+}
+_PREFIX = {"!": Not, "F": eventually, "G": always}
+_PREFIX_POWER = 5
+# the core binary nodes are the operators built by their own class
+_INFIX = {build: token for token, (_, _, build) in _BINARY.items() if isinstance(build, type)}
+
+
+def _preorder(formula):
+    """Every node, each before its operands, left operand first."""
     stack = [formula]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            out.add(node.name)
-        elif isinstance(node, Not):
+        yield node
+        if isinstance(node, Not):
             stack.append(node.arg)
         elif isinstance(node, (And, Until)):
-            stack.extend((node.left, node.right))
-    return frozenset(out)
+            stack += (node.right, node.left)
+
+
+def atoms(formula: Formula) -> frozenset:
+    """Names of all atomic propositions occurring in the formula."""
+    return frozenset(node.name for node in _preorder(formula) if isinstance(node, Atom))
 
 
 def until_subformulas(formula: Formula) -> tuple:
     """All until nodes, in first-visit depth-first order (deduplicated)."""
-    seen = {}
-    def walk(node):
-        if isinstance(node, Not):
-            walk(node.arg)
-        elif isinstance(node, And):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Until):
-            seen.setdefault(node)
-            walk(node.left)
-            walk(node.right)
-    walk(formula)
-    return tuple(seen)
-
-
-_PRECEDENCE = {TrueF: 100, Atom: 100, Not: 90, And: 80, Until: 70}
+    return tuple(dict.fromkeys(node for node in _preorder(formula) if isinstance(node, Until)))
 
 
 def formula_to_str(formula: Formula) -> str:
     """Core-grammar rendering with minimal parentheses."""
-    def render(node, parent_prec):
-        prec = _PRECEDENCE[type(node)]
-        if isinstance(node, TrueF):
-            text = "true"
+    parts = []
+    # (node or literal text, least binding power shown without parentheses)
+    stack = [(formula, 0)]
+    while stack:
+        node, floor = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
         elif isinstance(node, Atom):
-            text = node.name
+            parts.append(node.name)
+        elif isinstance(node, TrueF):
+            parts.append("true")
         elif isinstance(node, Not):
-            text = "!" + render(node.arg, prec)
-        elif isinstance(node, And):
-            text = f"{render(node.left, prec)} & {render(node.right, prec + 1)}"
+            parts.append("!")
+            stack.append((node.arg, _PREFIX_POWER))
         else:
-            # until is right-associative
-            text = f"{render(node.left, prec + 1)} U {render(node.right, prec)}"
-        return f"({text})" if prec < parent_prec else text
-    return render(formula, 0)
+            token = _INFIX[type(node)]
+            power, right, _ = _BINARY[token]
+            if power < floor:
+                parts.append("(")
+                stack.append((")", 0))
+            # the operand on the associating side may bind as loosely as
+            # the operator; the other one must bind tighter
+            stack += ((node.right, power + (not right)), (f" {token} ", 0),
+                      (node.left, power + right))
+    return "".join(parts)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(->)|([()!&|])|([A-Za-z_][A-Za-z0-9_]*))")
-_RESERVED = {"U", "F", "G", "X", "true", "false"}
 
 
 def _tokenize(text):
@@ -160,94 +173,6 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    """Recursive descent with precedence  ! > & > | > U > ->  (U, -> right-assoc)."""
-
-    def __init__(self, tokens, props):
-        self.tokens = tokens
-        self.index = 0
-        self.props = None if props is None else frozenset(props)
-
-    def peek(self):
-        return self.tokens[self.index][0]
-
-    def take(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, token):
-        got, at = self.take()
-        if got != token:
-            raise FormulaSyntaxError(f"expected {token!r}, found {got!r}", at)
-
-    def parse(self):
-        node = self.implication()
-        got, at = self.take()
-        if got != "<end>":
-            raise FormulaSyntaxError(f"unexpected {got!r}", at)
-        return node
-
-    def implication(self):
-        left = self.until()
-        if self.peek() == "->":
-            self.take()
-            return implies(left, self.implication())
-        return left
-
-    def until(self):
-        left = self.disjunction()
-        if self.peek() == "U":
-            self.take()
-            return Until(left, self.until())
-        return left
-
-    def disjunction(self):
-        node = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            node = or_(node, self.conjunction())
-        return node
-
-    def conjunction(self):
-        node = self.unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self):
-        token, at = self.tokens[self.index]
-        if token == "!":
-            self.take()
-            return Not(self.unary())
-        if token == "F":
-            self.take()
-            return eventually(self.unary())
-        if token == "G":
-            self.take()
-            return always(self.unary())
-        return self.atom()
-
-    def atom(self):
-        token, at = self.take()
-        if token == "(":
-            node = self.implication()
-            self.expect(")")
-            return node
-        if token == "true":
-            return TRUE
-        if token == "false":
-            return false()
-        if token == "X":
-            raise FormulaSyntaxError("the next operator is not supported", at)
-        if token in _RESERVED or not token[0].isalpha() and token[0] != "_":
-            raise FormulaSyntaxError(f"unexpected {token!r}", at)
-        if self.props is not None and token not in self.props:
-            raise UnknownProposition(token, at)
-        return Atom(token)
-
-
 def parse_formula(text: str, props=None) -> Formula:
     """Parse ``text`` into the core grammar.
 
@@ -255,7 +180,58 @@ def parse_formula(text: str, props=None) -> Formula:
     identifier raises :class:`UnknownProposition`.  ``None`` accepts all
     identifiers (used for guard expressions whose universe is inferred).
     """
-    return _Parser(_tokenize(text), props).parse()
+    props = None if props is None else frozenset(props)
+    operands = []
+    pending = []  # (binding power, builder) not yet applied; (0, None) is "("
+    depth = 0  # open parentheses
+
+    def apply(floor):
+        # innermost first, every pending operator binding at least ``floor``
+        while pending and pending[-1][0] >= floor:
+            power, build = pending.pop()
+            if power == _PREFIX_POWER:
+                operands[-1] = build(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = build(operands[-1], right)
+
+    want_operand = True
+    for token, at in _tokenize(text):
+        if want_operand:
+            if token == "(":
+                pending.append((0, None))
+                depth += 1
+            elif token in _PREFIX:
+                pending.append((_PREFIX_POWER, _PREFIX[token]))
+            elif token == "X":
+                raise FormulaSyntaxError("the next operator is not supported", at)
+            elif token in _BINARY or not token.isidentifier():
+                raise FormulaSyntaxError(f"unexpected {token!r}", at)
+            else:
+                if token == "true":
+                    operands.append(TRUE)
+                elif token == "false":
+                    operands.append(false())
+                elif props is not None and token not in props:
+                    raise UnknownProposition(token, at)
+                else:
+                    operands.append(Atom(token))
+                want_operand = False
+        elif token in _BINARY:
+            power, right, build = _BINARY[token]
+            apply(power + right)
+            pending.append((power, build))
+            want_operand = True
+        elif token == ")" and depth:
+            apply(1)
+            pending.pop()
+            depth -= 1
+        elif token == "<end>" and not depth:
+            apply(1)
+            return operands[0]
+        else:
+            raise FormulaSyntaxError(
+                f"expected ')', found {token!r}" if depth else f"unexpected {token!r}", at)
 
 
 def eval_lasso(word: Lasso, formula: Formula, position: int = 1) -> bool:
@@ -265,6 +241,8 @@ def eval_lasso(word: Lasso, formula: Formula, position: int = 1) -> bool:
     Until is decided by walking the at most ``|prefix| + |cycle|`` distinct
     position classes reachable from ``position``; a position's verdict only
     depends on its suffix, so revisiting a class cannot change the answer.
+    The evaluator recurses, as the reference semantics; a formula nested
+    past the interpreter's recursion limit raises ``FormulaTooDeep``.
     """
     memo = {}
 
@@ -298,7 +276,10 @@ def eval_lasso(word: Lasso, formula: Formula, position: int = 1) -> bool:
 
     if position < 1:
         raise ValueError("positions are 1-based")
-    return ev(formula, position)
+    try:
+        return ev(formula, position)
+    except RecursionError:
+        raise FormulaTooDeep("the formula nests too deeply") from None
 
 
 def trajectory_satisfies(trajectory: Lasso, formula: Formula, valuation: Valuation) -> bool:

@@ -155,6 +155,11 @@ class TestGuards:
         wide = buchi.guard_from_minterms(atoms, [atoms])
         assert wide == buchi.guard_from_minterms(atoms, [atoms])
         assert wide != buchi.guard_from_minterms(atoms, [atoms[1:]])
+        # a written guard never equals one that cannot be written out
+        written = guard_from_text(" & ".join(atoms))
+        assert written.atoms == wide.atoms and written.minterms == wide.minterms
+        assert written != wide and wide != written
+        assert Edge("s", written, "t") != Edge("s", wide, "t")
         assert buchi.guard_from_minterms(atoms, buchi.all_letters(atoms)).text == "true"
         assert buchi.guard_from_minterms(atoms, []).text == "false"
 

@@ -133,8 +133,8 @@ class TestSynth:
                 (3, "", "error: unknown initial state 'zz'\n"), spec
 
     def test_deep_formula_is_input_error(self, tmp_path, agent_system_file, capsys):
-        # a recursion limit hit while walking the formula is an input error,
-        # not a crash with the negative-verdict exit code
+        # a formula nested past the translation's recursion limit is a typed
+        # input error, not a crash with the negative-verdict exit code
         out = tmp_path / "p.json"
         code, stdout, stderr = run(
             "synth", "--system", agent_system_file, "--spec", " & ".join(["p2"] * 2000),
@@ -142,6 +142,17 @@ class TestSynth:
         )
         assert (code, stdout, stderr) == (3, "", "error: the formula nests too deeply\n")
         assert not out.exists()
+
+    def test_deeply_nested_file_is_input_error(self, tmp_path, capsys):
+        # the JSON reader recurses; a file nested past its limit is named
+        # as the input at fault, not as a formula
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, stdout, stderr = run(
+            "synth", "--system", str(deep), "--spec", "G p2",
+            "--out", str(tmp_path / "p.json"), capsys=capsys,
+        )
+        assert (code, stdout, stderr) == (3, "", "error: an input file nests too deeply\n")
 
     def test_declared_proposition_no_state_carries(self, tmp_path, agent_system,
                                                    capsys):

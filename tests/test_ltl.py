@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from astra import ltl
 from astra.core import Lasso
-from astra.errors import FormulaSyntaxError, UnknownProposition
+from astra.errors import FormulaSyntaxError, FormulaTooDeep, UnknownProposition
 from astra.ltl import And, Atom, Not, TRUE, Until
 
 from generators import random_formula, random_letter_lasso
@@ -143,6 +143,26 @@ class TestParser:
         assert sorted(actual) == sorted(expected)
         assert [k for k in expected if actual[k] != expected[k]] == []
 
+    def test_deep_formulas_need_no_recursion(self):
+        # parsing, printing and both walks keep their own stacks, so a
+        # 20,000-deep formula goes through them under a recursion limit of
+        # 200; the untils are shallow because hashing a node still recurses
+        n = 20_000
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            chain = ltl.parse_formula("(" * n + "p1" + " & F p2)" * n, PROPS)
+            text = ltl.formula_to_str(chain)
+            assert text == "p1" + " & (true U p2)" * n
+            assert ltl.formula_to_str(ltl.parse_formula(text)) == text
+            assert ltl.atoms(chain) == {"p1", "p2"}
+            assert ltl.until_subformulas(chain) == (Until(TRUE, Atom("p2")),)
+            for text in ("!" * n + "(p1 U p2)", "p1 U " * n + "!p2"):
+                assert ltl.formula_to_str(ltl.parse_formula(text, PROPS)) == text
+            assert ltl.atoms(ltl.parse_formula("G " * n + "p3")) == {"p3"}
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_roundtrip_through_writer(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -200,6 +220,15 @@ class TestEvalLasso:
                 )
                 assert ltl.eval_lasso(w, u, i) == expanded
 
+    def test_deep_formula_is_a_typed_error(self):
+        # the evaluator recurses as the reference semantics, and says so
+        # with a typed error once the formula nests past the limit
+        chain = ltl.parse_formula(" & ".join(["p1"] * 2000), PROPS)
+        word = Lasso((), letters({"p1"}))
+        with pytest.raises(FormulaTooDeep, match="^the formula nests too deeply$"):
+            ltl.eval_lasso(word, chain)
+        assert ltl.eval_lasso(word, ltl.parse_formula(" & ".join(["p1"] * 200), PROPS))
+
 
 @st.composite
 def lassos(draw):
@@ -238,6 +267,14 @@ class TestTrajectorySatisfies:
 
         val = Valuation(["p"], {"q": {"p"}})
         assert ltl.trajectory_satisfies(Lasso((), ("q",)), Atom("p"), val) is True
+
+    def test_deep_formula_is_a_typed_error(self):
+        from astra.core import Valuation
+
+        val = Valuation(["p"], {"q": {"p"}})
+        chain = ltl.parse_formula(" & ".join(["p"] * 2000))
+        with pytest.raises(FormulaTooDeep, match="^the formula nests too deeply$"):
+            ltl.trajectory_satisfies(Lasso((), ("q",)), chain, val)
 
     def test_detour_trajectory(self, agent_system):
         _, valuation = agent_system
