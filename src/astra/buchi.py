@@ -162,7 +162,8 @@ def guard_true() -> Guard:
 
 def guard_from_text(text: str) -> Guard:
     expr = ltl.parse_formula(text, props=None)
-    if ltl.until_subformulas(expr):
+    # the preorder walk takes any depth; hashing a deep until would recurse
+    if any(isinstance(node, ltl.Until) for node in ltl._preorder(expr)):
         raise AutomatonError(f"guard {text!r} uses a temporal operator")
     atoms = tuple(sorted(ltl.atoms(expr)))
     minterms = frozenset(m for m in all_letters(atoms)
@@ -762,15 +763,21 @@ class ProductAutomaton:
     ``i`` as a ``(world, automaton state)`` pair, ``accepting[i]`` tells
     whether its automaton state is accepting, and ``moves[i][c]`` lists the
     numbers of the states reached from it under the ``c``-th control of
-    ``system``, in ``system.successors`` order.  ``product`` builds them from
-    the system's integer ``rows``, compiled once, when the system was built;
-    the synthesis game plays on these lists.
+    ``system``, in ``system.successors`` order.
+
+    A state's whole move row depends only on its world state and the
+    automaton state of its targets, so states that agree on both share one
+    row: ``moves[i] is moves[j]``.  ``pair[i]`` numbers that (world, next
+    automaton state) pair, in the order the search first reached it; the
+    synthesis game counts per pair.  Rows are shared, so no reader may
+    mutate one.
     """
 
     system: object
     states: tuple
     moves: list
     accepting: list
+    pair: list
 
 
 def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutomaton:
@@ -781,11 +788,14 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     ``system.index`` and automaton states in declaration order, and node
     ``(q, x)`` is ``q * m + x`` for ``m`` automaton states; ``place[node]``
     is its number in the product, -1 until the search reaches it.  A world
-    state's successors under each control are the system's ``rows``,
-    compiled once, when the system was built.  A world state's label id is
-    read when the search first reaches it, and the automaton steps once per
-    (automaton state, label id).  The state names are built once, at the
-    end.
+    state's label id is read when the search first reaches it, and the
+    automaton steps once per (automaton state, label id), to ``x2``.  The
+    move row of pair ``(q, x2)`` is built from the system's ``rows``,
+    compiled once, when the system was built, the first time the pair is
+    reached; ``pair_place[q * m + x2]`` holds its pair number, -1 until
+    then, and every later state of the pair reuses the row.  Its targets
+    were all placed when it was built, so sharing does not change the
+    numbering.  The state names are built once, at the end.
     """
     if not roots:
         raise AutomatonError("a product needs at least one root")
@@ -800,9 +810,10 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     labels = {}
     # per world state: its label id * m
     label_base = [-1] * len(worlds)
-    # label id * m + x -> the automaton successor of x
-    step = {}
+    # label id * m + x -> the automaton successor of x, -1 until stepped
+    step = [-1] * (len(worlds) * m)
     place = [-1] * (len(worlds) * m)
+    pair_place = [-1] * (len(worlds) * m)
     order = []
     x0 = x_number[automaton.initial[0]]
     for q0 in roots:
@@ -810,28 +821,34 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
         if place[node] < 0:
             place[node] = len(order)
             order.append(node)
-    moves = []
+    pair, pair_rows = [], []
     for node in order:
         q, x = divmod(node, m)
         base = label_base[q]
         if base < 0:
             base = label_base[q] = labels.setdefault(valuation.label(worlds[q]), len(labels)) * m
-        x2 = step.get(base + x)
-        if x2 is None:
+        x2 = step[base + x]
+        if x2 < 0:
             letter = valuation.label(worlds[q])
             x2 = step[base + x] = x_number[automaton.successors(names[x], letter)[0]]
-        row = []
-        for succ in rows[q]:
-            targets = []
-            for q2 in succ:
-                t = q2 * m + x2
-                j = place[t]
-                if j < 0:
-                    j = place[t] = len(order)
-                    order.append(t)
-                targets.append(j)
-            row.append(targets)
-        moves.append(row)
+        key = node - x + x2
+        p = pair_place[key]
+        if p < 0:
+            p = pair_place[key] = len(pair_rows)
+            row = []
+            for succ in rows[q]:
+                targets = []
+                for q2 in succ:
+                    t = q2 * m + x2
+                    j = place[t]
+                    if j < 0:
+                        j = place[t] = len(order)
+                        order.append(t)
+                    targets.append(j)
+                row.append(targets)
+            pair_rows.append(row)
+        pair.append(p)
     states = tuple((worlds[node // m], names[node % m]) for node in order)
     flags = [x in automaton.accepting for x in names]
-    return ProductAutomaton(system, states, moves, [flags[node % m] for node in order])
+    return ProductAutomaton(system, states, [pair_rows[p] for p in pair],
+                            [flags[node % m] for node in order], pair)

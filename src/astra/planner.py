@@ -4,10 +4,11 @@ The system is composed with the total specification automaton in one
 product rooted at every candidate initial state.  Its game is played on
 the product states: control picks an action, the disturbances pick any of
 its targets in the product's move table.  It is solved once by the
-classical nested fixpoint over a counter-based attractor into one list of
-control indices and one of attractor ranks per product state, and the
-positional strategy from the first winning candidate is unfolded into a
-reactive plan.  Every successor of a product state carries the same
+classical nested fixpoint over a counter-based attractor, which counts
+once per move row that states share, into one list of control indices
+and one of attractor ranks per product state, and the positional
+strategy from the first winning candidate is unfolded into a reactive
+plan.  Every successor of a product state carries the same
 automaton state, so that plan already keeps at most one successor per
 world state; it is returned as extracted, after one independent
 satisfaction check.
@@ -41,22 +42,25 @@ class SynthesisResult:
         return self.status == FOUND
 
 
-def _attractor(target, predecessors, unranked, k):
+def _attractor(target, predecessors, unranked, k, members):
     """Control attractor of the product states ``target``, as three lists:
     each state's entry layer (-1 outside), the states in the order they
     entered, and the layer at which each choice completes (0 if never).
 
-    Choice ``i*k + c`` is control's move ``c`` at state ``i``;
-    ``predecessors[j]`` lists the choices with target ``j``, and
-    ``unranked[choice]`` counts its targets not yet ranked.  Breadth-first
-    in rank order: a choice completes one layer after its last target is
-    ranked, and a state enters at its first complete choice.  Each
-    move-table entry is looked at once, so this costs O(|moves|).
+    Choice ``p*k + c`` is control's move ``c`` at the states of pair ``p``,
+    ``members[p]``, which share one move row; ``predecessors[j]`` lists the
+    choices with target ``j``, and ``unranked[choice]`` counts its targets
+    not yet ranked.  Breadth-first in rank order: a choice completes one
+    layer after its highest-ranked target, and the first complete choice
+    of a pair enters every unranked state of the pair at that layer, so
+    ranks do not depend on the order in which states enter a layer.  Each
+    entry of a shared row is looked at once, so this costs O(|rows|).
     """
     rank = [-1] * len(predecessors)
     for j in target:
         rank[j] = 0
     complete = [0] * len(unranked)
+    entered = [False] * len(members)
     queue = list(target)
     for j in queue:
         layer = rank[j] + 1
@@ -65,10 +69,14 @@ def _attractor(target, predecessors, unranked, k):
             if unranked[choice]:
                 continue
             complete[choice] = layer
-            i = choice // k
-            if rank[i] < 0:
-                rank[i] = layer
-                queue.append(i)
+            p = choice // k
+            if entered[p]:
+                continue
+            entered[p] = True
+            for i in members[p]:
+                if rank[i] < 0:
+                    rank[i] = layer
+                    queue.append(i)
     return rank, queue, complete
 
 
@@ -88,36 +96,49 @@ def solve_buchi_game(product):
     completed at the lowest layer, then the first in declared control
     order.  A state's status and rank depend only on the part of the game
     reachable from it, so every root of the product is solved at once.
+
+    The states of one ``product.pair`` share a move row, so the game keeps
+    its predecessor lists, unranked counters and completion layers per
+    (pair, control) choice, one row per pair, and every state reads its
+    pair's layers.
     """
     n, k = len(product.states), len(product.system.controls)
-    predecessors = [[] for _ in range(n)]
-    sizes = []
-    choice = 0
-    for row in product.moves:
-        for targets in row:
-            sizes.append(len(targets))
+    pair = product.pair
+    members, predecessors, sizes = [], [[] for _ in range(n)], []
+    for i, p in enumerate(pair):
+        if p < len(members):
+            members[p].append(i)
+            continue
+        # the first state of a pair: its row is the pair's
+        members.append([i])
+        for targets in product.moves[i]:
+            choice = len(sizes)
             for j in targets:
                 predecessors[j].append(choice)
-            choice += 1
+            sizes.append(len(targets))
     accepting = [i for i, flag in enumerate(product.accepting) if flag]
     # at first every state is in the region, so every choice stays in it
-    rank, won, complete = [0] * n, range(n), [1] * (n * k)
+    rank, won, complete = [0] * n, range(n), [1] * len(sizes)
     while True:
         recurrent = [i for i in accepting
-                     if rank[i] >= 0 and any(complete[i * k:i * k + k])]
+                     if rank[i] >= 0 and any(complete[pair[i] * k:pair[i] * k + k])]
         size = len(won)
-        rank, won, complete = _attractor(recurrent, predecessors, sizes[:], k)
+        rank, won, complete = _attractor(recurrent, predecessors, sizes[:], k, members)
         # the regions shrink, so an equal size means a fixpoint
         if len(won) == size:
             break
     strategy = [-1] * n
+    # per pair: its strategy's control, -1 until a won state reads it
+    picks = [-1] * len(members)
     for i in won:
-        best = pick = 0
-        for c in range(k):
-            layer = complete[i * k + c]
-            if layer and (not best or layer < best):
-                best, pick = layer, c
-        strategy[i] = pick
+        p = pair[i]
+        if picks[p] < 0:
+            best = picks[p] = 0
+            for c in range(k):
+                layer = complete[p * k + c]
+                if layer and (not best or layer < best):
+                    best, picks[p] = layer, c
+        strategy[i] = picks[p]
     return strategy, rank
 
 

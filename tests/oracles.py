@@ -4,10 +4,12 @@ Everything here decides properties by a different route than the library:
 truncated unrolling for formula satisfaction, networkx cycle enumeration
 for emptiness, exhaustive positional-strategy search for games, the
 layer-by-layer rescanning Buchi game solver over a tagged-node arena,
-synthesis by one such game per candidate initial state, exhaustive plan-path
-matching for observed histories, automaton completion over every
-declared proposition, and recurrence-free outcome prefixes found by
-rescanning every extension.  These stay independent of the code paths they check.
+synthesis by one such game per candidate initial state, the per-state
+counter game the library played before states shared move rows,
+exhaustive plan-path matching for observed histories, automaton
+completion over every declared proposition, and recurrence-free outcome
+prefixes found by rescanning every extension.  These stay independent of
+the code paths they check.
 
 The lasso, reachable-cycle and simplification references at the end are
 the earlier quadratic implementations, kept to pin the exact outputs of
@@ -279,6 +281,54 @@ def layered_buchi_solution(arena):
         if candidates:
             strategy[node[1]] = candidates[0][2]
     return frozenset(region), strategy, rank
+
+
+def per_state_buchi_game(product):
+    """``(strategy, rank)`` of ``planner.solve_buchi_game`` by the counter
+    attractor the library ran before states shared move rows: one
+    predecessor entry, unranked counter and completion layer per (state,
+    control) choice, and a state enters at its own first complete choice.
+    The nested fixpoint and the tie-breaks (layer, then declared control
+    order) are the library's."""
+    n, k = len(product.states), len(product.system.controls)
+    predecessors = [[] for _ in range(n)]
+    sizes = []
+    for row in product.moves:
+        for targets in row:
+            for j in targets:
+                predecessors[j].append(len(sizes))
+            sizes.append(len(targets))
+
+    def attractor(target):
+        rank = [-1] * n
+        for j in target:
+            rank[j] = 0
+        unranked, complete = sizes[:], [0] * len(sizes)
+        queue = list(target)
+        for j in queue:
+            for choice in predecessors[j]:
+                unranked[choice] -= 1
+                if unranked[choice] == 0:
+                    complete[choice] = rank[j] + 1
+                    i = choice // k
+                    if rank[i] < 0:
+                        rank[i] = rank[j] + 1
+                        queue.append(i)
+        return rank, queue, complete
+
+    rank, won, complete = [0] * n, range(n), [1] * len(sizes)
+    while True:
+        recurrent = [i for i, flag in enumerate(product.accepting)
+                     if flag and rank[i] >= 0 and any(complete[i * k:i * k + k])]
+        size = len(won)
+        rank, won, complete = attractor(recurrent)
+        if len(won) == size:
+            break
+    strategy = [-1] * n
+    for i in won:
+        layers = [(complete[i * k + c], c) for c in range(k) if complete[i * k + c]]
+        strategy[i] = min(layers)[1] if layers else 0
+    return strategy, rank
 
 
 def per_candidate_synthesis(system, spec, valuation, initial_hint=None):

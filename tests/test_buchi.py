@@ -19,7 +19,7 @@ from astra.buchi import (
     product,
     totalize,
 )
-from astra.core import Lasso, Valuation
+from astra.core import AlternatingTransitionSystem, Lasso, Valuation
 from astra.dot import product_dot
 from astra.errors import AutomatonError, ExplosionGuard
 from astra.ltl import Atom, Until
@@ -116,6 +116,13 @@ class TestGuards:
     def test_temporal_guard_rejected(self):
         with pytest.raises(AutomatonError):
             guard_from_text("p1 U p2")
+
+    def test_deep_temporal_guard_rejected(self):
+        # a 3000-term until chain is found by the iterative walk; hashing
+        # the nested nodes would recurse past the interpreter's limit
+        text = " U ".join(["p1"] * 2999 + ["p2"])
+        with pytest.raises(AutomatonError, match="uses a temporal operator"):
+            guard_from_text(text)
 
     def test_rendering_simplifies(self):
         minterms = [frozenset({"p1"}), frozenset({"p1", "p2"})]
@@ -593,6 +600,62 @@ class TestProduct:
             self.assert_matches_reference(system, roots, total, valuation)
             repeated = [r for pair in zip(roots[::-1], roots) for r in pair] + roots
             self.assert_matches_reference(system, repeated, total, valuation)
+
+    def test_states_of_one_pair_share_one_row(self):
+        # moves[i] is moves[j] exactly when states i and j have the same
+        # world state and the same automaton state in their targets, pair
+        # numbers those pairs in first-reach order, and the rows still
+        # equal the per-disturbance reference
+        rng = random.Random(45)
+        checked = shared = 0
+        while checked < 300:
+            system, valuation = random_system(rng, max_states=6, max_controls=3,
+                                              max_disturbances=3)
+            f = random_formula(rng, valuation.props, rng.randint(1, 5))
+            total = totalize(ltl_to_buchi(f, props=valuation.props))
+            if total is None:
+                continue
+            checked += 1
+            roots = rng.choices(system.states, k=rng.randint(1, 2 * len(system.states)))
+            self.assert_matches_reference(system, roots, total, valuation)
+            prod = product(system, roots, total, valuation)
+            keys = [(q, total.successors(x, valuation.label(q))[0]) for q, x in prod.states]
+            first = {}
+            for i, key in enumerate(keys):
+                first.setdefault(key, i)
+            number = {key: p for p, key in enumerate(first)}
+            assert prod.pair == [number[key] for key in keys]
+            assert all(prod.moves[i] is prod.moves[first[key]] for i, key in enumerate(keys))
+            assert len({id(row) for row in prod.moves}) == len(first)
+            shared += len(first) < len(keys)
+        assert shared >= 150
+
+    def test_lost_system_keeps_fewer_rows_than_states(self):
+        # a lost-style system: from every free state each control moves on
+        # under one disturbance and into a goal-free trap labelled p under
+        # the other.  Under "G (p -> F goal)" a world's label leads its
+        # three automaton states to one or two next ones, so the 36
+        # product states, three per world, share 15 rows
+        n, traps = 12, 3
+        free = [f"q{i}" for i in range(n - traps)]
+        trap = [f"q{i}" for i in range(n - traps, n)]
+        labels = {q: [["goal"], ["p"], []][i % 3] for i, q in enumerate(free)}
+        labels.update({q: ["p"] for q in trap})
+        transitions = []
+        for j, a in enumerate(["a0", "a1", "a2"]):
+            for i, q in enumerate(free):
+                transitions += [(q, a, "b0", free[(i + 1 + j) % len(free)]),
+                                (q, a, "b1", trap[(i + j) % traps])]
+            transitions += [(q, a, b, trap[(i + 1 + j) % traps])
+                            for i, q in enumerate(trap) for b in ("b0", "b1")]
+        system = AlternatingTransitionSystem(free + trap, ["a0", "a1", "a2"],
+                                             ["b0", "b1"], transitions)
+        valuation = Valuation(["goal", "p"], labels)
+        spec = spec_automaton(ltl.parse_formula("G (p -> F goal)", valuation.props),
+                              valuation)
+        prod = product(system, system.states, spec, valuation)
+        assert len(prod.states) == 36 and len(set(prod.pair)) == 15
+        assert len({id(row) for row in prod.moves}) == 15
 
     def test_reads_the_compiled_rows(self):
         # the system's successor rows are compiled once, at construction;

@@ -1,14 +1,19 @@
+import copy
 import pathlib
 import random
 
 import pytest
 
 from astra import buchi, ltl, planner
-from astra.core import Valuation, validate_ats
+from astra.cli import main
+from astra.completeness import build_accepting_system
+from astra.core import Valuation, load_system, validate_ats
+from astra.dot import product_dot
 from astra.errors import AstraError, AutomatonError, FormulaTooDeep
 from astra.ltl import Atom, Until
 from astra.plan import (
     Controller,
+    dump_plan,
     plan_satisfies,
     plan_trajectories,
     simplify_plan,
@@ -22,11 +27,13 @@ from astra.planner import (
     synthesize,
 )
 
+from conftest import system_file_dict, write_json
 from generators import random_formula, random_system
 from oracles import (
     TaggedArena,
     layered_buchi_solution,
     per_candidate_synthesis,
+    per_state_buchi_game,
     positional_winner_exists,
 )
 
@@ -125,6 +132,91 @@ class TestGameSolver:
         # the corpus is not degenerate: some games are won only in part,
         # and some attractors are several layers deep
         assert partial >= 10 and deep >= 20
+
+
+    def test_pair_game_matches_per_state_game(self):
+        # the game keeps one counter per (pair, control); on products rooted
+        # at several states, some listed twice, its strategy and ranks equal
+        # those of the game that keeps one per (state, control)
+        rng = random.Random(37)
+        products = shared = split = partial = deep = 0
+        while products < 1000:
+            system, valuation = random_system(rng, max_states=8, max_controls=3,
+                                              max_disturbances=3, max_props=2,
+                                              double_successor_p=0.3)
+            formula = random_formula(rng, valuation.props, rng.randint(2, 6))
+            spec = planner.spec_automaton(formula, valuation)
+            if spec is None:
+                continue
+            roots = rng.sample(system.states, rng.randint(1, len(system.states)))
+            roots += rng.choices(roots, k=rng.randint(0, len(roots)))
+            prod = buchi.product(system, roots, spec, valuation)
+            strategy, rank = solve_buchi_game(prod)
+            assert (strategy, rank) == per_state_buchi_game(prod)
+            products += 1
+            shared += len(set(prod.pair)) < len(prod.states)
+            ranks = {}
+            for p, r in zip(prod.pair, rank):
+                ranks.setdefault(p, set()).add(r)
+            split += any(len(rs) > 1 for rs in ranks.values())
+            partial += 0 < sum(c >= 0 for c in strategy) < len(strategy)
+            deep += max(rank) >= 2
+        # the shared rows are exercised: most products have fewer pairs than
+        # states, and in some the states of one pair rank apart (a target
+        # state of the attractor shares its pair with a state that is not)
+        assert shared >= 800 and split >= 20 and partial >= 200 and deep >= 50
+
+
+def shares_by_pair(prod):
+    """Whether the states of each pair, and only they, share one row."""
+    first = {}
+    for i, p in enumerate(prod.pair):
+        first.setdefault(p, i)
+    return (all(row is prod.moves[first[p]] for p, row in zip(prod.pair, prod.moves))
+            and len({id(row) for row in prod.moves}) == len(first))
+
+
+class TestSharedRows:
+    def test_readers_leave_rows_intact(self, tmp_path, monkeypatch):
+        # extraction, the accepting-system enumeration, the DOT export and
+        # the CLI adversary read the shared rows and change none of them
+        built = []
+
+        def recording(*args, product=buchi.product):
+            prod = product(*args)
+            built.append((prod, copy.deepcopy(prod.moves)))
+            return prod
+
+        monkeypatch.setattr(buchi, "product", recording)
+        rng = random.Random(73)
+        sys_path, plan_path = tmp_path / "system.json", tmp_path / "plan.json"
+        checked = 0
+        while checked < 40:
+            write_json(sys_path, system_file_dict(*random_system(
+                rng, max_states=6, max_controls=3, max_disturbances=3,
+                max_props=2, double_successor_p=0.3)))
+            system, valuation = load_system(sys_path)
+            formula = random_formula(rng, valuation.props, rng.randint(1, 5))
+            result = synthesize(system, formula, valuation)
+            if not result.found:
+                continue
+            built.clear()
+            spec = planner.spec_automaton(formula, valuation)
+            prod = buchi.product(system, [result.initial], spec, valuation)
+            if len(set(prod.pair)) == len(prod.states):
+                continue
+            checked += 1
+            strategy, _ = solve_buchi_game(prod)
+            extract_plan(prod, strategy, 0)
+            build_accepting_system(prod, Controller(result.plan))
+            product_dot(prod)
+            dump_plan(result.plan, plan_path, initial=result.initial)
+            code = main(["simulate", "--system", str(sys_path),
+                         "--spec", ltl.formula_to_str(formula), "--plan", str(plan_path),
+                         "--policy", "adversarial", "--steps", "8"])
+            assert code == 0 and len(built) == 2
+            for prod, snapshot in built:
+                assert prod.moves == snapshot and shares_by_pair(prod)
 
 
 class TestFindReactivePlan:
