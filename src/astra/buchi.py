@@ -8,9 +8,8 @@ primitives.
 Edges carry symbolic guards: boolean constraints over atomic propositions
 standing for every letter (proposition subset) that satisfies them.  The
 alphabet is the subsets of the atoms the guards read, not of every declared
-proposition.  All letter-level decisions (totality, determinism, completion)
-enumerate the assignments over those atoms; at the proposition counts this
-library targets, direct enumeration is the reference semantics.
+proposition.  Each automaton compiles its guards once into a successor
+table over those letters, and stepping, totality and completion read it.
 
 The translation's tableau runs on integers: a set of literals is a pair of
 atom masks, and obligation sets, fulfilled sets and acceptance marks are
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from . import ltl
 from .core import Lasso
@@ -166,8 +166,11 @@ def guard_from_text(text: str) -> Guard:
     if any(isinstance(node, ltl.Until) for node in ltl._preorder(expr)):
         raise AutomatonError(f"guard {text!r} uses a temporal operator")
     atoms = tuple(sorted(ltl.atoms(expr)))
-    minterms = frozenset(m for m in all_letters(atoms)
-                         if ltl.eval_lasso(Lasso((), (m,)), expr))
+    try:
+        minterms = frozenset(m for m in all_letters(atoms)
+                             if ltl.eval_lasso(Lasso((), (m,)), expr))
+    except FormulaTooDeep:
+        raise AutomatonError(f"guard {text!r} nests too deeply") from None
     return Guard(atoms, minterms, text.strip())
 
 
@@ -187,41 +190,59 @@ class BuchiAutomaton:
 
     ``props`` are the atoms the guards read: the given ``props`` that some
     guard reads, each once in the given order, then any other guard atom in
-    order of appearance.  A proposition no guard reads cannot change a run."""
+    order of appearance.  A proposition no guard reads cannot change a run.
+
+    The edges are compiled once: ``index[s]`` numbers state ``s``, and
+    ``table[i][m]`` lists the numbers of state ``i``'s successors on letter
+    mask ``m`` (bit ``j`` is ``props[j]``), each once, in edge order.  A
+    minterm fixes the bits of its guard's atoms, as ``Guard.matches``
+    projects a letter onto them, and each submask of the others is added."""
 
     def __init__(self, states, initial, props, edges, accepting):
         self.states = tuple(states)
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
+        self.index = index = {s: i for i, s in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise AutomatonError("duplicate state names")
         self.initial = tuple(initial)
         if len(set(self.initial)) != len(self.initial):
             raise AutomatonError("duplicate initial state names")
         self.accepting = frozenset(accepting)
-        if set(self.initial) - state_set or self.accepting - state_set:
+        if not index.keys() >= {*self.initial, *self.accepting}:
             raise AutomatonError("initial/accepting states must be declared states")
         self.edges = tuple(edges)
         read = {}
         for edge in self.edges:
-            if edge.src not in state_set or edge.dst not in state_set:
+            if edge.src not in index or edge.dst not in index:
                 raise AutomatonError(f"edge {edge} references an undeclared state")
             read.update(dict.fromkeys(edge.guard.atoms))
         declared = [p for p in dict.fromkeys(props) if p in read]
         self.props = tuple(declared + [a for a in read if a not in declared])
-        out = {s: [] for s in self.states}
+        bit = {p: 1 << i for i, p in enumerate(self.props)}
+        full = (1 << len(self.props)) - 1
+        self.table = [[()] * (full + 1) for _ in self.states]
+        self._out = {s: [] for s in self.states}
         for edge in self.edges:
-            out[edge.src].append(edge)
-        self._out = {s: tuple(es) for s, es in out.items()}
+            self._out[edge.src].append(edge)
+            row, t, one = self.table[index[edge.src]], index[edge.dst], (index[edge.dst],)
+            free = full - sum(map(bit.__getitem__, edge.guard.atoms))
+            subs = [sub for sub in range(free + 1) if not sub & ~free]
+            for minterm in edge.guard.minterms:
+                base = sum(map(bit.__getitem__, minterm))
+                for sub in subs:
+                    if t not in row[base | sub]:
+                        row[base | sub] += one
 
     def edges_from(self, state) -> tuple:
-        return self._out[state]
+        return tuple(self._out[state])
+
+    def letter_mask(self, letter) -> int:
+        """The mask of ``letter``, any container of propositions."""
+        return sum(1 << i for i, p in enumerate(self.props) if p in letter)
 
     def successors(self, state, letter) -> tuple:
-        seen = []
-        for edge in self._out[state]:
-            if edge.guard.matches(letter) and edge.dst not in seen:
-                seen.append(edge.dst)
-        return tuple(seen)
+        """The successors of ``state`` on ``letter``, each once, in edge order."""
+        row = self.table[self.index[state]]
+        return tuple(self.states[j] for j in row[self.letter_mask(letter)])
 
 
 def load_automaton(path) -> BuchiAutomaton:
@@ -573,16 +594,9 @@ def _tableau(formula, props):
 
 def is_total(automaton: BuchiAutomaton) -> bool:
     """Exactly one initial state and, for every state and letter, exactly one
-    successor.  Decided by enumerating the letters over the atoms the
-    automaton's guards read."""
-    if len(automaton.initial) != 1:
-        return False
-    letters = all_letters(automaton.props)
-    for state in automaton.states:
-        for letter in letters:
-            if len(automaton.successors(state, letter)) != 1:
-                return False
-    return True
+    successor: every cell of the automaton's ``table`` holds one target."""
+    return len(automaton.initial) == 1 and all(
+        len(cell) == 1 for row in automaton.table for cell in row)
 
 
 def _fresh_name(base, taken):
@@ -601,30 +615,25 @@ def totalize(automaton: BuchiAutomaton):
     guard merging between identical-target edges, is deterministic; missing
     letters are then routed to a fresh non-accepting sink.  ``None`` means
     the automaton is properly nondeterministic and out of scope for this
-    completion (a value, not a failure).
+    completion (a value, not a failure).  Each reachable state's ``table``
+    row is grouped by target; a cell with two targets gives ``None``.
     """
     if len(automaton.initial) > 1:
         return None
-    universe = automaton.props
+    universe, names = automaton.props, automaton.states
     reachable, dst_order = _discovery(
-        automaton.initial, lambda s: (e.dst for e in automaton.edges_from(s))
-    )
-    letters = all_letters(universe)
-    edges = []
-    missing = {}
+        automaton.initial, lambda s: (e.dst for e in automaton.edges_from(s)))
+    letters, edges, missing = all_letters(universe), [], {}
     for state in reachable:
-        merged = {}
-        for edge in automaton.edges_from(state):
-            merged.setdefault(edge.dst, set()).update(
-                m for m in letters if edge.guard.matches(m)
-            )
-        covered = set()
-        for dst in sorted(merged, key=dst_order.__getitem__):
-            if covered & merged[dst]:
+        # every target keeps an edge, even one whose guard no letter meets
+        merged = {edge.dst: [] for edge in automaton.edges_from(state)}
+        gaps = missing[state] = []
+        for letter, cell in zip(letters, automaton.table[automaton.index[state]]):
+            if len(cell) > 1:
                 return None
-            covered |= merged[dst]
+            (merged[names[cell[0]]] if cell else gaps).append(letter)
+        for dst in sorted(merged, key=dst_order.__getitem__):
             edges.append(Edge(state, guard_from_minterms(universe, merged[dst]), dst))
-        missing[state] = set(letters) - covered
 
     needs_sink = any(missing.values()) or not automaton.initial
     states = list(reachable)
@@ -784,18 +793,16 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     """Product of the system rooted at each of ``roots`` (in order, repeats
     dropped) with a total automaton.
 
-    The search runs on integers.  World states are numbered by
-    ``system.index`` and automaton states in declaration order, and node
-    ``(q, x)`` is ``q * m + x`` for ``m`` automaton states; ``place[node]``
-    is its number in the product, -1 until the search reaches it.  A world
-    state's label id is read when the search first reaches it, and the
-    automaton steps once per (automaton state, label id), to ``x2``.  The
-    move row of pair ``(q, x2)`` is built from the system's ``rows``,
-    compiled once, when the system was built, the first time the pair is
-    reached; ``pair_place[q * m + x2]`` holds its pair number, -1 until
-    then, and every later state of the pair reuses the row.  Its targets
-    were all placed when it was built, so sharing does not change the
-    numbering.  The state names are built once, at the end.
+    The search runs on integers.  Node ``(q, x)`` is ``q * m + x``, for
+    ``q`` numbered by ``system.index``, ``x`` by ``automaton.index`` and
+    ``m`` automaton states; ``place[node]`` is its number in the product,
+    -1 until the search reaches it.  A world state's label mask is read
+    when the search first reaches it, and the automaton steps on its
+    ``table``, to ``x2``.  The move row of pair ``(q, x2)`` is built from
+    the system's ``rows`` the first time the pair is reached;
+    ``pair_place[q * m + x2]`` holds its pair number, -1 until then, and
+    every later state of the pair reuses the row.  Its targets were all
+    placed when it was built, so sharing does not change the numbering.
     """
     if not roots:
         raise AutomatonError("a product needs at least one root")
@@ -805,17 +812,14 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
             raise AutomatonError(f"unknown initial state {q0!r}")
     if not is_total(automaton):
         raise AutomatonError("specification automaton must be total")
-    worlds, rows, names, m = system.states, system.rows, automaton.states, len(automaton.states)
-    x_number = {x: i for i, x in enumerate(names)}
-    labels = {}
-    # per world state: its label id * m
-    label_base = [-1] * len(worlds)
-    # label id * m + x -> the automaton successor of x, -1 until stepped
-    step = [-1] * (len(worlds) * m)
+    worlds, rows, table, m = system.states, system.rows, automaton.table, len(automaton.states)
+    label_mask = cache(automaton.letter_mask)
+    # per world state: its label's mask, -1 until the search reaches it
+    mask = [-1] * len(worlds)
     place = [-1] * (len(worlds) * m)
     pair_place = [-1] * (len(worlds) * m)
     order = []
-    x0 = x_number[automaton.initial[0]]
+    x0 = automaton.index[automaton.initial[0]]
     for q0 in roots:
         node = index[q0] * m + x0
         if place[node] < 0:
@@ -824,13 +828,10 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     pair, pair_rows = [], []
     for node in order:
         q, x = divmod(node, m)
-        base = label_base[q]
-        if base < 0:
-            base = label_base[q] = labels.setdefault(valuation.label(worlds[q]), len(labels)) * m
-        x2 = step[base + x]
-        if x2 < 0:
-            letter = valuation.label(worlds[q])
-            x2 = step[base + x] = x_number[automaton.successors(names[x], letter)[0]]
+        letter = mask[q]
+        if letter < 0:
+            letter = mask[q] = label_mask(valuation.label(worlds[q]))
+        x2 = table[x][letter][0]
         key = node - x + x2
         p = pair_place[key]
         if p < 0:
@@ -848,7 +849,7 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
                 row.append(targets)
             pair_rows.append(row)
         pair.append(p)
-    states = tuple((worlds[node // m], names[node % m]) for node in order)
-    flags = [x in automaton.accepting for x in names]
+    states = tuple((worlds[node // m], automaton.states[node % m]) for node in order)
+    flags = [x in automaton.accepting for x in automaton.states]
     return ProductAutomaton(system, states, [pair_rows[p] for p in pair],
                             [flags[node % m] for node in order], pair)

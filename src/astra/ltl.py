@@ -119,7 +119,10 @@ def atoms(formula: Formula) -> frozenset:
 
 def until_subformulas(formula: Formula) -> tuple:
     """All until nodes, in first-visit depth-first order (deduplicated)."""
-    return tuple(dict.fromkeys(node for node in _preorder(formula) if isinstance(node, Until)))
+    try:
+        return tuple(dict.fromkeys(n for n in _preorder(formula) if isinstance(n, Until)))
+    except RecursionError:  # the nodes hash recursively
+        raise FormulaTooDeep("the formula nests too deeply") from None
 
 
 def formula_to_str(formula: Formula) -> str:

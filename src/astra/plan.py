@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from . import buchi, ltl
 from .core import Lasso
@@ -223,29 +224,23 @@ def _violation(plan, automaton, valuation, accepting, inside=None):
     ``p * m + i`` for ``m`` automaton states.  Nodes are numbered again in
     breadth-first discovery order, and each row lists a node's successors
     in that numbering: plan successors in increasing order, each with the
-    automaton's targets in order.  A plan state's letter is read when the
-    search first reaches it, and the automaton steps once per (state,
-    letter).
+    automaton's targets in order.  A plan state's label mask is read when
+    the search first reaches it, and the automaton steps on its ``table``.
     """
-    states = automaton.states
-    m = len(states)
-    number = {x: i for i, x in enumerate(states)}
-    letters = [None] * (len(plan) + 1)
-    delta = {}
-    root = m + number[automaton.initial[0]]
+    states, table, m = automaton.states, automaton.table, len(automaton.states)
+    label_mask = cache(automaton.letter_mask)
+    masks = [-1] * (len(plan) + 1)
+    root = m + automaton.index[automaton.initial[0]]
     place = [-1] * ((len(plan) + 1) * m)
     place[root] = 0
     order = [root]
     rows = []
     for node in order:
         plan_state, x = divmod(node, m)
-        letter = letters[plan_state]
-        if letter is None:
-            letter = letters[plan_state] = valuation.label(plan.world_of(plan_state))
-        targets = delta.get((x, letter))
-        if targets is None:
-            targets = delta[x, letter] = [
-                number[t] for t in automaton.successors(states[x], letter)]
+        mask = masks[plan_state]
+        if mask < 0:
+            mask = masks[plan_state] = label_mask(valuation.label(plan.world_of(plan_state)))
+        targets = table[x][mask]
         row = []
         for j in plan.successor_ids(plan_state):
             base = j * m

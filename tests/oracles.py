@@ -7,9 +7,11 @@ layer-by-layer rescanning Buchi game solver over a tagged-node arena,
 synthesis by one such game per candidate initial state, the per-state
 counter game the library played before states shared move rows,
 exhaustive plan-path matching for observed histories, automaton
-completion over every declared proposition, and recurrence-free outcome
-prefixes found by rescanning every extension.  These stay independent of
-the code paths they check.
+completion over every declared proposition, automaton steps by a scan of
+the state's edges with ``Guard.matches`` (the library steps on its
+compiled successor table), and recurrence-free outcome prefixes found by
+rescanning every extension.  These stay independent of the code paths
+they check.
 
 The lasso, reachable-cycle and simplification references at the end are
 the earlier quadratic implementations, kept to pin the exact outputs of
@@ -491,6 +493,16 @@ def replayable_on_plan(plan, lasso):
         return False
 
 
+def edge_successors(automaton, state, letter):
+    """The targets of ``state``'s edges whose guards match ``letter``, each
+    once, in edge order: an automaton step by the guards' own semantics."""
+    seen = []
+    for edge in automaton.edges_from(state):
+        if edge.guard.matches(letter) and edge.dst not in seen:
+            seen.append(edge.dst)
+    return tuple(seen)
+
+
 def reference_totalize(automaton, declared):
     """Completion over every declared proposition, read or not: each guard's
     minterms are lifted to all letters over ``declared`` (then any other
@@ -725,7 +737,7 @@ def tuple_violation(plan, automaton, valuation, accepting, inside=None):
     def successors(node):
         plan_state, x = node
         letter = valuation.label(plan.world_of(plan_state))
-        targets = automaton.successors(x, letter)
+        targets = edge_successors(automaton, x, letter)
         return tuple((j, t) for j in plan.successor_ids(plan_state) for t in targets)
 
     witness = dict_accepting_lasso(
@@ -761,7 +773,7 @@ def per_disturbance_product(system, roots, automaton, valuation):
     seen = set(order)
     targets = {}
     for q, x in order:
-        x2 = automaton.successors(x, valuation.label(q))[0]
+        x2 = edge_successors(automaton, x, valuation.label(q))[0]
         for a in system.controls:
             for b in system.disturbances:
                 ts = tuple((q2, x2) for q2 in system.successors_under(q, a, b))

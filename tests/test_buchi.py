@@ -31,6 +31,7 @@ from oracles import (
     component_accepting_lasso,
     has_rejecting_cycle,
     TupleProduct,
+    edge_successors,
     per_disturbance_product,
     reference_totalize,
 )
@@ -106,12 +107,60 @@ def wait_automaton():
     )
 
 
+def random_guard_text(rng, atoms):
+    """A boolean guard written over a random subset of ``atoms``."""
+    read = rng.sample(atoms, rng.randint(0, len(atoms)))
+    if not read:
+        return rng.choice(("true", "false"))
+    terms = [" & ".join(a if rng.random() < 0.5 else "!" + a
+                        for a in rng.sample(read, rng.randint(1, len(read))))
+             for _ in range(rng.randint(1, 3))]
+    return " | ".join(f"({t})" for t in terms)
+
+
+def random_guarded_automaton(rng, atoms):
+    """1-4 states with up to eight edges, guards from ``random_guard_text``
+    and ``props`` a shuffled copy of ``atoms``."""
+    states = [f"s{i}" for i in range(rng.randint(1, 4))]
+    edges = [Edge(rng.choice(states), guard_from_text(random_guard_text(rng, atoms)),
+                  rng.choice(states))
+             for _ in range(rng.randint(0, 8))]
+    props = list(atoms)
+    rng.shuffle(props)
+    return BuchiAutomaton(states, states[:1], props, edges,
+                          [s for s in states if rng.random() < 0.5])
+
+
+def assert_table_is_edge_scan(automaton):
+    """Every cell of ``table`` lists the targets the edge scan finds on the
+    letter of its mask, in the same order."""
+    letters = buchi.all_letters(automaton.props)
+    assert automaton.index == {s: i for i, s in enumerate(automaton.states)}
+    assert len(automaton.table) == len(automaton.states)
+    for i, state in enumerate(automaton.states):
+        row = automaton.table[i]
+        assert len(row) == len(letters)
+        for letter, cell in zip(letters, row):
+            assert tuple(automaton.states[j] for j in cell) == \
+                edge_successors(automaton, state, letter)
+
+
 class TestGuards:
     def test_parse_and_match(self):
         g = guard_from_text("p1 & !p2")
         assert g.matches(frozenset({"p1"}))
         assert not g.matches(frozenset({"p1", "p2"}))
         assert not g.matches(frozenset())
+
+    def test_deep_guard_names_the_guard(self):
+        # a 1500-term conjunction nests past the evaluator's recursion
+        # limit; the error names the guard, not a formula
+        text = " & ".join(["p1"] * 1499 + ["p2"])
+        with pytest.raises(AutomatonError) as info:
+            guard_from_text(text)
+        assert str(info.value) == f"guard {text!r} nests too deeply"
+        assert guard_from_text(" & ".join(["p1"] * 99 + ["p2"])).minterms == \
+            frozenset({frozenset({"p1", "p2"})})
 
     def test_temporal_guard_rejected(self):
         with pytest.raises(AutomatonError):
@@ -289,6 +338,52 @@ class TestAlphabet:
                 assert nba_accepts(total, w) == nba_accepts(automaton, w) \
                     == ltl.eval_lasso(w, f, 1)
         assert compared >= 45
+
+
+class TestSuccessorTable:
+    """``table`` against the edge scan of ``oracles.edge_successors`` on every
+    state and letter: translations, hand-guarded automata, their totalized
+    forms and the automaton files."""
+
+    def test_table_matches_edge_scan(self):
+        rng = random.Random(95)
+        atoms = ("p1", "p2", "p3", "p4")
+        corpus = []
+        for _ in range(80):
+            f = random_formula(rng, PROPS, rng.randint(1, 7))
+            declared = list(PROPS) + [f"z{i}" for i in range(rng.randint(0, 2))]
+            rng.shuffle(declared)
+            corpus.append(ltl_to_buchi(f, props=declared))
+        corpus += [random_guarded_automaton(rng, atoms) for _ in range(120)]
+        corpus += [t for t in map(totalize, corpus) if t is not None]
+        corpus += [load_automaton(path) for path in sorted(DATA.glob("aut_*.json"))]
+        assert len(corpus) > 300
+        for automaton in corpus:
+            assert_table_is_edge_scan(automaton)
+
+    def test_guards_reading_fewer_atoms_fill_every_letter(self):
+        automaton = BuchiAutomaton(
+            ["s", "t"], ["s"], ("p3", "p1", "p2"),
+            [Edge("s", guard_from_text("p1"), "t"), Edge("s", guard_from_text("p1 | p2"), "s"),
+             Edge("s", guard_from_text("p2"), "t"), Edge("t", guard_true(), "t")],
+            (),
+        )
+        assert automaton.props == ("p1", "p2")
+        # bit 0 is p1 and bit 1 is p2; each target once, in edge order
+        assert automaton.table == [[(), (1, 0), (0, 1), (1, 0)], [(1,)] * 4]
+        assert_table_is_edge_scan(automaton)
+
+    def test_successors_take_any_container_of_propositions(self):
+        automaton = load_automaton(DATA / "aut_response.json")
+        for letter in buchi.all_letters(("p1", "p2", "zz")):
+            expected = edge_successors(automaton, "idle", letter)
+            for container in (set(letter), list(letter), letter, tuple(letter)):
+                assert automaton.successors("idle", container) == expected
+        rng = random.Random(96)
+        for _ in range(40):
+            w = random_letter_lasso(rng, ("p1", "p2", "zz"))
+            as_sets = Lasso(tuple(map(set, w.prefix)), tuple(map(set, w.cycle)))
+            assert nba_accepts(automaton, as_sets) == nba_accepts(automaton, w)
 
 
 class TestTotality:

@@ -170,6 +170,21 @@ class TestSynth:
         assert (code, stdout, stderr) == \
             (3, "", f"error: guard {guard!r} uses a temporal operator\n")
 
+    def test_deep_guard_is_input_error(self, tmp_path, agent_system_file, capsys):
+        # an automaton file whose guard chains 1500 conjuncts names the
+        # guard, not a formula the command line never gave
+        guard = " & ".join(["p1"] * 1499 + ["p2"])
+        automaton = write_json(tmp_path / "aut.json", {
+            "states": ["s"], "initial": ["s"], "accepting": ["s"],
+            "edges": [{"from": "s", "guard": guard, "to": "s"}],
+        })
+        code, stdout, stderr = run(
+            "synth", "--system", agent_system_file, "--automaton", automaton,
+            "--out", str(tmp_path / "p.json"), capsys=capsys,
+        )
+        assert (code, stdout, stderr) == \
+            (3, "", f"error: guard {guard!r} nests too deeply\n")
+
     def test_declared_proposition_no_state_carries(self, tmp_path, agent_system,
                                                    capsys):
         # "crash" labels no state, so only the "propositions" list declares

@@ -220,6 +220,14 @@ class TestEvalLasso:
                 )
                 assert ltl.eval_lasso(w, u, i) == expanded
 
+    def test_deep_until_subformulas_is_a_typed_error(self):
+        # parsing takes any depth, but the until nodes hash recursively
+        chain = ltl.parse_formula(" U ".join(["p1"] * 2000), PROPS)
+        with pytest.raises(FormulaTooDeep, match="^the formula nests too deeply$"):
+            ltl.until_subformulas(chain)
+        shallow = ltl.parse_formula(" U ".join(["p1"] * 50), PROPS)
+        assert len(ltl.until_subformulas(shallow)) == 49
+
     def test_deep_formula_is_a_typed_error(self):
         # the evaluator recurses as the reference semantics, and says so
         # with a typed error once the formula nests past the limit

@@ -269,8 +269,8 @@ class TestViolationTotal:
 class TestIndexedProduct:
     """The plan x automaton product is explored from plan state 1: a plan
     state's letter is read only once the search reaches it, and the
-    automaton steps once per (automaton state, letter).  Its lassos are
-    those of the tuple-keyed reference, exactly."""
+    automaton steps on its successor table.  Its lassos are those of the
+    tuple-keyed reference, exactly."""
 
     PROPS = ("p1", "p2")
 
@@ -288,16 +288,16 @@ class TestIndexedProduct:
         total = spec_automaton(formula, valuation)
         assert check_plan(plan, valuation, automaton=total) is None
 
-    def test_one_automaton_step_per_state_and_letter(self, monkeypatch):
+    def test_checks_step_on_the_table_alone(self, monkeypatch):
+        # both checks, totality included, read the automaton's successor
+        # table: no successors call and no guard match
         rng = random.Random(41)
-        calls = {}
-        successors = buchi.BuchiAutomaton.successors
-
-        def counted(automaton, state, letter):
-            key = (id(automaton), state, letter)
-            calls[key] = calls.get(key, 0) + 1
-            return successors(automaton, state, letter)
-
+        calls = {"successors": 0, "matches": 0}
+        for cls, name in ((buchi.BuchiAutomaton, "successors"), (buchi.Guard, "matches")):
+            def counted(*args, _name=name, _original=getattr(cls, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cls, name, counted)
         checked = 0
         while checked < 40:
             plan = random_plan(rng, max_rules=12, max_worlds=3)
@@ -310,15 +310,9 @@ class TestIndexedProduct:
             if total is None:
                 continue
             checked += 1
-            # the total route's own totality check steps on every letter
-            monkeypatch.setattr(buchi, "is_total", lambda automaton: True)
-            monkeypatch.setattr(buchi.BuchiAutomaton, "successors", counted)
-            for check in (lambda: plan_violation(plan, formula, valuation),
-                          lambda: plan_violation_total(plan, total, valuation)):
-                calls.clear()
-                check()
-                assert calls and max(calls.values()) == 1
-            monkeypatch.undo()
+            plan_violation(plan, formula, valuation)
+            plan_violation_total(plan, total, valuation)
+        assert calls == {"successors": 0, "matches": 0}
 
     def test_matches_tuple_keyed_reference(self):
         rng = random.Random(43)

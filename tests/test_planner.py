@@ -24,6 +24,7 @@ from astra.planner import (
     UNKNOWN,
     extract_plan,
     solve_buchi_game,
+    spec_automaton,
     synthesize,
 )
 
@@ -382,6 +383,37 @@ class TestSynthesize:
         for _ in range(2):
             assert synthesize(system, formula, valuation).status == NOT_FOUND
         assert calls == {"product": 2, "is_total": 2}
+
+    def test_width_ladder_matches_no_guard(self, monkeypatch):
+        # G (x0 | ... | x11) on a two-state system: totalize, the product,
+        # its totality check and both plan checks step on successor tables,
+        # on the formula and on the automaton route alike
+        props = [f"x{i}" for i in range(12)]
+        system = validate_ats({
+            "states": ["q0", "q1"],
+            "controls": ["stay", "go"],
+            "disturbances": ["b"],
+            "transitions": [
+                {"from": q, "control": c, "disturbance": "b",
+                 "to": q if c == "stay" else "q1"}
+                for q in ("q0", "q1") for c in ("stay", "go")
+            ],
+        })
+        valuation = Valuation(props, {"q0": {"x7"}, "q1": set()})
+        formula = ltl.parse_formula("G (" + " | ".join(props) + ")", valuation.props)
+        spec = spec_automaton(formula, valuation)
+        assert spec.props == tuple(props) and buchi.is_total(spec)
+        calls = {"successors": 0, "matches": 0}
+        for cls, name in ((buchi.BuchiAutomaton, "successors"), (buchi.Guard, "matches")):
+            def counted(*args, _name=name, _original=getattr(cls, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cls, name, counted)
+        for automaton in (None, spec):
+            result = synthesize(system, formula if automaton is None else None,
+                                valuation, automaton=automaton)
+            assert (result.status, result.initial) == (FOUND, "q0")
+        assert calls == {"successors": 0, "matches": 0}
 
     def test_one_check_and_two_translations_per_found_call(self, agent_system,
                                                            monkeypatch):
