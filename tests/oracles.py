@@ -503,6 +503,20 @@ def edge_successors(automaton, state, letter):
     return tuple(seen)
 
 
+def letter_masks(props, letters):
+    """The masks over ``props`` of ``letters`` (sets of propositions), as
+    the library encodes letters: bit ``i`` is ``props[i]``."""
+    return frozenset(sum(1 << i for i, p in enumerate(props) if p in letter)
+                     for letter in letters)
+
+
+def guard_from_minterms(atoms, minterms):
+    """A ``Guard`` over ``atoms`` holding each minterm of ``minterms``,
+    given as the set of atoms it makes true."""
+    atoms = tuple(atoms)
+    return buchi.Guard(atoms, letter_masks(atoms, minterms))
+
+
 def reference_totalize(automaton, declared):
     """Completion over every declared proposition, read or not: each guard's
     minterms are lifted to all letters over ``declared`` (then any other
@@ -524,7 +538,12 @@ def reference_totalize(automaton, declared):
 
     def lift(guard):
         free = [p for p in universe if p not in guard.atoms]
-        return {m | extra for m in guard.minterms for extra in subsets(free)}
+        letters = {frozenset(a for i, a in enumerate(guard.atoms) if m >> i & 1)
+                   for m in guard.minterms}
+        return {m | extra for m in letters for extra in subsets(free)}
+
+    def render(letters):
+        return buchi._render_dnf(universe, letter_masks(universe, letters))
 
     reachable = list(automaton.initial)
     for state in reachable:
@@ -547,7 +566,7 @@ def reference_totalize(automaton, declared):
             if covered & minterms:
                 return None
             covered |= minterms
-            edges.append((state, buchi._render_dnf(universe, minterms), dst))
+            edges.append((state, render(minterms), dst))
         missing[state] = full - covered
     states = list(reachable)
     initial = automaton.initial
@@ -558,7 +577,7 @@ def reference_totalize(automaton, declared):
             sink = f"sink_{i}"
             i += 1
         states.append(sink)
-        edges += [(s, buchi._render_dnf(universe, missing[s]), sink)
+        edges += [(s, render(missing[s]), sink)
                   for s in reachable if missing[s]]
         edges.append((sink, "true", sink))
         initial = initial or (sink,)

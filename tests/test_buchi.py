@@ -20,7 +20,7 @@ from astra.buchi import (
     totalize,
 )
 from astra.core import AlternatingTransitionSystem, Lasso, Valuation
-from astra.dot import product_dot
+from astra.dot import automaton_dot, product_dot
 from astra.errors import AutomatonError, ExplosionGuard
 from astra.ltl import Atom, Until
 from astra.planner import spec_automaton
@@ -32,6 +32,7 @@ from oracles import (
     has_rejecting_cycle,
     TupleProduct,
     edge_successors,
+    guard_from_minterms,
     per_disturbance_product,
     reference_totalize,
 )
@@ -159,8 +160,8 @@ class TestGuards:
         with pytest.raises(AutomatonError) as info:
             guard_from_text(text)
         assert str(info.value) == f"guard {text!r} nests too deeply"
-        assert guard_from_text(" & ".join(["p1"] * 99 + ["p2"])).minterms == \
-            frozenset({frozenset({"p1", "p2"})})
+        # the one minterm makes p1 (bit 0) and p2 (bit 1) true
+        assert guard_from_text(" & ".join(["p1"] * 99 + ["p2"])).minterms == frozenset({0b11})
 
     def test_temporal_guard_rejected(self):
         with pytest.raises(AutomatonError):
@@ -175,19 +176,41 @@ class TestGuards:
 
     def test_rendering_simplifies(self):
         minterms = [frozenset({"p1"}), frozenset({"p1", "p2"})]
-        g = buchi.guard_from_minterms(("p1", "p2"), minterms)
+        g = guard_from_minterms(("p1", "p2"), minterms)
+        assert g.minterms == frozenset({0b01, 0b11})
         assert g.text == "p1"
 
     def test_lazy_text_is_the_rendered_dnf(self):
         rng = random.Random(89)
         for i in range(300):
             atoms = tuple(rng.sample(("p1", "p2", "p3", "p4"), rng.randint(0, 4)))
-            minterms = [m for m in buchi.all_letters(atoms) if rng.random() < 0.5]
-            g = buchi.guard_from_minterms(atoms, minterms)
-            expected = buchi._render_dnf(atoms, frozenset(minterms))
+            minterms = frozenset(m for m in range(1 << len(atoms)) if rng.random() < 0.5)
+            g = buchi.Guard(atoms, minterms)
+            expected = buchi._render_dnf(atoms, minterms)
             # either read may come first; both give the rendered text
             first, second = (str(g), g.text) if i % 2 else (g.text, str(g))
             assert first == second == expected
+
+    def test_rendered_text_is_pinned(self):
+        # the exact text of 300 random guards over 1-6 atoms and 20 over 7,
+        # at minterm densities 0.2, 0.5 and 0.8.  Each minterm is taken
+        # from a written one-letter guard, so the corpus does not depend on
+        # how a guard stores its minterms.
+        one = {}
+        for k in range(1, 8):
+            atoms = [f"x{j}" for j in range(k)]
+            for m in range(1 << k):
+                text = " & ".join(a if m >> j & 1 else "!" + a for j, a in enumerate(atoms))
+                (one[k, m],) = guard_from_text(text).minterms
+        rng = random.Random(24)
+        widths = [rng.randint(1, 6) for _ in range(300)] + [7] * 20
+        texts = []
+        for i, k in enumerate(widths):
+            density = (0.2, 0.5, 0.8)[i % 3]
+            minterms = frozenset(one[k, m] for m in range(1 << k) if rng.random() < density)
+            texts.append(buchi.Guard(tuple(f"x{j}" for j in range(k)), minterms).text)
+        assert hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest() == \
+            "e9305a5393fa75af09ee2cb6ccc4e3e65b9d93b7064962f9ef3d91e051879a53"
 
     def test_text_guard_keeps_written_text(self):
         g = guard_from_text("  p2 &  !p1 ")
@@ -199,7 +222,7 @@ class TestGuards:
         # Quine-McCluskey pass would be
         for k in (buchi.RENDER_ATOMS, buchi.RENDER_ATOMS + 1, 10):
             atoms = tuple(f"x{i}" for i in range(k))
-            g = buchi.guard_from_minterms(atoms, [atoms])
+            g = guard_from_minterms(atoms, [atoms])
             if k <= buchi.RENDER_ATOMS:
                 assert g.text == " & ".join(atoms)
             else:
@@ -208,27 +231,27 @@ class TestGuards:
         # constant guards render at any width, and equal guards that were
         # not written compare equal without rendering
         atoms = tuple(f"x{i}" for i in range(10))
-        wide = buchi.guard_from_minterms(atoms, [atoms])
-        assert wide == buchi.guard_from_minterms(atoms, [atoms])
-        assert wide != buchi.guard_from_minterms(atoms, [atoms[1:]])
+        wide = guard_from_minterms(atoms, [atoms])
+        assert wide == guard_from_minterms(atoms, [atoms])
+        assert wide != guard_from_minterms(atoms, [atoms[1:]])
         # a written guard never equals one that cannot be written out
         written = guard_from_text(" & ".join(atoms))
         assert written.atoms == wide.atoms and written.minterms == wide.minterms
         assert written != wide and wide != written
         assert Edge("s", written, "t") != Edge("s", wide, "t")
-        assert buchi.guard_from_minterms(atoms, buchi.all_letters(atoms)).text == "true"
-        assert buchi.guard_from_minterms(atoms, []).text == "false"
+        assert guard_from_minterms(atoms, buchi.all_letters(atoms)).text == "true"
+        assert guard_from_minterms(atoms, []).text == "false"
 
     def test_equality_compares_atoms_minterms_and_text(self):
-        rendered = buchi.guard_from_minterms(("p1",), [{"p1"}])
-        same = buchi.guard_from_minterms(("p1",), [frozenset({"p1"})])
+        rendered = guard_from_minterms(("p1",), [{"p1"}])
+        same = guard_from_minterms(("p1",), [frozenset({"p1"})])
         assert rendered == same and hash(rendered) == hash(same)
         # a written guard equals a rendered one with the same text
         assert rendered == guard_from_text("p1")
         assert hash(rendered) == hash(guard_from_text("p1"))
         assert rendered != guard_from_text("p1 & p1")
-        assert rendered != buchi.guard_from_minterms(("p1",), [frozenset()])
-        assert rendered != buchi.guard_from_minterms(
+        assert rendered != guard_from_minterms(("p1",), [frozenset()])
+        assert rendered != guard_from_minterms(
             ("p1", "p2"), [{"p1"}, {"p1", "p2"}])
         assert rendered != "p1"
         edge = Edge("s", rendered, "t")
@@ -384,6 +407,27 @@ class TestSuccessorTable:
             w = random_letter_lasso(rng, ("p1", "p2", "zz"))
             as_sets = Lasso(tuple(map(set, w.prefix)), tuple(map(set, w.cycle)))
             assert nba_accepts(automaton, as_sets) == nba_accepts(automaton, w)
+
+    def test_undeclared_state_is_a_typed_error(self):
+        automaton = load_automaton(DATA / "aut_response.json")
+        with pytest.raises(AutomatonError, match="unknown automaton state 'zz'"):
+            automaton.successors("zz", frozenset())
+        with pytest.raises(AutomatonError, match="unknown automaton state 'zz'"):
+            automaton.edges_from("zz")
+
+    def test_loading_and_drawing_build_no_table(self, tmp_path):
+        # four 5-atom guards over 20 atoms: the table would hold 2^20 cells
+        atoms = [f"x{i}" for i in range(20)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "states": ["s"], "initial": ["s"], "accepting": ["s"],
+            "edges": [{"from": "s", "guard": " & ".join(atoms[k:k + 5]), "to": "s"}
+                      for k in range(0, 20, 5)],
+        }))
+        automaton = load_automaton(path)
+        assert automaton.props == tuple(atoms)
+        assert automaton_dot(automaton).count("x0 & x1 & x2 & x3 & x4") == 1
+        assert "table" not in vars(automaton)
 
 
 class TestTotality:

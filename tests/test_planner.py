@@ -387,7 +387,8 @@ class TestSynthesize:
     def test_width_ladder_matches_no_guard(self, monkeypatch):
         # G (x0 | ... | x11) on a two-state system: totalize, the product,
         # its totality check and both plan checks step on successor tables,
-        # on the formula and on the automaton route alike
+        # and the translation and totalize build no letter sets, on the
+        # formula and on the automaton route alike
         props = [f"x{i}" for i in range(12)]
         system = validate_ats({
             "states": ["q0", "q1"],
@@ -403,8 +404,9 @@ class TestSynthesize:
         formula = ltl.parse_formula("G (" + " | ".join(props) + ")", valuation.props)
         spec = spec_automaton(formula, valuation)
         assert spec.props == tuple(props) and buchi.is_total(spec)
-        calls = {"successors": 0, "matches": 0}
-        for cls, name in ((buchi.BuchiAutomaton, "successors"), (buchi.Guard, "matches")):
+        calls = {"successors": 0, "matches": 0, "all_letters": 0}
+        for cls, name in ((buchi.BuchiAutomaton, "successors"), (buchi.Guard, "matches"),
+                          (buchi, "all_letters")):
             def counted(*args, _name=name, _original=getattr(cls, name)):
                 calls[_name] += 1
                 return _original(*args)
@@ -413,7 +415,7 @@ class TestSynthesize:
             result = synthesize(system, formula if automaton is None else None,
                                 valuation, automaton=automaton)
             assert (result.status, result.initial) == (FOUND, "q0")
-        assert calls == {"successors": 0, "matches": 0}
+        assert calls == {"successors": 0, "matches": 0, "all_letters": 0}
 
     def test_one_check_and_two_translations_per_found_call(self, agent_system,
                                                            monkeypatch):
