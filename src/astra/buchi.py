@@ -69,7 +69,9 @@ class Guard:
         return hash((self.atoms, self.minterms))
 
     def __repr__(self):
-        return f"Guard(atoms={self.atoms!r}, minterms={self.minterms!r}, text={self.text!r})"
+        # never renders: a guard past RENDER_ATOMS has no text to show
+        text = "" if self._text is None else f", text={self._text!r}"
+        return f"Guard(atoms={self.atoms!r}, minterms={self.minterms!r}{text})"
 
     def __str__(self):
         return self.text
@@ -148,15 +150,36 @@ def guard_true() -> Guard:
 
 
 def guard_from_text(text: str) -> Guard:
+    """The guard a written boolean formula denotes.
+
+    Its letters are read in one boolean pass over truth tables: ints whose
+    bit ``m`` is a subformula's value on letter mask ``m``.  Each atom
+    doubles the tables: the columns of the atoms before it repeat in the
+    upper half, where it is true.  The operators are ``&`` and ``~``."""
     expr = ltl.parse_formula(text, props=None)
     # the preorder walk takes any depth; hashing a deep until would recurse
     if any(isinstance(node, ltl.Until) for node in ltl._preorder(expr)):
         raise AutomatonError(f"guard {text!r} uses a temporal operator")
     atoms = tuple(sorted(ltl.atoms(expr)))
+    column, width = {}, 1
+    for a in atoms:
+        column = {b: c | c << width for b, c in column.items()}
+        column[a] = ((1 << width) - 1) << width
+        width *= 2
+    full = (1 << width) - 1
+
+    def value(node):
+        if isinstance(node, ltl.TrueF):
+            return full
+        if isinstance(node, ltl.Atom):
+            return column[node.name]
+        if isinstance(node, ltl.Not):
+            return full & ~value(node.arg)
+        return value(node.left) & value(node.right)
+
     try:
-        minterms = frozenset(m for m, letter in enumerate(all_letters(atoms))
-                             if ltl.eval_lasso(Lasso((), (letter,)), expr))
-    except FormulaTooDeep:
+        minterms = frozenset(_bits(value(expr)))
+    except RecursionError:
         raise AutomatonError(f"guard {text!r} nests too deeply") from None
     return Guard(atoms, minterms, text.strip())
 
@@ -202,7 +225,8 @@ class BuchiAutomaton:
         read = {}
         for edge in self.edges:
             if edge.src not in index or edge.dst not in index:
-                raise AutomatonError(f"edge {edge} references an undeclared state")
+                raise AutomatonError(
+                    f"edge {edge.src!r} -> {edge.dst!r} references an undeclared state")
             self._out[index[edge.src]].append(edge)
             read.update(dict.fromkeys(edge.guard.atoms))
         declared = [p for p in dict.fromkeys(props) if p in read]
@@ -372,7 +396,7 @@ def _prune_subsumed(edges):
             if not dst2 & ~dst and not marks & ~marks2:
                 keep -= minterms2
         if keep:
-            pruned.append((dst, marks, keep))
+            pruned.append((dst, marks, frozenset(keep)))
     return pruned
 
 
@@ -478,7 +502,13 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     state's other conjuncts take the bits after them.  A state's edges are
     sorted by the ascending set bits of (next, fulfilled), which orders them
     as their sorted formula keys would, so decompositions are crossed and
-    merged as unordered sets.
+    merged as unordered sets.  Each obligation set's edges are kept once,
+    in ``moves``, which is also the search's seen-set.
+
+    The degeneralized (obligation set, level) nodes are numbered in one
+    dict as they are discovered, and their edges, acceptance and liveness
+    are kept by number.  Names come last: the live nodes, in number order,
+    become ``s0``, ``s1``, ... as the automaton's edges are emitted.
 
     ``props`` only orders the formula's atoms in the automaton's ``props``
     (and so in the guard text ``totalize`` renders); it does not widen the
@@ -506,14 +536,15 @@ def _tableau(formula, props):
     for node in conjuncts:
         rank.setdefault(node, 1 << len(rank))
     obligations = list(rank)
-    until_mask = sum(rank[u] for u in untils)
+    until_bits = [rank[u] for u in untils]
+    until_mask = sum(until_bits)
     full = (1 << len(atoms)) - 1
     steps = {}
 
+    # moves: obligation set -> its edges, and the set of those discovered
     init = sum(rank[node] for node in conjuncts)
-    moves = {}
+    moves = {init: None}
     order = [init]
-    seen = {init}
     for state in order:
         combos = _UNIT
         for i in _bits(state):
@@ -524,20 +555,19 @@ def _tableau(formula, props):
         for pos, neg, nexts, fulfilled in combos:
             merged.setdefault((nexts, fulfilled), set()).update(
                 pos | sub for sub in _submasks(full & ~(pos | neg)))
-        edges = _prune_subsumed([
+        moves[state] = _prune_subsumed([
             (nexts, until_mask & ~nexts | fulfilled, merged[nexts, fulfilled])
             for nexts, fulfilled in sorted(merged, key=lambda k: (_bits(k[0]), _bits(k[1])))
         ])
-        moves[state] = edges
-        for dst, _, _ in edges:
-            if dst not in seen:
-                seen.add(dst)
+        for dst, _, _ in moves[state]:
+            if dst not in moves:
+                moves[dst] = None
                 order.append(dst)
 
     # acceptance sets that constrain nothing are dropped before degeneralizing
     relevant = [
-        rank[u] for u in untils
-        if any(not rank[u] & marks for edges in moves.values() for _, marks, _ in edges)
+        bit for bit in until_bits
+        if any(not bit & marks for edges in moves.values() for _, marks, _ in edges)
     ]
     k = len(relevant)
 
@@ -547,43 +577,31 @@ def _tableau(formula, props):
             j += 1
         return j
 
-    start = (init, 0)
-    nodes = [start]
-    node_seen = {start}
-    node_edges = {}
-    for node in nodes:
-        state, level = node
-        outs = []
+    # node (state, level) is number[node] = its place in nodes; rows[i] holds
+    # node i's (target number, minterms) pairs, and level k accepts
+    nodes = [(init, 0)]
+    number = {nodes[0]: 0}
+    rows = []
+    for state, level in nodes:
+        row = []
         for dst, marks, minterms in moves[state]:
             target = (dst, advance(level, marks))
-            outs.append((target, minterms))
-            if target not in node_seen:
-                node_seen.add(target)
+            j = number.setdefault(target, len(nodes))
+            if j == len(nodes):
                 nodes.append(target)
-        node_edges[node] = outs
-    accepting_nodes = {n for n in nodes if n[1] == k} if k else set(nodes)
-
-    number = {n: i for i, n in enumerate(nodes)}
-    live = _live_states(
-        [[number[t] for t, _ in node_edges[n]] for n in nodes],
-        [i for i, n in enumerate(nodes) if n in accepting_nodes],
-    )
+            row.append((j, minterms))
+        rows.append(row)
+    accepting = [i for i, (_, level) in enumerate(nodes) if level == k]
+    live = _live_states([[j for j, _ in row] for row in rows], accepting)
     live.add(0)
-    kept = [n for i, n in enumerate(nodes) if i in live]
-    names = {n: f"s{i}" for i, n in enumerate(kept)}
-
-    edges = []
-    for node in kept:
-        for target, minterms in node_edges[node]:
-            if number[target] in live:
-                guard = Guard(atoms, frozenset(minterms))
-                edges.append(Edge(names[node], guard, names[target]))
+    names = {i: f"s{n}" for n, i in enumerate(sorted(live))}
     return BuchiAutomaton(
-        states=[names[n] for n in kept],
-        initial=(names[start],),
+        states=names.values(),
+        initial=(names[0],),
         props=atoms if props is None else props,
-        edges=edges,
-        accepting=frozenset(names[n] for n in kept if n in accepting_nodes),
+        edges=[Edge(names[i], Guard(atoms, minterms), names[j])
+               for i in names for j, minterms in rows[i] if j in names],
+        accepting=[names[i] for i in accepting if i in names],
     )
 
 
@@ -614,39 +632,38 @@ def totalize(automaton: BuchiAutomaton):
     guard merging between identical-target edges, is deterministic; missing
     letters are then routed to a fresh non-accepting sink.  ``None`` means
     the automaton is properly nondeterministic and out of scope for this
-    completion (a value, not a failure).  Each reachable state's ``table``
-    row is grouped by target; a cell with two targets gives ``None``.
+    completion (a value, not a failure).
+
+    The search runs on state numbers (``index``): each reachable state's
+    ``table`` row is grouped by target number, a cell with two targets
+    gives ``None``, and a state is named only when its edges are emitted.
     """
     if len(automaton.initial) > 1:
         return None
-    universe, names = automaton.props, automaton.states
-    reachable, dst_order = _discovery(
-        automaton.initial, lambda s: (e.dst for e in automaton.edges_from(s)))
-    edges, missing = [], {}
-    for state in reachable:
+    index, names, universe = automaton.index, automaton.states, automaton.props
+    reachable, place = _discovery([index[s] for s in automaton.initial],
+                                  lambda i: (index[e.dst] for e in automaton._out[i]))
+    states = [names[i] for i in reachable]
+    accepting = automaton.accepting.intersection(states)
+    sink = _fresh_name("sink", set(states))
+    edges, to_sink = [], []
+    for i in reachable:
         # every target keeps an edge, even one whose guard no letter meets
-        merged = {edge.dst: [] for edge in automaton.edges_from(state)}
-        gaps = missing[state] = []
-        for mask, cell in enumerate(automaton.table[automaton.index[state]]):
+        merged = {index[e.dst]: [] for e in automaton._out[i]}
+        gaps = []
+        for mask, cell in enumerate(automaton.table[i]):
             if len(cell) > 1:
                 return None
-            (merged[names[cell[0]]] if cell else gaps).append(mask)
-        for dst in sorted(merged, key=dst_order.__getitem__):
-            edges.append(Edge(state, Guard(universe, frozenset(merged[dst])), dst))
-
-    needs_sink = any(missing.values()) or not automaton.initial
-    states = list(reachable)
-    accepting = automaton.accepting & set(reachable)
+            (merged[cell[0]] if cell else gaps).append(mask)
+        for j in sorted(merged, key=place.__getitem__):
+            edges.append(Edge(names[i], Guard(universe, frozenset(merged[j])), names[j]))
+        if gaps:
+            to_sink.append(Edge(names[i], Guard(universe, frozenset(gaps)), sink))
     initial = automaton.initial
-    if needs_sink:
-        sink = _fresh_name("sink", set(states))
+    if to_sink or not initial:
         states.append(sink)
-        for state in reachable:
-            if missing[state]:
-                edges.append(Edge(state, Guard(universe, frozenset(missing[state])), sink))
-        edges.append(Edge(sink, guard_true(), sink))
-        if not initial:
-            initial = (sink,)
+        edges += to_sink + [Edge(sink, guard_true(), sink)]
+        initial = initial or (sink,)
     return BuchiAutomaton(states, initial, universe, edges, accepting)
 
 

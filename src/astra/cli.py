@@ -172,11 +172,12 @@ def cmd_simulate(args) -> int:
         raise AstraError("--steps must be at least 1")
 
     total = None if automaton is None else planner.spec_automaton(automaton=automaton)
-    verified = (
-        (formula is not None or total is not None)
-        and check_plan(plan, valuation, formula, total) is None
-    )
-    if not verified:
+    checkable = automaton is None or total is not None
+    verified = checkable and check_plan(plan, valuation, formula, total) is None
+    if not checkable:
+        print("warning: the specification automaton is not totalizable; "
+              "simulating unverified", file=sys.stderr)
+    elif not verified:
         print("warning: plan failed verification; simulating anyway", file=sys.stderr)
 
     start = args.initial if args.initial is not None else plan.world_of(1)

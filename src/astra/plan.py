@@ -51,23 +51,24 @@ class ReactivePlan:
     successor among them; execution starts at plan state 1."""
 
     def __init__(self, scrs):
-        rules = sorted(map(_rule, scrs), key=lambda s: s.id)
+        rules = list(map(_rule, scrs))
         if not rules:
             raise PlanValidationError("a plan needs at least one SCR")
-        ids = [s.id for s in rules]
-        if ids != list(range(1, len(rules) + 1)):
+        # ids and successors are checked before they are sorted, which
+        # needs them to be ints
+        if {s.id for s in rules} != set(range(1, len(rules) + 1)):
             raise PlanValidationError("plan state ids must be exactly 1..k")
-        self.scrs = tuple(rules)
+        self.scrs = tuple(sorted(rules, key=lambda s: s.id))
         self.by_id = {s.id: s for s in self.scrs}
-        self._successor_ids = {s.id: tuple(sorted(s.successors)) for s in self.scrs}
         for s in self.scrs:
             if not s.successors:
                 raise PlanValidationError(f"SCR {s.id} lists no successor plan states")
-            dangling = [j for j in self._successor_ids[s.id] if j not in self.by_id]
+            dangling = s.successors.difference(self.by_id)
             if dangling:
                 raise PlanValidationError(
-                    f"SCR {s.id} lists unknown successor plan states {dangling}"
+                    f"SCR {s.id} lists unknown successor plan states {sorted(dangling, key=repr)}"
                 )
+        self._successor_ids = {s.id: tuple(sorted(s.successors)) for s in self.scrs}
 
     def __len__(self):
         return len(self.scrs)

@@ -9,9 +9,10 @@ counter game the library played before states shared move rows,
 exhaustive plan-path matching for observed histories, automaton
 completion over every declared proposition, automaton steps by a scan of
 the state's edges with ``Guard.matches`` (the library steps on its
-compiled successor table), and recurrence-free outcome prefixes found by
-rescanning every extension.  These stay independent of the code paths
-they check.
+compiled successor table), guard text read by evaluating it per letter
+(the library reads it in one truth-table pass), and recurrence-free
+outcome prefixes found by rescanning every extension.  These stay
+independent of the code paths they check.
 
 The lasso, reachable-cycle and simplification references at the end are
 the earlier quadratic implementations, kept to pin the exact outputs of
@@ -508,6 +509,17 @@ def letter_masks(props, letters):
     the library encodes letters: bit ``i`` is ``props[i]``."""
     return frozenset(sum(1 << i for i, p in enumerate(props) if p in letter)
                      for letter in letters)
+
+
+def per_letter_guard(text):
+    """The atoms and minterm masks of a written non-temporal guard, found
+    by evaluating it with ``ltl.eval_lasso`` on the one-letter lasso of
+    every letter of its atoms, as the library read guard text before its
+    one-pass truth table."""
+    expr = ltl.parse_formula(text, props=None)
+    atoms = tuple(sorted(ltl.atoms(expr)))
+    return atoms, frozenset(m for m, letter in enumerate(buchi.all_letters(atoms))
+                            if ltl.eval_lasso(Lasso((), (letter,)), expr))
 
 
 def guard_from_minterms(atoms, minterms):

@@ -34,6 +34,7 @@ from oracles import (
     edge_successors,
     guard_from_minterms,
     per_disturbance_product,
+    per_letter_guard,
     reference_totalize,
 )
 
@@ -119,6 +120,19 @@ def random_guard_text(rng, atoms):
     return " | ".join(f"({t})" for t in terms)
 
 
+def random_boolean_text(rng, atoms, size):
+    """A written non-temporal formula with ``size`` leaves and operators:
+    atoms of ``atoms``, constants, ``!``, ``&``, ``|`` and ``->``."""
+    if size <= 1:
+        return rng.choice(atoms + ["true", "false"])
+    op = rng.choice(("!", "&", "|", "->"))
+    if op == "!":
+        return "!" + random_boolean_text(rng, atoms, size - 1)
+    left = rng.randint(1, size - 1)
+    return (f"({random_boolean_text(rng, atoms, left)} {op} "
+            f"{random_boolean_text(rng, atoms, size - left)})")
+
+
 def random_guarded_automaton(rng, atoms):
     """1-4 states with up to eight edges, guards from ``random_guard_text``
     and ``props`` a shuffled copy of ``atoms``."""
@@ -162,6 +176,42 @@ class TestGuards:
         assert str(info.value) == f"guard {text!r} nests too deeply"
         # the one minterm makes p1 (bit 0) and p2 (bit 1) true
         assert guard_from_text(" & ".join(["p1"] * 99 + ["p2"])).minterms == frozenset({0b11})
+
+    def test_guard_text_is_read_without_the_temporal_evaluator(self, monkeypatch):
+        calls = []
+
+        def counted_eval_lasso(*args, _original=ltl.eval_lasso):
+            calls.append(args)
+            return _original(*args)
+        monkeypatch.setattr(ltl, "eval_lasso", counted_eval_lasso)
+        # a DNF over 7 atoms: one term per pair of distinct atoms
+        atoms = [f"x{i}" for i in range(7)]
+        text = " | ".join(f"({a} & !{b})" for a in atoms for b in atoms if a != b)
+        guard = guard_from_text(text)
+        assert calls == []
+        assert (guard.atoms, guard.minterms) == per_letter_guard(text)
+
+    def test_guard_text_matches_per_letter_evaluation(self):
+        rng = random.Random(25)
+        atoms = [f"p{i}" for i in range(1, 7)]
+        for i in range(600):
+            if i % 3:
+                text = random_boolean_text(rng, atoms, rng.randint(1, 14))
+            else:
+                text = random_guard_text(rng, atoms)
+            guard = guard_from_text(text)
+            assert (guard.atoms, guard.minterms) == per_letter_guard(text), text
+
+    def test_wide_guard_is_not_rendered_by_errors_or_repr(self):
+        # nine atoms are past RENDER_ATOMS, so this guard has no text
+        atoms = tuple(f"x{i}" for i in range(9))
+        wide = buchi.Guard(atoms, frozenset({1, 2, 5}))
+        with pytest.raises(AutomatonError,
+                           match="^edge 'a' -> 'zz' references an undeclared state$"):
+            BuchiAutomaton(["a"], ["a"], atoms, [Edge("a", wide, "zz")], [])
+        assert repr(wide) == f"Guard(atoms={atoms!r}, minterms={frozenset({1, 2, 5})!r})"
+        assert repr(guard_from_text(" p1 ")) == \
+            "Guard(atoms=('p1',), minterms=frozenset({1}), text='p1')"
 
     def test_temporal_guard_rejected(self):
         with pytest.raises(AutomatonError):

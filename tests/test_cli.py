@@ -339,7 +339,8 @@ class TestSimulate:
             tmp_path, agent_system_file, example_plan_file,
             EVENTUALLY_ALWAYS_P1_AUTOMATON, capsys)
         assert code == 0
-        assert stderr == "warning: plan failed verification; simulating anyway\n"
+        assert stderr == ("warning: the specification automaton is not totalizable; "
+                          "simulating unverified\n")
 
     def test_scripted_replays_plan_trajectory(self, tmp_path, agent_system_file,
                                               example_plan_file, capsys):
@@ -537,7 +538,8 @@ class TestSimulate:
             "--plan", example_plan_file, "--policy", "adversarial", capsys=capsys,
         )
         assert code == 3 and stdout == ""
-        assert stderr == ("warning: plan failed verification; simulating anyway\n"
+        assert stderr == ("warning: the specification automaton is not totalizable; "
+                          "simulating unverified\n"
                           "error: the specification automaton is not totalizable\n")
 
 

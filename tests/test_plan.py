@@ -59,6 +59,14 @@ class TestWellFormedness:
         with pytest.raises(PlanValidationError):
             ReactivePlan([SCR(1, "q", "a", frozenset({3}))])
 
+    def test_non_integer_ids_are_validation_errors(self):
+        # sorting mixed ids would raise a bare TypeError
+        with pytest.raises(PlanValidationError,
+                           match=r"^SCR 1 lists unknown successor plan states \['x'\]$"):
+            ReactivePlan([SCR(1, "q", "a", frozenset({1, "x"}))])
+        with pytest.raises(PlanValidationError, match="^plan state ids must be exactly"):
+            ReactivePlan([SCR("x", "q", "a", frozenset({1})), SCR(1, "q", "a", frozenset({1}))])
+
     @pytest.mark.parametrize("rules", [
         [(1, "q1", "a1", {2}), (2, "q2", "a2", set())],
         [(1, "q1", "a1", {1}), (2, "q2", "a2", set()), (3, "q3", "a3", {2})],
