@@ -82,13 +82,6 @@ def _mask(props, letter) -> int:
     return sum(1 << i for i, p in enumerate(props) if p in letter)
 
 
-def all_letters(props) -> tuple:
-    """Every subset of ``props``; the one at position ``m`` has mask ``m``."""
-    props = tuple(props)
-    return tuple(frozenset(p for i, p in enumerate(props) if mask >> i & 1)
-                 for mask in range(2 ** len(props)))
-
-
 def _submasks(mask):
     """Every submask of ``mask``, from ``mask`` itself down to 0."""
     sub = mask
@@ -437,9 +430,9 @@ def _cyclic_components(rows, roots):
     O(nodes + edges).
     """
     n = len(rows)
+    # index -1: not reached yet; n: component done, so never below a low link
     index = [-1] * n
     low = [0] * n
-    onstack = [False] * n
     comp = [-1] * n
     stack = []
     count = found = 0
@@ -449,7 +442,6 @@ def _cyclic_components(rows, roots):
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        onstack[root] = True
         path = [root]
         its = [iter(rows[root])]
         while path:
@@ -459,23 +451,22 @@ def _cyclic_components(rows, roots):
                     index[nxt] = low[nxt] = count
                     count += 1
                     stack.append(nxt)
-                    onstack[nxt] = True
                     path.append(nxt)
                     its.append(iter(rows[nxt]))
                     break
-                if onstack[nxt] and index[nxt] < low[node]:
+                if index[nxt] < low[node]:
                     low[node] = index[nxt]
             else:
                 path.pop()
                 its.pop()
                 if low[node] == index[node]:
                     w = stack.pop()
-                    onstack[w] = False
+                    index[w] = n
                     if w != node or node in rows[node]:
                         comp[w] = found
                         while w != node:
                             w = stack.pop()
-                            onstack[w] = False
+                            index[w] = n
                             comp[w] = found
                         found += 1
                 if path and low[node] < low[path[-1]]:
@@ -683,44 +674,41 @@ def accepting_lasso(root, successors, accepting, inside=None):
     and the cycle a shortest walk inside its component from the node's
     successors back to it.
 
-    The nodes reached from the root are numbered 0, 1, ... in breadth-first
-    discovery order, and the search runs on that integer graph (see
-    :func:`_indexed_lasso`); ``successors``, ``accepting`` and ``inside``
-    are called once per reached node.  The cost is O(nodes + edges) of the
-    reached graph.
+    One breadth-first pass numbers the reached nodes 0, 1, ... and keeps
+    what :func:`_indexed_lasso` reads: each node's successors inside, its
+    accepting flag and the node that discovered it.  ``successors``,
+    ``accepting`` and ``inside`` are called once per reached node.  The
+    cost is O(nodes + edges) of the reached graph.
     """
-    order = [root]
-    place = {root: 0}
-    rows = []
-    for node in order:
+    order, place = [root], {root: 0}
+    inner, parent, sub = [inside is None or inside(root)], [0], []
+    for i, node in enumerate(order):
         row = []
         for nxt in successors(node):
             j = place.get(nxt)
             if j is None:
                 j = place[nxt] = len(order)
                 order.append(nxt)
-            row.append(j)
-        rows.append(row)
-    found = _indexed_lasso(
-        rows, [accepting(n) for n in order],
-        None if inside is None else [inside(n) for n in order],
-    )
+                inner.append(inside is None or inside(nxt))
+                parent.append(i)
+            if inner[j]:
+                row.append(j)
+        sub.append(row if inner[i] else ())
+    found = _indexed_lasso(sub, [accepting(n) for n in order], parent)
     if found is None:
         return None
     prefix, cycle = found
     return Lasso(tuple(order[i] for i in prefix), tuple(order[i] for i in cycle))
 
 
-def _indexed_lasso(rows, accepting, inside=None):
-    """:func:`accepting_lasso` on a graph numbered in breadth-first order
-    from its root 0: ``rows[i]`` lists node ``i``'s successors in order, and
-    ``accepting`` and ``inside`` hold each node's flag.  Returns the prefix
-    and cycle as lists of node numbers, or ``None``."""
-    if inside is None:
-        sub = rows
-    else:
-        sub = [[j for j in row if inside[j]] if inside[i] else ()
-               for i, row in enumerate(rows)]
+def _indexed_lasso(sub, accepting, parent):
+    """:func:`accepting_lasso`'s search on a graph numbered in breadth-first
+    discovery order from its root 0: ``sub[i]`` lists node ``i``'s
+    successors inside in order (none when ``i`` is outside), ``accepting[i]``
+    is its flag and ``parent[i]`` the node that discovered it.  Returns the
+    prefix and cycle as lists of node numbers, or ``None``.  The prefix is
+    the parent chain: the shortest path a breadth-first search would find.
+    """
     # the entry's component is reached from the entry, so the search for
     # components need only start from accepting nodes
     marked = [i for i, flag in enumerate(accepting) if flag]
@@ -728,11 +716,12 @@ def _indexed_lasso(rows, accepting, inside=None):
     entry = next((i for i in marked if comp[i] >= 0), None)
     if entry is None:
         return None
+    prefix = [entry]
+    while prefix[-1]:
+        prefix.append(parent[prefix[-1]])
     # no node outside the entry's component leads back into it, so the
     # search from its successors finds the walk inside the component
-    prefix = _bfs_path((0,), entry, rows.__getitem__)
-    cycle = _bfs_path(sub[entry], entry, sub.__getitem__)
-    return prefix, cycle
+    return prefix[::-1], _bfs_path(sub[entry], entry, sub.__getitem__)
 
 
 def _bfs_path(sources, dst, successors):

@@ -9,10 +9,11 @@ reachable-cycle search, plan simplification, and the strategy obtained
 by walking a simplified plan along an observed state history.
 :func:`check_plan` is the one verification entry: it decides whether a
 plan meets a formula or a total automaton, and says why not when it does
-not.  The check runs on an indexed product: the plan graph times the
-automaton, explored from plan state 1 with every node an integer,
-searched for an accepting lasso by :func:`buchi.accepting_lasso`'s
-integer core.
+not.  The check is one breadth-first pass over the product of the plan
+graph with the automaton, from plan state 1, that numbers the nodes and
+keeps each node's successors inside, its accepting flag and the node
+that discovered it; :func:`buchi.accepting_lasso`'s integer core then
+finds the cycle by Tarjan's pass and reads the prefix off those parents.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 from . import buchi, ltl
 from .core import Lasso
@@ -47,28 +49,34 @@ def _rule(s) -> SCR:
 
 
 class ReactivePlan:
-    """An ordered set of SCRs with ids 1..k, each naming at least one
-    successor among them; execution starts at plan state 1."""
+    """An ordered set of SCRs with ids 1..k (plain ints, as in a plan file),
+    each naming at least one successor among them; execution starts at plan
+    state 1.  ``_successors[i]`` lists plan state ``i``'s successors in
+    increasing order (``_successors[0]`` is empty); the checks read it."""
 
     def __init__(self, scrs):
         rules = list(map(_rule, scrs))
         if not rules:
             raise PlanValidationError("a plan needs at least one SCR")
         # ids and successors are checked before they are sorted, which
-        # needs them to be ints
-        if {s.id for s in rules} != set(range(1, len(rules) + 1)):
+        # needs them to compare with ints
+        ids = {s.id for s in rules}
+        if ids != set(range(1, len(rules) + 1)):
             raise PlanValidationError("plan state ids must be exactly 1..k")
         self.scrs = tuple(sorted(rules, key=lambda s: s.id))
         self.by_id = {s.id: s for s in self.scrs}
         for s in self.scrs:
             if not s.successors:
                 raise PlanValidationError(f"SCR {s.id} lists no successor plan states")
-            dangling = s.successors.difference(self.by_id)
-            if dangling:
+            if not s.successors <= ids:
+                dangling = s.successors - ids
                 raise PlanValidationError(
                     f"SCR {s.id} lists unknown successor plan states {sorted(dangling, key=repr)}"
                 )
-        self._successor_ids = {s.id: tuple(sorted(s.successors)) for s in self.scrs}
+        self._successors = [()] + [tuple(sorted(s.successors)) for s in self.scrs]
+        # ``True`` and ``1.0`` pass the checks above: they equal ints
+        if set(map(type, chain(self.by_id, chain.from_iterable(self._successors)))) != {int}:
+            raise PlanValidationError("plan state ids and successors must be integers")
 
     def __len__(self):
         return len(self.scrs)
@@ -83,8 +91,9 @@ class ReactivePlan:
         return f"ReactivePlan({list(self.scrs)!r})"
 
     def successor_ids(self, plan_state) -> tuple:
-        """The successor plan states of ``plan_state`` in increasing order."""
-        return self._successor_ids[plan_state]
+        """The successor plan states of ``plan_state`` in increasing order;
+        a plan state the plan lacks raises ``KeyError``."""
+        return self._successors[self.by_id[plan_state].id]
 
     def world_of(self, plan_state) -> str:
         return self.by_id[plan_state].world
@@ -145,12 +154,11 @@ def plan_from_dict(raw: dict) -> ReactivePlan:
             raise PlanValidationError(
                 "each SCR must be an object with exactly the keys id/world/action/successors"
             )
-        if (not isinstance(entry["id"], int) or isinstance(entry["id"], bool)
+        if (type(entry["id"]) is not int
                 or not isinstance(entry["world"], str)
                 or not isinstance(entry["action"], str)
                 or not isinstance(entry["successors"], list)
-                or not all(isinstance(j, int) and not isinstance(j, bool)
-                           for j in entry["successors"])):
+                or any(type(j) is not int for j in entry["successors"])):
             raise PlanValidationError(
                 f"SCR {entry.get('id')!r}: id and successors must be integers, "
                 "world and action strings"
@@ -221,48 +229,49 @@ def _violation(plan, automaton, valuation, accepting, inside=None):
     an automaton reading world valuations; ``None`` when there is none.
     ``accepting`` and ``inside`` are predicates over automaton states.
 
-    Product node ``(plan state p, i-th automaton state)`` is the integer
-    ``p * m + i`` for ``m`` automaton states.  Nodes are numbered again in
-    breadth-first discovery order, and each row lists a node's successors
-    in that numbering: plan successors in increasing order, each with the
-    automaton's targets in order.  A plan state's label mask is read when
-    the search first reaches it, and the automaton steps on its ``table``.
+    One breadth-first pass numbers the product nodes in discovery order and
+    keeps what :func:`buchi._indexed_lasso` reads: each node's successors
+    inside (plan successors in increasing order, each with the automaton's
+    targets in order), its accepting flag and the node that discovered it.
+    Node ``i`` is ``(order[i], states[i])`` and ``place[p * m + x]`` numbers
+    ``(p, x)``.  A plan state's label mask is read when the pass first
+    reaches it.
     """
-    states, table, m = automaton.states, automaton.table, len(automaton.states)
+    table, m = automaton.table, len(automaton.states)
     label_mask = cache(automaton.letter_mask)
-    masks = [-1] * (len(plan) + 1)
-    root = m + automaton.index[automaton.initial[0]]
-    place = [-1] * ((len(plan) + 1) * m)
-    place[root] = 0
-    order = [root]
-    rows = []
-    for node in order:
-        plan_state, x = divmod(node, m)
+    successors = plan._successors
+    marks = [accepting(x) for x in automaton.states]
+    inner = [inside is None or inside(x) for x in automaton.states]
+    masks = [-1] * len(successors)
+    x0 = automaton.index[automaton.initial[0]]
+    place = [-1] * (len(successors) * m)
+    place[m + x0] = 0
+    order, states, parent, sub = [1], [x0], [0], []
+    for i, plan_state in enumerate(order):
+        x = states[i]
         mask = masks[plan_state]
         if mask < 0:
             mask = masks[plan_state] = label_mask(valuation.label(plan.world_of(plan_state)))
         targets = table[x][mask]
         row = []
-        for j in plan.successor_ids(plan_state):
+        for j in successors[plan_state]:
             base = j * m
             for t in targets:
                 k = place[base + t]
                 if k < 0:
                     k = place[base + t] = len(order)
-                    order.append(base + t)
-                row.append(k)
-        rows.append(row)
-
-    def per_node(predicate):
-        flags = [predicate(x) for x in states]
-        return [flags[node % m] for node in order]
-
-    found = buchi._indexed_lasso(
-        rows, per_node(accepting), None if inside is None else per_node(inside))
+                    order.append(j)
+                    states.append(t)
+                    parent.append(i)
+                if inner[t]:
+                    row.append(k)
+        # a tuple of ints leaves the collector's view, a list does not
+        sub.append(tuple(row) if inner[x] else ())
+    found = buchi._indexed_lasso(sub, [marks[x] for x in states], parent)
     if found is None:
         return None
     prefix, cycle = found
-    return Lasso(*(tuple(plan.world_of(order[k] // m) for k in path)
+    return Lasso(*(tuple(plan.world_of(order[k]) for k in path)
                    for path in (prefix, cycle)))
 
 
@@ -324,8 +333,7 @@ def find_reachable_cycle(plan: ReactivePlan):
     component pass, so the search costs O(states + edges).  Every rule
     names a successor, so such a cycle always exists.
     """
-    # row 0 stands for no plan state: ids run from 1
-    rows = [()] + [plan.successor_ids(i) for i in range(1, len(plan) + 1)]
+    rows = plan._successors
     comp = buchi._cyclic_components(rows, (1,))
     first = next(i for i, c in enumerate(comp) if c >= 0)
     # shortest walks of at least one edge, ties toward smaller plan ids

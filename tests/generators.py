@@ -56,10 +56,10 @@ def random_system(rng, max_states=5, max_controls=2, max_disturbances=2,
     return system, Valuation(props, mapping)
 
 
-def random_plan(rng, max_rules=8, max_worlds=4, max_actions=3):
+def random_plan(rng, max_rules=8, max_worlds=4, max_actions=3, min_rules=1):
     """A structurally well-formed plan; every rule has successors, so a
     cycle is always reachable from plan state 1."""
-    k = rng.randint(1, max_rules)
+    k = rng.randint(min_rules, max_rules)
     worlds = [f"q{i}" for i in range(1, max_worlds + 1)]
     actions = [f"a{i}" for i in range(1, max_actions + 1)]
     rules = []

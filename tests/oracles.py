@@ -504,6 +504,13 @@ def edge_successors(automaton, state, letter):
     return tuple(seen)
 
 
+def all_letters(props) -> tuple:
+    """Every subset of ``props``; the one at position ``m`` has mask ``m``."""
+    props = tuple(props)
+    return tuple(frozenset(p for i, p in enumerate(props) if mask >> i & 1)
+                 for mask in range(2 ** len(props)))
+
+
 def letter_masks(props, letters):
     """The masks over ``props`` of ``letters`` (sets of propositions), as
     the library encodes letters: bit ``i`` is ``props[i]``."""
@@ -518,7 +525,7 @@ def per_letter_guard(text):
     one-pass truth table."""
     expr = ltl.parse_formula(text, props=None)
     atoms = tuple(sorted(ltl.atoms(expr)))
-    return atoms, frozenset(m for m, letter in enumerate(buchi.all_letters(atoms))
+    return atoms, frozenset(m for m, letter in enumerate(all_letters(atoms))
                             if ltl.eval_lasso(Lasso((), (letter,)), expr))
 
 
@@ -775,6 +782,22 @@ def tuple_violation(plan, automaton, valuation, accepting, inside=None):
         (1, automaton.initial[0]), successors, accepting, inside
     )
     return None if witness is None else witness.map(lambda node: plan.world_of(node[0]))
+
+
+def reached_cell_sizes(plan, automaton, valuation):
+    """The number of automaton targets in the cell each reached product
+    node ``(plan state, automaton state)`` steps on, from ``(1, initial)``,
+    by guard matching."""
+    order, sizes = [(1, automaton.initial[0])], set()
+    seen = set(order)
+    for plan_state, x in order:
+        targets = edge_successors(automaton, x, valuation.label(plan.world_of(plan_state)))
+        sizes.add(len(targets))
+        for node in ((j, t) for j in plan.successor_ids(plan_state) for t in targets):
+            if node not in seen:
+                seen.add(node)
+                order.append(node)
+    return sizes
 
 
 def tuple_plan_violation(plan, formula, valuation):

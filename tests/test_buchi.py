@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import pathlib
@@ -28,6 +29,7 @@ from astra.planner import spec_automaton
 from generators import random_formula, random_letter_lasso, random_system
 from oracles import (
     accepting_lasso_exists,
+    all_letters,
     component_accepting_lasso,
     has_rejecting_cycle,
     TupleProduct,
@@ -149,7 +151,7 @@ def random_guarded_automaton(rng, atoms):
 def assert_table_is_edge_scan(automaton):
     """Every cell of ``table`` lists the targets the edge scan finds on the
     letter of its mask, in the same order."""
-    letters = buchi.all_letters(automaton.props)
+    letters = all_letters(automaton.props)
     assert automaton.index == {s: i for i, s in enumerate(automaton.states)}
     assert len(automaton.table) == len(automaton.states)
     for i, state in enumerate(automaton.states):
@@ -289,7 +291,7 @@ class TestGuards:
         assert written.atoms == wide.atoms and written.minterms == wide.minterms
         assert written != wide and wide != written
         assert Edge("s", written, "t") != Edge("s", wide, "t")
-        assert guard_from_minterms(atoms, buchi.all_letters(atoms)).text == "true"
+        assert guard_from_minterms(atoms, all_letters(atoms)).text == "true"
         assert guard_from_minterms(atoms, []).text == "false"
 
     def test_equality_compares_atoms_minterms_and_text(self):
@@ -320,7 +322,7 @@ class TestTranslation:
         assert automaton.accepting == {state}
         (edge,) = automaton.edges
         assert edge.src == edge.dst == state
-        assert all(edge.guard.matches(l) for l in buchi.all_letters(PROPS))
+        assert all(edge.guard.matches(l) for l in all_letters(PROPS))
 
     def test_until_language_samples(self):
         automaton = ltl_to_buchi(Until(Atom("p2"), Atom("p3")), props=PROPS)
@@ -448,7 +450,7 @@ class TestSuccessorTable:
 
     def test_successors_take_any_container_of_propositions(self):
         automaton = load_automaton(DATA / "aut_response.json")
-        for letter in buchi.all_letters(("p1", "p2", "zz")):
+        for letter in all_letters(("p1", "p2", "zz")):
             expected = edge_successors(automaton, "idle", letter)
             for container in (set(letter), list(letter), letter, tuple(letter)):
                 assert automaton.successors("idle", container) == expected
@@ -668,6 +670,41 @@ class TestAcceptingLasso:
             assert got == component_accepting_lasso(
                 0, succ.__getitem__, accepting.__contains__, inside)
             found += got is not None
+        assert found > 500
+
+    def test_one_pass_calls_each_predicate_once_and_keeps_the_bfs_prefix(self):
+        # the prefix is the parent chain of the discovery: the path that a
+        # breadth-first search from the root, with the same ties, rebuilds
+        rng = random.Random(101)
+        found = 0
+        for case in range(2000):
+            n = rng.randint(1, 12)
+            succ = {v: tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+                    for v in range(n)}
+            accepting = {v for v in range(n) if rng.random() < 0.3}
+            inside = {v for v in range(n) if rng.random() < 0.7} if case % 2 else None
+            calls = collections.Counter()
+
+            def counted(name, fn):
+                def call(v):
+                    calls[name, v] += 1
+                    return fn(v)
+                return call
+
+            got = accepting_lasso(
+                0, counted("successors", succ.__getitem__),
+                counted("accepting", accepting.__contains__),
+                None if inside is None else counted("inside", inside.__contains__))
+            reached = [0]
+            for v in reached:
+                reached += [d for d in succ[v] if d not in reached]
+            names = ("successors", "accepting") + (() if inside is None else ("inside",))
+            assert calls == collections.Counter(
+                {(name, v): 1 for name in names for v in reached})
+            if got is not None:
+                found += 1
+                assert list(got.prefix) == buchi._bfs_path(
+                    (0,), got.prefix[-1], succ.__getitem__)
         assert found > 500
 
 
