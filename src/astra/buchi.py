@@ -774,22 +774,21 @@ class ProductAutomaton:
     so every successor of a product state pairs a world successor with the
     same automaton state.  States are numbered in breadth-first discovery
     order from the roots, which come first.  ``states[i]`` names state
-    ``i`` as a ``(world, automaton state)`` pair, ``accepting[i]`` tells
-    whether its automaton state is accepting, and ``moves[i][c]`` lists the
-    numbers of the states reached from it under the ``c``-th control of
-    ``system``, in ``system.successors`` order.
+    ``i`` as a ``(world, automaton state)`` pair and ``accepting[i]`` tells
+    whether its automaton state is accepting.
 
-    A state's whole move row depends only on its world state and the
-    automaton state of its targets, so states that agree on both share one
-    row: ``moves[i] is moves[j]``.  ``pair[i]`` numbers that (world, next
-    automaton state) pair, in the order the search first reached it; the
-    synthesis game counts per pair.  Rows are shared, so no reader may
-    mutate one.
+    A state's moves depend only on its world state and the automaton state
+    of its targets, so they are kept once per such (world, next automaton
+    state) pair: ``pair[i]`` is state ``i``'s pair, numbered in the order
+    the search first reached it, and ``rows[p][c]`` is the tuple of the
+    numbers of the states reached from pair ``p``'s states under the
+    ``c``-th control of ``system``, in ``system.successors`` order.  Rows
+    are tuples of tuples, so no reader can change them.
     """
 
     system: object
     states: tuple
-    moves: list
+    rows: list
     accepting: list
     pair: list
 
@@ -804,10 +803,10 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
     -1 until the search reaches it.  A world state's label mask is read
     when the search first reaches it, and the automaton steps on its
     ``table``, to ``x2``.  The move row of pair ``(q, x2)`` is built from
-    the system's ``rows`` the first time the pair is reached;
-    ``pair_place[q * m + x2]`` holds its pair number, -1 until then, and
-    every later state of the pair reuses the row.  Its targets were all
-    placed when it was built, so sharing does not change the numbering.
+    the system's successor rows the first time the pair is reached;
+    ``pair_place[q * m + x2]`` holds its pair number, -1 until then.  Its
+    targets were all placed when it was built, so keeping one row per
+    pair does not change the numbering.
     """
     if not roots:
         raise AutomatonError("a product needs at least one root")
@@ -817,7 +816,7 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
             raise AutomatonError(f"unknown initial state {q0!r}")
     if not is_total(automaton):
         raise AutomatonError("specification automaton must be total")
-    worlds, rows, table, m = system.states, system.rows, automaton.table, len(automaton.states)
+    worlds, table, m = system.states, automaton.table, len(automaton.states)
     label_mask = cache(automaton.letter_mask)
     # per world state: its label's mask, -1 until the search reaches it
     mask = [-1] * len(worlds)
@@ -830,7 +829,7 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
         if place[node] < 0:
             place[node] = len(order)
             order.append(node)
-    pair, pair_rows = [], []
+    pair, rows = [], []
     for node in order:
         q, x = divmod(node, m)
         letter = mask[q]
@@ -840,9 +839,9 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
         key = node - x + x2
         p = pair_place[key]
         if p < 0:
-            p = pair_place[key] = len(pair_rows)
+            p = pair_place[key] = len(rows)
             row = []
-            for succ in rows[q]:
+            for succ in system.rows[q]:
                 targets = []
                 for q2 in succ:
                     t = q2 * m + x2
@@ -851,10 +850,9 @@ def product(system, roots, automaton: BuchiAutomaton, valuation) -> ProductAutom
                         j = place[t] = len(order)
                         order.append(t)
                     targets.append(j)
-                row.append(targets)
-            pair_rows.append(row)
+                row.append(tuple(targets))
+            rows.append(tuple(row))
         pair.append(p)
     states = tuple((worlds[node // m], automaton.states[node % m]) for node in order)
     flags = [x in automaton.accepting for x in automaton.states]
-    return ProductAutomaton(system, states, [pair_rows[p] for p in pair],
-                            [flags[node % m] for node in order], pair)
+    return ProductAutomaton(system, states, rows, [flags[node % m] for node in order], pair)

@@ -211,7 +211,7 @@ def cmd_simulate(args) -> int:
         if args.policy == "adversarial":
             # the disturbance toward the largest attractor rank, first on
             # ties; the targets under each disturbance in state number order
-            row = prod.moves[ps][system.controls.index(action)]
+            row = prod.rows[prod.pair[ps]][system.controls.index(action)]
             number = {prod.states[j][0]: j for j in row}
             b, ps = max(((b, j) for b in system.disturbances
                          for j in sorted(number[q2] for q2 in
@@ -228,7 +228,9 @@ def cmd_simulate(args) -> int:
             lasso_detected = True
         seen_pairs.add(pair)
         state = nxt
-    print("satisfied (lasso detected)" if lasso_detected else "inconclusive prefix")
+    print("inconclusive prefix" if not lasso_detected
+          else "satisfied (lasso detected)" if verified
+          else "lasso detected (plan not verified)")
     return EXIT_OK
 
 
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (AstraError, OSError, json.JSONDecodeError) as exc:
+    except (AstraError, OSError, json.JSONDecodeError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

@@ -5,10 +5,10 @@ outcomes are accepted, the outcome prefixes in which no accepting product
 state recurs form a finite transition system: extensions that would repeat
 an accepting state fold back to the unique shorter prefix ending in that
 state.  Prefixes are sequences of product state numbers, extended through
-the product's move table.  Reading one rule off each node of this system
-yields a reactive plan, which is how existence of a winning strategy
-implies existence of a plan.  This module is a test harness for that
-construction; the planner itself does not use it.
+the move row of their last state's pair.  Reading one rule off each node
+of this system yields a reactive plan, which is how existence of a
+winning strategy implies existence of a plan.  This module is a test
+harness for that construction; the planner itself does not use it.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ def build_accepting_system(product: ProductAutomaton,
     The controller is lifted to product-state sequences by acting on their
     world projections; each node keeps the controller fed with its world
     states, so extending it costs one ``feed``.  Each node extends by every
-    state of ``product.moves`` under its action, in state number order; an
-    extension whose accepting state recurs folds back to the unique
+    target under its action in the row ``product.rows[product.pair[i]]``
+    of its last state ``i``, which it only reads, in state number order;
+    an extension whose accepting state recurs folds back to the unique
     recurrence-free prefix ending in that state.  Every accepting state
     occurs at most once in a node, so each node keeps their positions, and
     both the recurrence test and the fold-back target cost one lookup.
@@ -64,7 +65,7 @@ def build_accepting_system(product: ProductAutomaton,
     actually winning.
     """
     cap = pigeonhole_cap(product)
-    states, moves, accepting = product.states, product.moves, product.accepting
+    states, rows, pair, accepting = product.states, product.rows, product.pair, product.accepting
     column = {a: c for c, a in enumerate(product.system.controls)}
     root = (0,)
     nodes = [root]
@@ -79,7 +80,7 @@ def build_accepting_system(product: ProductAutomaton,
         if action not in column:
             raise UndeclaredSymbol(f"unknown control {action!r}")
         targets = []
-        for j in sorted(moves[node[-1]][column[action]]):
+        for j in sorted(rows[pair[node[-1]]][column[action]]):
             at = positions[index].get(j)
             if at is not None:
                 targets.append(ids[node[: at + 1]])

@@ -66,7 +66,7 @@ def product_dot(prod) -> str:
     """One line per (state, control, disturbance, world successor), in
     state number, declared and system successor order; every successor of
     state ``i`` carries its one automaton successor, that of the first
-    target of ``moves[i][0]``."""
+    target in its pair's row, ``rows[pair[i]][0]``, which it only reads."""
     system = prod.system
     lines = ["rankdir=LR;", "node [shape=circle];"]
     for state, flag in zip(prod.states, prod.accepting):
@@ -74,9 +74,9 @@ def product_dot(prod) -> str:
         lines.append(f"{_quote(_product_name(state))} [shape={shape}];")
     lines.append("__start [shape=point];")
     lines.append(f"__start -> {_quote(_product_name(prod.states[0]))};")
-    for state, row in zip(prod.states, prod.moves):
+    for state, p in zip(prod.states, prod.pair):
         source = _quote(_product_name(state))
-        x2 = prod.states[row[0][0]][1]
+        x2 = prod.states[prod.rows[p][0][0]][1]
         for a in system.controls:
             for b in system.disturbances:
                 for q2 in system.successors_under(state[0], a, b):
@@ -104,5 +104,6 @@ def accepting_system_dot(system) -> str:
 
 
 def write_dot(path, content):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    data = content.encode("utf-8")  # a name UTF-8 cannot hold fails here
+    with open(path, "wb") as fh:
+        fh.write(data)

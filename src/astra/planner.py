@@ -3,10 +3,10 @@
 The system is composed with the total specification automaton in one
 product rooted at every candidate initial state.  Its game is played on
 the product states: control picks an action, the disturbances pick any of
-its targets in the product's move table.  It is solved once by the
-classical nested fixpoint over a counter-based attractor, which counts
-once per move row that states share, into one list of control indices
-and one of attractor ranks per product state, and the positional
+its targets in the move row of the state's pair.  It is solved once by
+the classical nested fixpoint over a counter-based attractor, which
+counts once per pair's row, into one list of control indices and one of
+attractor ranks per product state, and the positional
 strategy from the first winning candidate is unfolded into a reactive
 plan.  Every successor of a product state carries the same
 automaton state, so that plan already keeps at most one successor per
@@ -48,13 +48,13 @@ def _attractor(target, predecessors, unranked, k, members):
     entered, and the layer at which each choice completes (0 if never).
 
     Choice ``p*k + c`` is control's move ``c`` at the states of pair ``p``,
-    ``members[p]``, which share one move row; ``predecessors[j]`` lists the
+    ``members[p]``, which read one move row; ``predecessors[j]`` lists the
     choices with target ``j``, and ``unranked[choice]`` counts its targets
     not yet ranked.  Breadth-first in rank order: a choice completes one
     layer after its highest-ranked target, and the first complete choice
     of a pair enters every unranked state of the pair at that layer, so
     ranks do not depend on the order in which states enter a layer.  Each
-    entry of a shared row is looked at once, so this costs O(|rows|).
+    entry of a pair's row is looked at once, so this costs O(|rows|).
     """
     rank = [-1] * len(predecessors)
     for j in target:
@@ -97,24 +97,19 @@ def solve_buchi_game(product):
     order.  A state's status and rank depend only on the part of the game
     reachable from it, so every root of the product is solved at once.
 
-    The states of one ``product.pair`` share a move row, so the game keeps
-    its predecessor lists, unranked counters and completion layers per
-    (pair, control) choice, one row per pair, and every state reads its
-    pair's layers.
+    The game keeps its predecessor lists, unranked counters and
+    completion layers per (pair, control) choice, one per entry of
+    ``product.rows``, and every state reads its pair's layers.
     """
     n, k = len(product.states), len(product.system.controls)
     pair = product.pair
-    members, predecessors, sizes = [], [[] for _ in range(n)], []
+    members, predecessors, sizes = [[] for _ in product.rows], [[] for _ in range(n)], []
     for i, p in enumerate(pair):
-        if p < len(members):
-            members[p].append(i)
-            continue
-        # the first state of a pair: its row is the pair's
-        members.append([i])
-        for targets in product.moves[i]:
-            choice = len(sizes)
+        members[p].append(i)
+    for row in product.rows:
+        for targets in row:
             for j in targets:
-                predecessors[j].append(choice)
+                predecessors[j].append(len(sizes))
             sizes.append(len(targets))
     accepting = [i for i, flag in enumerate(product.accepting) if flag]
     # at first every state is in the region, so every choice stays in it
@@ -165,30 +160,31 @@ def extract_plan(product, strategy, root=0) -> ReactivePlan:
     every disturbance-resolved successor, as plan well-formedness demands.
     Targets are visited in the order in which a product rooted at ``root``
     alone discovers them, re-derived by one breadth-first search over
-    ``product.moves``, so the plan does not depend on other roots.  Both
+    the pairs' rows, so the plan does not depend on other roots.  Both
     searches keep each state's place in a list indexed by state number.
     Raises ``AstraError`` when ``root`` is not a winning state's number.
     """
     if (not isinstance(root, int) or isinstance(root, bool)
             or root not in range(len(strategy)) or strategy[root] < 0):
         raise AstraError(f"product state {root!r} is not a winning state")
-    moves, controls, states = product.moves, product.system.controls, product.states
-    local = [-1] * len(moves)
+    rows, pair, controls, states = (product.rows, product.pair,
+                                    product.system.controls, product.states)
+    local = [-1] * len(states)
     local[root] = 0
     order = [root]
     for i in order:
-        for targets in moves[i]:
+        for targets in rows[pair[i]]:
             for j in targets:
                 if local[j] < 0:
                     local[j] = len(order)
                     order.append(j)
-    ids = [0] * len(moves)
+    ids = [0] * len(states)
     ids[root] = 1
     order = [root]
     scrs = []
     for i in order:
         c = strategy[i]
-        row = moves[i][c]
+        row = rows[pair[i]][c]
         for j in sorted(row, key=local.__getitem__) if len(row) > 1 else row:
             if not ids[j]:
                 order.append(j)

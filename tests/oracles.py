@@ -131,7 +131,7 @@ class TupleProduct:
         self.accepting = frozenset(
             s for s, flag in zip(product.states, product.accepting) if flag)
         self.index = {s: i for i, s in enumerate(product.states)}
-        self.moves = product.moves
+        self.moves = [product.rows[p] for p in product.pair]
 
     def successors(self, state, control):
         row = self.moves[self.index[state]][self.controls.index(control)]
@@ -296,7 +296,7 @@ def per_state_buchi_game(product):
     n, k = len(product.states), len(product.system.controls)
     predecessors = [[] for _ in range(n)]
     sizes = []
-    for row in product.moves:
+    for row in [product.rows[p] for p in product.pair]:
         for targets in row:
             for j in targets:
                 predecessors[j].append(len(sizes))
@@ -839,14 +839,15 @@ def per_disturbance_product(system, roots, automaton, valuation):
     return order, targets
 
 
-def tuple_adversary_run(system, valuation, spec, plan, steps):
+def tuple_adversary_run(system, valuation, spec, plan, steps, verified):
     """The stdout of ``astra simulate --policy adversarial`` for ``plan``
     from its first world state, ``spec`` its total automaton, by the rule
     on product-state tuples: each step plays the (disturbance, target) of
     largest attractor rank over ``per_disturbance_product``'s targets,
     disturbances in declared order and targets in discovery order, the
     first on ties.  Ranks come from ``layered_buchi_solution``; a lost
-    state ranks above every won one."""
+    state ranks above every won one.  A lasso under a plan that did not
+    verify (``verified`` false) is not reported as satisfied."""
     start = plan.world_of(1)
     arena = TaggedArena(buchi.product(system, [start], spec, valuation))
     _, _, ranks = layered_buchi_solution(arena)
@@ -871,5 +872,9 @@ def tuple_adversary_run(system, valuation, spec, plan, steps):
         lasso = lasso or (controller.cursor, nxt[0]) in seen
         seen.add((controller.cursor, nxt[0]))
         state = nxt
-    lines.append("satisfied (lasso detected)" if lasso else "inconclusive prefix")
+    if not lasso:
+        lines.append("inconclusive prefix")
+    else:
+        lines.append("satisfied (lasso detected)" if verified
+                     else "lasso detected (plan not verified)")
     return "".join(f"{line}\n" for line in lines)

@@ -739,7 +739,8 @@ class TestProduct:
         # and lands in an accepting component that then loops
         (x0,) = spec.initial
         assert prod.states[0] == ("q", x0) and not prod.accepting[0]
-        assert prod.moves == [[[1]], [[1]]] and prod.accepting[1]
+        assert [prod.rows[p] for p in prod.pair] == [((1,),), ((1,),)]
+        assert prod.accepting[1]
 
     def test_requires_total_automaton(self, agent_system):
         system, valuation = agent_system
@@ -798,7 +799,8 @@ class TestProduct:
         for s in order:
             for c, a in enumerate(system.controls):
                 union = [t for b in system.disturbances for t in targets[s, a, b]]
-                assert prod.moves[place(s)][c] == [place(t) for t in dict.fromkeys(union)]
+                assert prod.rows[prod.pair[place(s)]][c] == tuple(
+                    place(t) for t in dict.fromkeys(union))
                 assert view.successors(s, a) == tuple(sorted(set(union), key=place))
                 # each per-disturbance target pairs a world successor with
                 # the one automaton state of the control's targets, the
@@ -828,10 +830,9 @@ class TestProduct:
             self.assert_matches_reference(system, repeated, total, valuation)
 
     def test_states_of_one_pair_share_one_row(self):
-        # moves[i] is moves[j] exactly when states i and j have the same
-        # world state and the same automaton state in their targets, pair
-        # numbers those pairs in first-reach order, and the rows still
-        # equal the per-disturbance reference
+        # pair numbers the (world state, automaton state of the targets)
+        # pairs in first-reach order, there is one row per pair, and each
+        # state's pair row equals its row in the per-disturbance reference
         rng = random.Random(45)
         checked = shared = 0
         while checked < 300:
@@ -851,8 +852,14 @@ class TestProduct:
                 first.setdefault(key, i)
             number = {key: p for p, key in enumerate(first)}
             assert prod.pair == [number[key] for key in keys]
-            assert all(prod.moves[i] is prod.moves[first[key]] for i, key in enumerate(keys))
-            assert len({id(row) for row in prod.moves}) == len(first)
+            assert len(prod.rows) == len(first)
+            order, targets = per_disturbance_product(system, roots, total, valuation)
+            place = {s: i for i, s in enumerate(order)}
+            assert [prod.rows[p] for p in prod.pair] == [
+                tuple(tuple(place[t] for t in dict.fromkeys(
+                    t for b in system.disturbances for t in targets[s, a, b]))
+                      for a in system.controls)
+                for s in order]
             shared += len(first) < len(keys)
         assert shared >= 150
 
@@ -881,7 +888,7 @@ class TestProduct:
                               valuation)
         prod = product(system, system.states, spec, valuation)
         assert len(prod.states) == 36 and len(set(prod.pair)) == 15
-        assert len({id(row) for row in prod.moves}) == 15
+        assert len(prod.rows) == 15
 
     def test_reads_the_compiled_rows(self):
         # the system's successor rows are compiled once, at construction;

@@ -14,7 +14,7 @@ from astra.plan import dump_plan, load_plan, plan_to_dict
 
 from conftest import child_env, system_file_dict, write_json
 from generators import random_formula, random_system
-from oracles import tuple_adversary_run
+from oracles import tuple_adversary_run, tuple_plan_violation
 
 DATA = pathlib.Path(__file__).parent / "data"
 PINS = DATA / "cli_pins.json"
@@ -499,8 +499,21 @@ class TestSimulate:
             "1 q3 a1 1 q3\n"
             "2 q3 a1 1 q3\n"
             "3 q3 a1 1 q3\n"
-            "satisfied (lasso detected)\n"
+            "lasso detected (plan not verified)\n"
         )
+
+    def test_lasso_under_unverified_plan_is_not_satisfied(
+            self, agent_system_file, example_plan_file, capsys):
+        # the example plan violates "G p2": its run repeats a (plan state,
+        # world state) pair, which shows no satisfaction
+        code, stdout, stderr = run(
+            "simulate", "--system", agent_system_file, "--spec", "G p2",
+            "--plan", example_plan_file, "--steps", "6", "--seed", "0",
+            capsys=capsys,
+        )
+        assert code == 0
+        assert stderr == "warning: plan failed verification; simulating anyway\n"
+        assert stdout.splitlines()[-1] == "lasso detected (plan not verified)"
 
     def test_adversarial_totalizes_the_automaton_once(self, tmp_path, monkeypatch,
                                                       agent_system_file,
@@ -766,6 +779,33 @@ class TestUsage:
         )
         assert code == 3 and stderr.startswith("error:")
 
+    def test_undecodable_input_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"states": []}')
+        code, stdout, stderr = run(
+            "verify", "--system", str(bad), "--spec", "p",
+            "--plan", str(bad), capsys=capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_unencodable_output_exits_three(self, tmp_path, capsys):
+        # a JSON escape reads a lone surrogate into a state name, which
+        # the DOT file cannot hold in UTF-8; nothing is written
+        state = "q\ud800"
+        system = write_json(tmp_path / "system.json", {
+            "states": [state], "controls": ["a"], "disturbances": ["b"],
+            "transitions": [{"from": state, "control": "a", "disturbance": "b",
+                             "to": state}],
+            "valuation": {state: []},
+        })
+        out = tmp_path / "system.dot"
+        code, stdout, stderr = run("export", "system", "--system", system,
+                                   "--out", str(out), capsys=capsys)
+        assert code == 3 and stdout == ""
+        assert stderr.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+        assert not out.exists()
+
 
 # (name, random_system seed, formula): seeded systems of up to 8 states with
 # two or three disturbances and branching moves, on which the adversary
@@ -842,7 +882,7 @@ class TestAdversaryReference:
         # tuples plays; each plan is synthesized from its start, for "true"
         # where the formula is lost there, so some runs play on lost states
         rng = random.Random(61)
-        systems = runs = lost = off_first = 0
+        systems = runs = lost = off_first = unverified = 0
         sys_path, plan_path = tmp_path / "system.json", tmp_path / "plan.json"
         while systems < 60:
             # the system file declares the propositions some state carries
@@ -873,15 +913,18 @@ class TestAdversaryReference:
                     "simulate", "--system", str(sys_path), "--spec", text,
                     "--plan", str(plan_path), "--policy", "adversarial",
                     "--initial", start, "--steps", "16")
+                verified = tuple_plan_violation(result.plan, formula, valuation) is None
                 expected = tuple_adversary_run(system, valuation, spec,
-                                               result.plan, 16)
+                                               result.plan, 16, verified)
                 assert stdout == expected + "exit 0\n"
                 runs += 1
                 off_first += any(line.split()[3] != system.disturbances[0]
                                  for line in expected.splitlines()[:-1])
+                unverified += expected.endswith("lasso detected (plan not verified)\n")
         # the corpus is not degenerate: many runs start where the formula
-        # is lost, and some leave the first disturbance for a higher rank
-        assert runs >= 120 and lost >= 40 and off_first >= 3
+        # is lost, and so end on a lasso under an unverified plan, and some
+        # leave the first disturbance for a higher rank
+        assert runs >= 120 and lost >= 40 and unverified >= 40 and off_first >= 3
 
 
 class TestModuleEntryPoint:
