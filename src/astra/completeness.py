@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .buchi import ProductAutomaton
 from .errors import CapExceeded, UndeclaredSymbol
-from .plan import ReactivePlan, SCR
+from .plan import ReactivePlan
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,10 @@ def build_accepting_system(product: ProductAutomaton,
 
 
 def plan_from_accepting_system(system: AcceptingTransitionSystem) -> ReactivePlan:
-    """One SCR per node: its world label, its lifted action, and its edge
+    """One plan state per node: its world label, its lifted action, and its edge
     targets as successor plan states.  Node 0 becomes plan state 1."""
-    rules = []
-    for index in range(len(system)):
-        rules.append(SCR(
-            index + 1,
-            system.label(index)[0],
-            system.actions[index],
-            frozenset(t + 1 for t in system.edges[index]),
-        ))
-    return ReactivePlan(rules)
+    return ReactivePlan.from_columns(
+        [system.label(index)[0] for index in range(len(system))],
+        system.actions,
+        [[t + 1 for t in targets] for targets in system.edges],
+    )

@@ -253,11 +253,23 @@ class AlternatingTransitionSystem:
         return tuple(map(self.states.__getitem__, self._under[slot]))
 
 
+def _require_encodable(names, owner, error=SystemValidationError):
+    """``names``, once each is checked to be encodable in UTF-8: a JSON
+    escape can read a lone surrogate into a name, which no output can write."""
+    for name in names:
+        if not name.isascii():
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{owner} names {name!r}, which UTF-8 cannot encode") from None
+    return names
+
+
 def _string_list(raw, key):
     value = raw[key]
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SystemValidationError(f"{key!r} must be a list of strings")
-    return value
+    return _require_encodable(value, repr(key))
 
 
 def validate_ats(raw: dict) -> AlternatingTransitionSystem:
@@ -305,6 +317,8 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
         isinstance(obs_map, dict) and all(isinstance(o, str) for o in obs_map.values())
     ):
         raise SystemValidationError("'observations' must map states to strings")
+    if obs_map is not None:
+        _require_encodable(obs_map.values(), "'observations'")
     return AlternatingTransitionSystem(
         _string_list(raw, "states"), controls,
         _string_list(raw, "disturbances"), transitions,

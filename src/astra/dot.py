@@ -31,14 +31,15 @@ def system_dot(system, valuation=None) -> str:
 
 def plan_dot(plan) -> str:
     lines = ["rankdir=LR;", "node [shape=circle];"]
-    for scr in plan.scrs:
-        label = f"{scr.id}: {scr.world} / {scr.action}"
-        lines.append(f"{scr.id} [label={_quote(label)}];")
+    ids = range(1, len(plan) + 1)
+    for i in ids:
+        label = f"{i}: {plan._worlds[i]} / {plan._actions[i]}"
+        lines.append(f"{i} [label={_quote(label)}];")
     lines.append("__start [shape=point];")
     lines.append("__start -> 1;")
-    for scr in plan.scrs:
-        for j in plan.successor_ids(scr.id):
-            lines.append(f"{scr.id} -> {j};")
+    for i in ids:
+        for j in plan._successors[i]:
+            lines.append(f"{i} -> {j};")
     return _digraph("plan", lines)
 
 

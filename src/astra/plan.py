@@ -4,6 +4,9 @@ A reactive plan is a finite set of situation control rules (plan state,
 world state, action, successor plan states).  Every rule names at least
 one successor, as every plan for a non-blocking system must, so every
 plan generates a trajectory: a cycle is reachable from plan state 1.
+A plan keeps its rules as three lists indexed by plan id (world states,
+actions and sorted successor tuples), which every function here reads
+directly; the rules as ``SCR`` objects are a view built on first read.
 This module covers plan well-formedness, generated trajectories,
 reachable-cycle search, plan simplification, and the strategy obtained
 by walking a simplified plan along an observed state history.
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain
+from operator import attrgetter, itemgetter
 
 from . import buchi, ltl
-from .core import Lasso
+from .core import Lasso, _require_encodable
 from .errors import AstraError, ExplosionGuard, PlanValidationError, UniquenessViolated
 
 
@@ -48,64 +52,117 @@ def _rule(s) -> SCR:
     return SCR(*s)
 
 
+def _in_id_order(rules, id_of) -> list:
+    """``rules`` sorted by id; the ids must be exactly 1..k, which is checked
+    first, as sorting needs them to compare with ints."""
+    if set(map(id_of, rules)) != set(range(1, len(rules) + 1)):
+        raise PlanValidationError("plan state ids must be exactly 1..k")
+    return sorted(rules, key=id_of)
+
+
 class ReactivePlan:
     """An ordered set of SCRs with ids 1..k (plain ints, as in a plan file),
     each naming at least one successor among them; execution starts at plan
-    state 1.  ``_successors[i]`` lists plan state ``i``'s successors in
-    increasing order (``_successors[0]`` is empty); the checks read it."""
+    state 1.
+
+    It is stored as three lists indexed by plan id, which every reader in
+    this library reads: ``_worlds[i]``, ``_actions[i]`` and
+    ``_successors[i]`` are plan state ``i``'s world state, action and
+    successors in increasing order (entry 0 is unused).  ``scrs`` and
+    ``by_id`` are views built on first read; a plan built from SCRs keeps
+    the given rules as its ``scrs``.  :meth:`from_columns` builds a plan
+    from the lists, with the same checks and no SCR.
+    """
 
     def __init__(self, scrs):
-        rules = list(map(_rule, scrs))
-        if not rules:
+        rules = _in_id_order(list(map(_rule, scrs)), attrgetter("id"))
+        self._set_columns([s.world for s in rules], [s.action for s in rules],
+                          [s.successors for s in rules], [s.id for s in rules])
+        self.scrs = tuple(rules)
+
+    @classmethod
+    def from_columns(cls, worlds, actions, successors) -> "ReactivePlan":
+        """The plan whose plan state ``i`` carries ``worlds[i - 1]``,
+        ``actions[i - 1]`` and the successor ids in ``successors[i - 1]``,
+        checked as the SCR route checks its rules; no SCR is built."""
+        plan = cls.__new__(cls)
+        plan._set_columns(worlds, actions, successors)
+        return plan
+
+    def _set_columns(self, worlds, actions, successors, ids=()):
+        """Check and store the columns of plan states 1..k; a successor listed
+        twice counts once.  ``ids`` are the SCR route's rule ids, which must be
+        plain ints, as the successors must."""
+        k = len(worlds)
+        if not k:
             raise PlanValidationError("a plan needs at least one SCR")
-        # ids and successors are checked before they are sorted, which
-        # needs them to compare with ints
-        ids = {s.id for s in rules}
-        if ids != set(range(1, len(rules) + 1)):
-            raise PlanValidationError("plan state ids must be exactly 1..k")
-        self.scrs = tuple(sorted(rules, key=lambda s: s.id))
-        self.by_id = {s.id: s for s in self.scrs}
-        for s in self.scrs:
-            if not s.successors:
-                raise PlanValidationError(f"SCR {s.id} lists no successor plan states")
-            if not s.successors <= ids:
-                dangling = s.successors - ids
-                raise PlanValidationError(
-                    f"SCR {s.id} lists unknown successor plan states {sorted(dangling, key=repr)}"
-                )
-        self._successors = [()] + [tuple(sorted(s.successors)) for s in self.scrs]
+        if len(actions) != k or len(successors) != k:
+            raise PlanValidationError("a plan needs one world, action and successor set "
+                                      "per plan state")
+        known = set(range(1, k + 1))
+        # membership is checked before sorting, which needs ints
+        if not all(successors) or not known.issuperset(chain.from_iterable(successors)):
+            for i, js in enumerate(successors, 1):
+                if not js:
+                    raise PlanValidationError(f"SCR {i} lists no successor plan states")
+                dangling = set(js) - known
+                if dangling:
+                    raise PlanValidationError(
+                        f"SCR {i} lists unknown successor plan states "
+                        f"{sorted(dangling, key=repr)}"
+                    )
+        rows = [(), *map(tuple, map(sorted, map(set, successors)))]
         # ``True`` and ``1.0`` pass the checks above: they equal ints
-        if set(map(type, chain(self.by_id, chain.from_iterable(self._successors)))) != {int}:
+        if set(map(type, chain(ids, chain.from_iterable(rows)))) != {int}:
             raise PlanValidationError("plan state ids and successors must be integers")
+        self._worlds, self._actions, self._successors = [None, *worlds], [None, *actions], rows
+
+    @cached_property
+    def scrs(self) -> tuple:
+        return tuple(SCR(i, self._worlds[i], self._actions[i], frozenset(self._successors[i]))
+                     for i in range(1, len(self._worlds)))
+
+    @cached_property
+    def by_id(self) -> dict:
+        return {s.id: s for s in self.scrs}
 
     def __len__(self):
-        return len(self.scrs)
+        return len(self._worlds) - 1
 
     def __eq__(self, other):
-        return isinstance(other, ReactivePlan) and self.scrs == other.scrs
+        return (isinstance(other, ReactivePlan) and self._worlds == other._worlds
+                and self._actions == other._actions
+                and self._successors == other._successors)
 
     def __hash__(self):
-        return hash(self.scrs)
+        return hash((*self._worlds, *self._actions, *self._successors))
 
     def __repr__(self):
         return f"ReactivePlan({list(self.scrs)!r})"
 
+    def _id(self, plan_state) -> int:
+        """The list index of ``plan_state``; ``KeyError`` if the plan lacks it."""
+        if type(plan_state) is int and 0 < plan_state < len(self._worlds):
+            return plan_state
+        raise KeyError(plan_state)
+
     def successor_ids(self, plan_state) -> tuple:
         """The successor plan states of ``plan_state`` in increasing order;
         a plan state the plan lacks raises ``KeyError``."""
-        return self._successors[self.by_id[plan_state].id]
+        return self._successors[self._id(plan_state)]
 
     def world_of(self, plan_state) -> str:
-        return self.by_id[plan_state].world
+        return self._worlds[self._id(plan_state)]
 
     def require_unique_world_successors(self):
-        for s in self.scrs:
+        worlds = self._worlds
+        for i, js in enumerate(self._successors):
             seen = {}
-            for j in self.successor_ids(s.id):
-                w = self.by_id[j].world
+            for j in js:
+                w = worlds[j]
                 if w in seen:
                     raise UniquenessViolated(
-                        f"SCR {s.id}: successors {seen[w]} and {j} both carry world "
+                        f"SCR {i}: successors {seen[w]} and {j} both carry world "
                         f"state {w!r}"
                     )
                 seen[w] = j
@@ -115,24 +172,26 @@ class ReactivePlan:
         soundness, and full coverage of every disturbance-resolved successor."""
         states = set(system.states)
         controls = set(system.controls)
-        for s in self.scrs:
-            if s.world not in states:
-                raise PlanValidationError(f"SCR {s.id}: unknown world state {s.world!r}")
-            if s.action not in controls:
-                raise PlanValidationError(f"SCR {s.id}: unknown action {s.action!r}")
-            reachable = set(system.successors(s.world, s.action))
-            successor_worlds = {self.by_id[j].world for j in s.successors}
+        worlds = self._worlds
+        for i in range(1, len(worlds)):
+            world, action = worlds[i], self._actions[i]
+            if world not in states:
+                raise PlanValidationError(f"SCR {i}: unknown world state {world!r}")
+            if action not in controls:
+                raise PlanValidationError(f"SCR {i}: unknown action {action!r}")
+            reachable = set(system.successors(world, action))
+            successor_worlds = {worlds[j] for j in self._successors[i]}
             phantom = successor_worlds - reachable
             if phantom:
                 raise PlanValidationError(
-                    f"SCR {s.id}: successor worlds {sorted(phantom)} are not reachable "
-                    f"from {s.world!r} under {s.action!r}"
+                    f"SCR {i}: successor worlds {sorted(phantom)} are not reachable "
+                    f"from {world!r} under {action!r}"
                 )
             missing = reachable - successor_worlds
             if missing:
                 raise PlanValidationError(
-                    f"SCR {s.id}: no successor plan state covers world states "
-                    f"{sorted(missing)} reachable from {s.world!r} under {s.action!r}"
+                    f"SCR {i}: no successor plan state covers world states "
+                    f"{sorted(missing)} reachable from {world!r} under {action!r}"
                 )
 
 
@@ -148,8 +207,8 @@ def plan_from_dict(raw: dict) -> ReactivePlan:
     unknown = set(raw) - {"scrs", "initial"}
     if unknown:
         raise PlanValidationError(f"unknown keys in plan description: {sorted(unknown)}")
-    scrs = []
-    for entry in raw["scrs"]:
+    entries = raw["scrs"]
+    for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"id", "world", "action", "successors"}:
             raise PlanValidationError(
                 "each SCR must be an object with exactly the keys id/world/action/successors"
@@ -163,9 +222,12 @@ def plan_from_dict(raw: dict) -> ReactivePlan:
                 f"SCR {entry.get('id')!r}: id and successors must be integers, "
                 "world and action strings"
             )
-        scrs.append(SCR(entry["id"], entry["world"], entry["action"],
-                        frozenset(entry["successors"])))
-    plan = ReactivePlan(scrs)
+    _require_encodable(chain.from_iterable((e["world"], e["action"]) for e in entries),
+                       "plan", PlanValidationError)
+    entries = _in_id_order(entries, itemgetter("id"))
+    plan = ReactivePlan.from_columns([e["world"] for e in entries],
+                                     [e["action"] for e in entries],
+                                     [e["successors"] for e in entries])
     if "initial" in raw and raw["initial"] != plan.world_of(1):
         raise PlanValidationError(
             f"plan 'initial' {raw['initial']!r} is not plan state 1's world "
@@ -179,9 +241,9 @@ def plan_to_dict(plan: ReactivePlan, initial=None) -> dict:
     if initial is not None:
         out["initial"] = initial
     out["scrs"] = [
-        {"id": s.id, "world": s.world, "action": s.action,
-         "successors": list(plan.successor_ids(s.id))}
-        for s in plan.scrs
+        {"id": i, "world": plan._worlds[i], "action": plan._actions[i],
+         "successors": list(plan._successors[i])}
+        for i in range(1, len(plan._worlds))
     ]
     return out
 
@@ -203,6 +265,7 @@ def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
     Lassos are returned in canonical form, so set comparisons are
     comparisons of the denoted words.  Intended for testing at small bounds.
     """
+    worlds, successors = plan._worlds, plan._successors
     found = set()
     walks = [(1,)]
     examined = 0
@@ -212,11 +275,11 @@ def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
         if examined > cap:
             raise ExplosionGuard(f"more than {cap} plan walks at bound {bound}")
         last = walk[-1]
-        for nxt in plan.successor_ids(last):
+        for nxt in successors[last]:
             for t, state in enumerate(walk):
                 if state == nxt:
-                    prefix = tuple(plan.world_of(i) for i in walk[:t])
-                    cycle = tuple(plan.world_of(i) for i in walk[t:])
+                    prefix = tuple(worlds[i] for i in walk[:t])
+                    cycle = tuple(worlds[i] for i in walk[t:])
                     found.add(Lasso(prefix, cycle).canonical())
             if len(walk) < bound:
                 walks.append(walk + (nxt,))
@@ -239,7 +302,7 @@ def _violation(plan, automaton, valuation, accepting, inside=None):
     """
     table, m = automaton.table, len(automaton.states)
     label_mask = cache(automaton.letter_mask)
-    successors = plan._successors
+    worlds, successors = plan._worlds, plan._successors
     marks = [accepting(x) for x in automaton.states]
     inner = [inside is None or inside(x) for x in automaton.states]
     masks = [-1] * len(successors)
@@ -251,7 +314,7 @@ def _violation(plan, automaton, valuation, accepting, inside=None):
         x = states[i]
         mask = masks[plan_state]
         if mask < 0:
-            mask = masks[plan_state] = label_mask(valuation.label(plan.world_of(plan_state)))
+            mask = masks[plan_state] = label_mask(valuation.label(worlds[plan_state]))
         targets = table[x][mask]
         row = []
         for j in successors[plan_state]:
@@ -271,7 +334,7 @@ def _violation(plan, automaton, valuation, accepting, inside=None):
     if found is None:
         return None
     prefix, cycle = found
-    return Lasso(*(tuple(plan.world_of(order[k]) for k in path)
+    return Lasso(*(tuple(worlds[order[k]] for k in path)
                    for path in (prefix, cycle)))
 
 
@@ -354,18 +417,18 @@ def simplify_plan(plan: ReactivePlan) -> ReactivePlan:
     prefix_next, suffix_next = (dict(zip(path, path[1:]))
                                 for path in find_reachable_cycle(plan))
 
-    rules = []
-    for s in plan.scrs:
+    worlds = plan._worlds
+    kept = []
+    for i in range(1, len(worlds)):
         groups = {}
-        for j in plan.successor_ids(s.id):
-            groups.setdefault(plan.by_id[j].world, []).append(j)
-        kept = frozenset(
-            next((j for j in (prefix_next.get(s.id), suffix_next.get(s.id))
-                  if j in group), group[0])
-            for _, group in sorted(groups.items())
-        )
-        rules.append(SCR(s.id, s.world, s.action, kept))
-    return ReactivePlan(rules)
+        for j in plan._successors[i]:
+            groups.setdefault(worlds[j], []).append(j)
+        kept.append([
+            next((j for j in (prefix_next.get(i), suffix_next.get(i)) if j in group),
+                 group[0])
+            for group in groups.values()
+        ])
+    return ReactivePlan.from_columns(worlds[1:], plan._actions[1:], kept)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +464,7 @@ class Controller:
 
     @property
     def default_action(self) -> str:
-        return self.plan.by_id[1].action
+        return self.plan._actions[1]
 
     @property
     def detached(self) -> bool:
@@ -409,16 +472,13 @@ class Controller:
 
     def feed(self, observed):
         """Consume one observed state; returns ``(controller, action)``."""
+        worlds = self.plan._worlds
         if self.cursor is None:
-            nxt = 1 if observed == self.plan.by_id[1].world else DETACHED
+            nxt = 1 if observed == worlds[1] else DETACHED
         elif self.cursor is DETACHED:
             nxt = DETACHED
         else:
-            nxt = DETACHED
-            for j in self.plan.successor_ids(self.cursor):
-                if self.plan.by_id[j].world == observed:
-                    nxt = j
-                    break
+            nxt = next((j for j in self.plan.successor_ids(self.cursor)
+                        if worlds[j] == observed), DETACHED)
         ctrl = Controller(self.plan, nxt)
-        action = self.default_action if nxt is DETACHED else self.plan.by_id[nxt].action
-        return ctrl, action
+        return ctrl, self.plan._actions[1 if nxt is DETACHED else nxt]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import buchi
 from .errors import AstraError, AutomatonError, VerificationFailure
-from .plan import Controller, ReactivePlan, SCR, check_plan
+from .plan import Controller, ReactivePlan, check_plan
 
 logger = logging.getLogger(__name__)
 
@@ -181,7 +181,7 @@ def extract_plan(product, strategy, root=0) -> ReactivePlan:
     ids = [0] * len(states)
     ids[root] = 1
     order = [root]
-    scrs = []
+    worlds, actions, successors = [], [], []
     for i in order:
         c = strategy[i]
         row = rows[pair[i]][c]
@@ -189,8 +189,10 @@ def extract_plan(product, strategy, root=0) -> ReactivePlan:
             if not ids[j]:
                 order.append(j)
                 ids[j] = len(order)
-        scrs.append(SCR(ids[i], states[i][0], controls[c], frozenset([ids[j] for j in row])))
-    return ReactivePlan(scrs)
+        worlds.append(states[i][0])
+        actions.append(controls[c])
+        successors.append([ids[j] for j in row])
+    return ReactivePlan.from_columns(worlds, actions, successors)
 
 
 def synthesize(system, formula, valuation, initial_hint=None,

@@ -5,7 +5,8 @@ import pathlib
 import pytest
 
 from astra.core import AlternatingTransitionSystem, Valuation
-from astra.plan import ReactivePlan, SCR
+from astra.errors import UniquenessViolated
+from astra.plan import Controller, ReactivePlan, SCR, plan_to_dict
 
 
 def three_state_valuation():
@@ -110,6 +111,43 @@ def agent_system_file(tmp_path, agent_system):
 
 @pytest.fixture
 def example_plan_file(tmp_path, example_plan):
-    from astra.plan import plan_to_dict
-
     return write_json(tmp_path / "plan.json", plan_to_dict(example_plan))
+
+
+def assert_plan_routes_agree(plan, rng):
+    """``plan``, the plan built from its lists (shuffled, one successor
+    repeated) and the plan built from its SCRs are equal, with equal
+    hashes, files, rules, lookups and controller runs."""
+    scrs = plan.scrs
+    successors = []
+    for s in scrs:
+        js = [*s.successors, min(s.successors)]
+        rng.shuffle(js)
+        successors.append(js)
+    by_rules = ReactivePlan(scrs)
+    plans = (plan, ReactivePlan.from_columns([s.world for s in scrs],
+                                             [s.action for s in scrs], successors), by_rules)
+    ids = range(1, len(plan) + 1)
+    # one observed history: mostly along the plan, sometimes off it
+    observed, state = [plan.world_of(1)], 1
+    for _ in range(12):
+        state = rng.choice(plan.successor_ids(state))
+        observed.append(plan.world_of(state) if rng.random() < 0.9 else "zz")
+    runs = []
+    for other in plans:
+        assert other == by_rules and hash(other) == hash(by_rules)
+        assert json.dumps(plan_to_dict(other)) == json.dumps(plan_to_dict(by_rules))
+        assert other.scrs == by_rules.scrs and other.by_id == by_rules.by_id
+        assert ([(other.world_of(i), other.successor_ids(i)) for i in ids]
+                == [(by_rules.world_of(i), by_rules.successor_ids(i)) for i in ids])
+        try:
+            controller = Controller(other)
+        except UniquenessViolated as exc:
+            runs.append(str(exc))
+            continue
+        run = []
+        for world in observed:
+            controller, action = controller.feed(world)
+            run.append((controller.cursor, action))
+        runs.append(run)
+    assert runs[0] == runs[1] == runs[2]

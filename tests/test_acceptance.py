@@ -27,7 +27,7 @@ from astra.plan import (
     simplify_plan,
 )
 
-from conftest import system_file_dict, write_json
+from conftest import assert_plan_routes_agree, system_file_dict, write_json
 from generators import (
     random_formula,
     random_letter_lasso,
@@ -234,6 +234,17 @@ def test_criterion_09_round_trip(corpus):
     assert rebuilt > 100
     report(9, f"controller-to-plan round trip satisfies the spec on "
               f"{rebuilt} instances")
+
+
+def test_extracted_plans_agree_across_plan_routes(corpus):
+    # extraction builds its plans from lists; built from their SCRs, the
+    # plans are the same
+    instances, _ = corpus
+    rng = random.Random(71)
+    plans = [inst.result.plan for inst in instances if inst.result.found]
+    for plan in plans:
+        assert_plan_routes_agree(plan, rng)
+    assert len(plans) > 100
 
 
 def test_criterion_10_hand_written_total_automata():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from astra import ltl, planner
 from astra.cli import main
 from astra.core import load_system
@@ -790,8 +792,8 @@ class TestUsage:
         assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
     def test_unencodable_output_exits_three(self, tmp_path, capsys):
-        # a JSON escape reads a lone surrogate into a state name, which
-        # the DOT file cannot hold in UTF-8; nothing is written
+        # a JSON escape reads a lone surrogate into a state name, which no
+        # output can hold in UTF-8; loading rejects it and nothing is written
         state = "q\ud800"
         system = write_json(tmp_path / "system.json", {
             "states": [state], "controls": ["a"], "disturbances": ["b"],
@@ -803,8 +805,38 @@ class TestUsage:
         code, stdout, stderr = run("export", "system", "--system", system,
                                    "--out", str(out), capsys=capsys)
         assert code == 3 and stdout == ""
-        assert stderr.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+        assert stderr == "error: 'states' names 'q\\ud800', which UTF-8 cannot encode\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["states", "controls", "disturbances", "observations"])
+    def test_unencodable_system_names_are_input_errors(self, tmp_path, key, capsys):
+        # synth would write the plan file and then fail on the DOT file
+        names = {"states": "q", "controls": "a", "disturbances": "b", "observations": "o"}
+        names[key] = "x\ud800"
+        q, a, b, o = names.values()
+        system = write_json(tmp_path / "system.json", {
+            "states": [q], "controls": [a], "disturbances": [b],
+            "transitions": [{"from": q, "control": a, "disturbance": b, "to": q}],
+            "observations": {q: o}, "valuation": {q: ["p"]},
+        })
+        out = tmp_path / "plan.json"
+        code, stdout, stderr = run("synth", "--system", system, "--spec", "G p",
+                                   "--out", str(out), capsys=capsys)
+        assert code == 3 and stdout == ""
+        assert stderr == f"error: {key!r} names 'x\\ud800', which UTF-8 cannot encode\n"
+        assert not out.exists() and not out.with_suffix(".dot").exists()
+
+    @pytest.mark.parametrize("field", ["world", "action"])
+    def test_unencodable_plan_names_are_input_errors(self, tmp_path, agent_system_file,
+                                                     example_plan, field, capsys):
+        # verify would print a violation and then fail printing its lasso
+        raw = plan_to_dict(example_plan)
+        raw["scrs"][2][field] = "x\ud800"
+        plan = write_json(tmp_path / "unencodable.json", raw)
+        code, stdout, stderr = run("verify", "--system", agent_system_file,
+                                   "--spec", "F !p3", "--plan", plan, capsys=capsys)
+        assert code == 3 and stdout == ""
+        assert stderr == "error: plan names 'x\\ud800', which UTF-8 cannot encode\n"
 
 
 # (name, random_system seed, formula): seeded systems of up to 8 states with

@@ -32,6 +32,7 @@ from astra.plan import (
 
 from astra.planner import spec_automaton
 
+from conftest import assert_plan_routes_agree
 from generators import random_formula, random_plan, random_system
 from oracles import (
     closed_loop_lassos,
@@ -84,6 +85,48 @@ class TestWellFormedness:
         with pytest.raises(PlanValidationError,
                            match="^plan state ids and successors must be integers$"):
             ReactivePlan([rule])
+
+    @pytest.mark.parametrize("plan_state", [0, -1, -4, 5, "1", 1.0, True, None])
+    def test_lookups_of_absent_plan_states_raise_key_error(self, example_plan,
+                                                            plan_state):
+        # the plan's lists hold an unused entry 0 and would read -1 as the
+        # last rule; only the ids 1..k, plain ints, are plan states
+        for lookup in (example_plan.world_of, example_plan.successor_ids):
+            with pytest.raises(KeyError):
+                lookup(plan_state)
+        if plan_state is not None:
+            with pytest.raises(KeyError):
+                Controller(example_plan, plan_state).feed("q1")
+
+    def test_columns_need_one_entry_per_plan_state(self):
+        for columns in ((["q"], [], [[1]]), (["q"], ["a"], [[1], [1]])):
+            with pytest.raises(PlanValidationError, match="^a plan needs one world, action"):
+                ReactivePlan.from_columns(*columns)
+
+    def test_malformed_columns_fail_as_their_rules_do(self):
+        # seeded plans with one or two rules' successors broken: the list
+        # route and the SCR route give the same error text
+        rng = random.Random(61)
+        broken = (set(), {0}, {-1}, {"x", 1}, {True}, {1.0}, {2.5}, None)
+        for _ in range(400):
+            plan = random_plan(rng, max_rules=rng.choice((2, 6, 20)))
+            successors = [set(s.successors) for s in plan.scrs]
+            for i in rng.sample(range(len(plan)), min(2, len(plan))):
+                bad = rng.choice(broken)
+                successors[i] = {len(plan) + 1} if bad is None else bad
+            with pytest.raises(PlanValidationError) as by_rules:
+                ReactivePlan([SCR(s.id, s.world, s.action, frozenset(js))
+                              for s, js in zip(plan.scrs, successors)])
+            with pytest.raises(PlanValidationError) as by_columns:
+                ReactivePlan.from_columns([s.world for s in plan.scrs],
+                                          [s.action for s in plan.scrs],
+                                          [list(js) for js in successors])
+            assert str(by_columns.value) == str(by_rules.value)
+
+    def test_list_and_rule_routes_agree_on_random_plans(self):
+        rng = random.Random(67)
+        for _ in range(400):
+            assert_plan_routes_agree(random_plan(rng, max_rules=rng.choice((3, 12, 40))), rng)
 
     def test_random_plans_round_trip_through_dicts(self):
         rng = random.Random(53)
@@ -512,8 +555,9 @@ class TestLinearSearches:
         for plan in random_plans(31, 1500):
             cycle = find_reachable_cycle(plan)
             assert cycle == per_state_reachable_cycle(plan)
-            # repr also pins the order of each successor frozenset
-            assert repr(simplify_plan(plan)) == repr(on_path_simplify_plan(plan))
+            # a plan keeps its successors as sorted tuples, so equal plans
+            # have equal rules and files
+            assert simplify_plan(plan) == on_path_simplify_plan(plan)
             off_initial += cycle[1][0] != 1
         # 289 here; about 140 of the same plans without the cuts
         assert 200 < off_initial < 1300

@@ -1,19 +1,23 @@
 import pathlib
 import random
+import sys
 
 import pytest
 
 from astra import buchi, ltl, planner
 from astra.cli import main
 from astra.completeness import build_accepting_system
-from astra.core import Valuation, load_system, validate_ats
+from astra.core import Valuation, load_system, parse_valuation, validate_ats
 from astra.dot import product_dot
 from astra.errors import AstraError, AutomatonError, FormulaTooDeep
 from astra.ltl import Atom, Until
 from astra.plan import (
     Controller,
+    SCR,
+    check_plan,
     dump_plan,
     plan_satisfies,
+    plan_to_dict,
     plan_trajectories,
     simplify_plan,
 )
@@ -36,6 +40,12 @@ from oracles import (
     per_state_buchi_game,
     positional_winner_exists,
 )
+
+PERFBENCH = str(pathlib.Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import instances  # noqa: E402
 
 P23 = Until(Atom("p2"), Atom("p3"))
 DATA = pathlib.Path(__file__).parent / "data"
@@ -415,6 +425,29 @@ class TestSynthesize:
                                 valuation, automaton=automaton)
             assert (result.status, result.initial) == (FOUND, "q0")
         assert calls == {"successors": 0, "matches": 0}
+
+    def test_found_call_builds_no_rules(self, monkeypatch):
+        # extraction, the check, the controller and the plan file read the
+        # plan's lists; no SCR is built until something reads ``scrs``
+        raw = instances.ring_system(random.Random(5), 400)
+        system = validate_ats(raw)
+        valuation = parse_valuation(raw, system)
+        formula = ltl.parse_formula("G (p -> F goal)", valuation.props)
+        built = []
+
+        def counted(self, *args, _original=SCR.__init__):
+            built.append(args[0])
+            _original(self, *args)
+
+        monkeypatch.setattr(SCR, "__init__", counted)
+        result = synthesize(system, formula, valuation)
+        assert (result.status, result.initial) == (FOUND, "q0")
+        plan = result.plan
+        assert check_plan(plan, valuation, formula) is None
+        Controller(plan)
+        plan_to_dict(plan, result.initial)
+        assert len(plan) > 300 and built == []
+        assert len(plan.scrs) == len(built) == len(plan)
 
     def test_one_check_and_two_translations_per_found_call(self, agent_system,
                                                            monkeypatch):
