@@ -372,8 +372,10 @@ def _initial_obligations(formula):
 
 
 def _bits(mask):
-    """The set bits of ``mask``, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of ``mask``, ascending.  One scan of its binary digits,
+    lowest first, so this is linear in the mask's length (a shift per bit
+    would copy the mask once per bit)."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 def _prune_subsumed(edges):

@@ -4,7 +4,8 @@ Exit codes: 0 success (plan found / plan verified), 1 negative verdict
 (no plan exists / plan violates the spec), 2 undecided (specification not
 totalizable), 3 input or validation error.  All randomness flows from
 ``--seed``; identical invocations produce identical bytes.  The env var
-``ASTRA_LOG`` selects the diagnostic logging level.
+``ASTRA_LOG`` selects the diagnostic logging level by name (``INFO``,
+``DEBUG``, ...); any other value means ``WARNING``.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("ASTRA_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # a level name maps to an int; any other name falls back to WARNING
+    level = logging.getLevelName(os.environ.get("ASTRA_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

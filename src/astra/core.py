@@ -12,8 +12,10 @@ Indexing on sequences and lassos is 1-based everywhere user-visible.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain
 
 from .errors import (
@@ -24,6 +26,29 @@ from .errors import (
     SystemValidationError,
     UndeclaredSymbol,
 )
+
+
+def _collector_paused(fn):
+    """``fn``, run with CPython's cyclic garbage collector disabled.
+
+    The library's bulk calls allocate many small containers and create no
+    reference cycles, so the collector's passes over them free nothing;
+    reference counting frees all they leave.  The collector is re-enabled
+    on return only if it was enabled on entry, so a nested call changes
+    nothing and a caller that disabled it keeps it disabled.  The collector
+    is process-wide: other threads' cyclic garbage waits until the call
+    returns.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 @dataclass(frozen=True)
@@ -272,11 +297,13 @@ def _string_list(raw, key):
     return _require_encodable(value, repr(key))
 
 
+@_collector_paused
 def validate_ats(raw: dict) -> AlternatingTransitionSystem:
     """Build a validated system from a parsed description (see ``load_system``).
 
     Unknown keys are rejected.  A ``durations`` map, if present, must pin
-    declared controls to the integer 1.
+    declared controls to the integer 1.  Runs with the cyclic garbage
+    collector paused (see ``_collector_paused``).
     """
     if not isinstance(raw, dict):
         raise SystemValidationError("system description must be a JSON object")
@@ -351,8 +378,10 @@ def parse_valuation(raw: dict, system: AlternatingTransitionSystem) -> Valuation
     return Valuation(props, mapping)
 
 
+@_collector_paused
 def load_system(path) -> tuple:
-    """Read a system file and return ``(system, valuation)``."""
+    """Read a system file and return ``(system, valuation)``.  Runs with the
+    cyclic garbage collector paused (see ``_collector_paused``)."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     system = validate_ats(raw)

@@ -28,7 +28,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 
 from . import buchi, ltl
-from .core import Lasso, _require_encodable
+from .core import Lasso, _collector_paused, _require_encodable
 from .errors import AstraError, ExplosionGuard, PlanValidationError, UniquenessViolated
 
 
@@ -195,13 +195,20 @@ class ReactivePlan:
                 )
 
 
+@_collector_paused
 def load_plan(path) -> ReactivePlan:
+    """Read a plan file (see :func:`plan_from_dict`).  Runs with the cyclic
+    garbage collector paused (see ``core._collector_paused``)."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     return plan_from_dict(raw)
 
 
+@_collector_paused
 def plan_from_dict(raw: dict) -> ReactivePlan:
+    """The plan a parsed plan file describes, checked as the constructor
+    checks its rules.  Runs with the cyclic garbage collector paused (see
+    ``core._collector_paused``)."""
     if not isinstance(raw, dict) or not isinstance(raw.get("scrs"), list):
         raise PlanValidationError("plan description must be an object with an 'scrs' list")
     unknown = set(raw) - {"scrs", "initial"}
@@ -338,18 +345,22 @@ def _violation(plan, automaton, valuation, accepting, inside=None):
                    for path in (prefix, cycle)))
 
 
+@_collector_paused
 def plan_violation(plan: ReactivePlan, formula: ltl.Formula, valuation) -> Lasso | None:
     """A generated trajectory violating the formula, as a world lasso, or
     ``None``.  Decided by an accepting-lasso search in the product of the
-    plan graph with an automaton for the negated formula."""
+    plan graph with an automaton for the negated formula.  Runs with the
+    cyclic garbage collector paused (see ``core._collector_paused``)."""
     negated = buchi.ltl_to_buchi(ltl.Not(formula), props=valuation.props)
     return _violation(plan, negated, valuation, negated.accepting.__contains__)
 
 
+@_collector_paused
 def plan_violation_total(plan: ReactivePlan, automaton, valuation) -> Lasso | None:
     """Violation search against a total automaton for the formula itself:
     a reachable cycle of the deterministic product that never touches an
-    accepting automaton state spells out a rejected trajectory."""
+    accepting automaton state spells out a rejected trajectory.  Runs with
+    the cyclic garbage collector paused (see ``core._collector_paused``)."""
     if not buchi.is_total(automaton):
         raise PlanValidationError("violation search needs a total automaton")
 

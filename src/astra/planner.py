@@ -20,6 +20,7 @@ import logging
 from dataclasses import dataclass
 
 from . import buchi
+from .core import _collector_paused
 from .errors import AstraError, AutomatonError, VerificationFailure
 from .plan import Controller, ReactivePlan, check_plan
 
@@ -92,9 +93,9 @@ def solve_buchi_game(product):
 
     Classical nested fixpoint: shrink a candidate region to the control
     attractor of those accepting states from which control can step back
-    into the region, until stabilization.  The strategy picks the choice
-    completed at the lowest layer, then the first in declared control
-    order.  A state's status and rank depend only on the part of the game
+    into the region, until that set of accepting states repeats.  The
+    strategy picks the choice completed at the lowest layer, then the first
+    in declared control order.  A state's status and rank depend only on the part of the game
     reachable from it, so every root of the product is solved at once.
 
     The game keeps its predecessor lists, unranked counters and
@@ -113,15 +114,15 @@ def solve_buchi_game(product):
             sizes.append(len(targets))
     accepting = [i for i, flag in enumerate(product.accepting) if flag]
     # at first every state is in the region, so every choice stays in it
-    rank, won, complete = [0] * n, range(n), [1] * len(sizes)
+    rank, complete, target = [0] * n, [1] * len(sizes), None
     while True:
         recurrent = [i for i in accepting
                      if rank[i] >= 0 and any(complete[pair[i] * k:pair[i] * k + k])]
-        size = len(won)
-        rank, won, complete = _attractor(recurrent, predecessors, sizes[:], k, members)
-        # the regions shrink, so an equal size means a fixpoint
-        if len(won) == size:
+        # the same target gives the same attractor: a fixpoint
+        if recurrent == target:
             break
+        target = recurrent
+        rank, won, complete = _attractor(target, predecessors, sizes[:], k, members)
     strategy = [-1] * n
     # per pair: its strategy's control, -1 until a won state reads it
     picks = [-1] * len(members)
@@ -195,6 +196,7 @@ def extract_plan(product, strategy, root=0) -> ReactivePlan:
     return ReactivePlan.from_columns(worlds, actions, successors)
 
 
+@_collector_paused
 def synthesize(system, formula, valuation, initial_hint=None,
                automaton=None) -> SynthesisResult:
     """Look for an enforceable plan from the initial states in declared
@@ -206,6 +208,8 @@ def synthesize(system, formula, valuation, initial_hint=None,
     could not be made total, so this method cannot decide the instance;
     ``not-found`` means the game is lost from every candidate.  The
     extracted plan is independently re-verified once and returned as is.
+    Runs with the cyclic garbage collector paused (see
+    ``core._collector_paused``).
     """
     if initial_hint is not None and initial_hint not in system.states:
         raise AutomatonError(f"unknown initial state {initial_hint!r}")

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -7,6 +8,18 @@ import pytest
 from astra.core import AlternatingTransitionSystem, Valuation
 from astra.errors import UniquenessViolated
 from astra.plan import Controller, ReactivePlan, SCR, plan_to_dict
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    """Fail a test that leaves the cyclic garbage collector enabled or
+    disabled otherwise than it found it: the library pauses it only for the
+    length of a call, and a missed re-enable would show here."""
+    enabled = gc.isenabled()
+    yield
+    changed = gc.isenabled() != enabled
+    (gc.enable if enabled else gc.disable)()
+    assert not changed, "the test changed gc.isenabled()"
 
 
 def three_state_valuation():

@@ -291,8 +291,9 @@ def per_state_buchi_game(product):
     attractor the library ran before states shared move rows: one
     predecessor entry, unranked counter and completion layer per (state,
     control) choice, and a state enters at its own first complete choice.
-    The nested fixpoint and the tie-breaks (layer, then declared control
-    order) are the library's."""
+    The nested fixpoint stops on an equal region size, one pass after the
+    library, which stops when the target repeats; the tie-breaks (layer,
+    then declared control order) are the library's."""
     n, k = len(product.states), len(product.system.controls)
     predecessors = [[] for _ in range(n)]
     sizes = []

@@ -3,6 +3,7 @@
 The random corpora are seeded, so every run checks the same instances.
 """
 
+import gc
 import json
 import pathlib
 import random
@@ -17,11 +18,14 @@ from astra.completeness import (
     pigeonhole_cap,
     plan_from_accepting_system,
 )
-from astra.core import Lasso
+from astra.core import Lasso, load_system
 from astra.plan import (
     ReactivePlan,
     SCR,
+    check_plan,
     find_reachable_cycle,
+    plan_from_dict,
+    plan_to_dict,
     plan_satisfies,
     plan_trajectories,
     simplify_plan,
@@ -245,6 +249,28 @@ def test_extracted_plans_agree_across_plan_routes(corpus):
     for plan in plans:
         assert_plan_routes_agree(plan, rng)
     assert len(plans) > 100
+
+
+def test_bulk_calls_leave_no_cyclic_garbage(corpus, tmp_path):
+    # the calls that pause the collector create no reference cycles, so
+    # reference counting frees everything they leave
+    instances, _ = corpus
+    paths = [write_json(tmp_path / f"system{n}.json",
+                        system_file_dict(inst.system, inst.valuation))
+             for n, inst in enumerate(instances)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst, path in zip(instances, paths):
+            system, valuation = load_system(path)
+            result = planner.synthesize(system, inst.formula, valuation)
+            if result.found:
+                assert check_plan(result.plan, valuation, inst.formula) is None
+                assert check_plan(result.plan, valuation, automaton=inst.spec) is None
+                assert plan_from_dict(plan_to_dict(result.plan)) == result.plan
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_criterion_10_hand_written_total_automata():

@@ -294,6 +294,27 @@ class TestGuards:
         assert guard_from_minterms(atoms, all_letters(atoms)).text == "true"
         assert guard_from_minterms(atoms, []).text == "false"
 
+    def test_bits_match_the_shift_definition(self):
+        # ``_bits`` scans the binary digits once; it lists what testing one
+        # shifted bit per position lists, on masks of every density
+        rng = random.Random(43)
+        masks = [0, 1, 2, 3, 1 << 64, (1 << 64) - 1]
+        for _ in range(2000):
+            width = rng.randint(1, 300)
+            masks.append(rng.getrandbits(width) & rng.getrandbits(width)
+                         if rng.random() < 0.5 else rng.getrandbits(width))
+        for mask in masks:
+            assert buchi._bits(mask) == [i for i in range(mask.bit_length())
+                                         if mask >> i & 1]
+
+    def test_wide_conjunction_has_one_minterm(self):
+        # a conjunction of 20 atoms is a truth table of 2**20 bits with one
+        # set; reading its set bit one shift per position took 20 s
+        atoms = [f"x{i:02}" for i in range(20)]
+        guard = guard_from_text(" & ".join(reversed(atoms)))
+        assert guard.atoms == tuple(atoms)
+        assert guard.minterms == frozenset({(1 << 20) - 1})
+
     def test_equality_compares_atoms_minterms_and_text(self):
         rendered = guard_from_minterms(("p1",), [{"p1"}])
         same = guard_from_minterms(("p1",), [frozenset({"p1"})])

@@ -988,3 +988,18 @@ class TestModuleEntryPoint:
         )
         assert missing.returncode == 3
         assert missing.stderr.startswith("error:")
+
+    def test_log_setting_that_names_no_level(self, tmp_path, agent_system_file):
+        # ``logging`` attributes that are not levels (a format string, a
+        # dict) and unknown names mean WARNING; a level name is taken
+        out = tmp_path / "system.dot"
+        for value in ("basic_format", "_styles", "bogus", "debug", "INFO"):
+            out.unlink(missing_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "astra", "export", "system",
+                 "--system", agent_system_file, "--out", str(out)],
+                capture_output=True, text=True, timeout=60,
+                env=child_env(ASTRA_LOG=value),
+            )
+            assert proc.returncode == 0, (value, proc.stderr)
+            assert "Traceback" not in proc.stderr and out.read_text().startswith("digraph")

@@ -177,6 +177,59 @@ class TestGameSolver:
         assert shared >= 800 and split >= 20 and partial >= 200 and deep >= 50
 
 
+    def test_fixpoint_stops_when_the_target_repeats(self, monkeypatch):
+        # the nested fixpoint stops once the recurrent set equals the last
+        # pass's target, without recomputing that attractor: every pass's
+        # target is a strict subset of the one before, and the strategy
+        # and ranks are those of the per-state game, which stops on equal
+        # region sizes
+        targets = []
+
+        def recorded(target, *args, _original=planner._attractor):
+            targets.append(list(target))
+            return _original(target, *args)
+        monkeypatch.setattr(planner, "_attractor", recorded)
+        rng = random.Random(41)
+        products = shrunk = empty = 0
+        while products < 600:
+            system, valuation = random_system(rng, max_states=8, max_controls=3,
+                                              max_disturbances=3, max_props=2)
+            formula = random_formula(rng, valuation.props, rng.randint(2, 6))
+            spec = planner.spec_automaton(formula, valuation)
+            if spec is None:
+                continue
+            prod = buchi.product(system, system.states, spec, valuation)
+            targets.clear()
+            assert solve_buchi_game(prod) == per_state_buchi_game(prod)
+            assert targets
+            for before, after in zip(targets, targets[1:]):
+                assert set(after) < set(before)
+            products += 1
+            shrunk += len(targets) >= 2
+            empty += not targets[-1]
+        # the corpus is not degenerate: many games take several passes, and
+        # many end on an empty target (lost from every state)
+        assert shrunk >= 200 and empty >= 100
+
+    def test_ring_game_takes_two_passes(self, monkeypatch):
+        # ``G F goal & G !r`` on a ring: the first pass drops the accepting
+        # states that can only step to a hazard, the second reaches the
+        # fixpoint, and a third would repeat its target
+        raw = instances.ring_system(random.Random(5), 400)
+        system = validate_ats(raw)
+        valuation = parse_valuation(raw, system)
+        formula = ltl.parse_formula("G F goal & G !r", valuation.props)
+        passes = []
+
+        def counted(target, *args, _original=planner._attractor):
+            passes.append(len(target))
+            return _original(target, *args)
+        monkeypatch.setattr(planner, "_attractor", counted)
+        result = synthesize(system, formula, valuation)
+        assert (result.status, result.initial) == (FOUND, "q0")
+        assert len(passes) == 2 and passes[0] > passes[1] > 0
+
+
 def shares_by_pair(prod):
     """Whether the product keeps one row per pair, each a tuple of tuples
     of state numbers."""
