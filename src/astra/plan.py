@@ -6,7 +6,8 @@ one successor, as every plan for a non-blocking system must, so every
 plan generates a trajectory: a cycle is reachable from plan state 1.
 A plan keeps its rules as three lists indexed by plan id (world states,
 actions and sorted successor tuples), which every function here reads
-directly; the rules as ``SCR`` objects are a view built on first read.
+directly; every way of building one stores these lists, and the rules as
+``SCR`` objects are a view built on first read.
 This module covers plan well-formedness, generated trajectories,
 reachable-cycle search, plan simplification, and the strategy obtained
 by walking a simplified plan along an observed state history.
@@ -42,21 +43,15 @@ class SCR:
     successors: frozenset
 
 
-def _rule(s) -> SCR:
-    """``s`` as an ``SCR`` with a frozenset of successors; an instance that
-    already is one is kept as it is."""
-    if type(s) is SCR and type(s.successors) is frozenset:
-        return s
-    if isinstance(s, SCR):
-        return SCR(s.id, s.world, s.action, frozenset(s.successors))
-    return SCR(*s)
-
-
 def _in_id_order(rules, id_of) -> list:
-    """``rules`` sorted by id; the ids must be exactly 1..k, which is checked
-    first, as sorting needs them to compare with ints."""
-    if set(map(id_of, rules)) != set(range(1, len(rules) + 1)):
+    """``rules`` sorted by id; the ids must be exactly 1..k, as plain ints,
+    which is checked first, as sorting needs them to compare with ints."""
+    ids = list(map(id_of, rules))
+    if set(ids) != set(range(1, len(rules) + 1)):
         raise PlanValidationError("plan state ids must be exactly 1..k")
+    # ``True`` and ``1.0`` pass the comparison above: they equal ints
+    if any(type(i) is not int for i in ids):
+        raise PlanValidationError("plan state ids and successors must be integers")
     return sorted(rules, key=id_of)
 
 
@@ -68,31 +63,29 @@ class ReactivePlan:
     It is stored as three lists indexed by plan id, which every reader in
     this library reads: ``_worlds[i]``, ``_actions[i]`` and
     ``_successors[i]`` are plan state ``i``'s world state, action and
-    successors in increasing order (entry 0 is unused).  ``scrs`` and
-    ``by_id`` are views built on first read; a plan built from SCRs keeps
-    the given rules as its ``scrs``.  :meth:`from_columns` builds a plan
-    from the lists, with the same checks and no SCR.
+    successors in increasing order (entry 0 is unused).  Every route stores
+    only these lists; ``scrs`` (each an ``SCR`` with frozenset successors)
+    and ``by_id`` are views built on first read.  :meth:`from_columns`
+    builds a plan from the lists, with the same checks.
     """
 
     def __init__(self, scrs):
-        rules = _in_id_order(list(map(_rule, scrs)), attrgetter("id"))
+        rules = _in_id_order(list(scrs), attrgetter("id"))
         self._set_columns([s.world for s in rules], [s.action for s in rules],
-                          [s.successors for s in rules], [s.id for s in rules])
-        self.scrs = tuple(rules)
+                          [s.successors for s in rules])
 
     @classmethod
     def from_columns(cls, worlds, actions, successors) -> "ReactivePlan":
         """The plan whose plan state ``i`` carries ``worlds[i - 1]``,
         ``actions[i - 1]`` and the successor ids in ``successors[i - 1]``,
-        checked as the SCR route checks its rules; no SCR is built."""
+        checked as the SCR route checks its rules."""
         plan = cls.__new__(cls)
         plan._set_columns(worlds, actions, successors)
         return plan
 
-    def _set_columns(self, worlds, actions, successors, ids=()):
+    def _set_columns(self, worlds, actions, successors):
         """Check and store the columns of plan states 1..k; a successor listed
-        twice counts once.  ``ids`` are the SCR route's rule ids, which must be
-        plain ints, as the successors must."""
+        twice counts once, and every successor must be a plain int."""
         k = len(worlds)
         if not k:
             raise PlanValidationError("a plan needs at least one SCR")
@@ -113,7 +106,7 @@ class ReactivePlan:
                     )
         rows = [(), *map(tuple, map(sorted, map(set, successors)))]
         # ``True`` and ``1.0`` pass the checks above: they equal ints
-        if set(map(type, chain(ids, chain.from_iterable(rows)))) != {int}:
+        if set(map(type, chain.from_iterable(rows))) != {int}:
             raise PlanValidationError("plan state ids and successors must be integers")
         self._worlds, self._actions, self._successors = [None, *worlds], [None, *actions], rows
 
@@ -200,8 +193,7 @@ def load_plan(path) -> ReactivePlan:
     """Read a plan file (see :func:`plan_from_dict`).  Runs with the cyclic
     garbage collector paused (see ``core._collector_paused``)."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return plan_from_dict(raw)
+        return plan_from_dict(json.load(fh))
 
 
 @_collector_paused
@@ -244,9 +236,7 @@ def plan_from_dict(raw: dict) -> ReactivePlan:
 
 
 def plan_to_dict(plan: ReactivePlan, initial=None) -> dict:
-    out = {}
-    if initial is not None:
-        out["initial"] = initial
+    out = {} if initial is None else {"initial": initial}
     out["scrs"] = [
         {"id": i, "world": plan._worlds[i], "action": plan._actions[i],
          "successors": list(plan._successors[i])}
@@ -270,8 +260,11 @@ def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
     uses at most ``bound`` plan states in prefix plus cycle.
 
     Lassos are returned in canonical form, so set comparisons are
-    comparisons of the denoted words.  Intended for testing at small bounds.
+    comparisons of the denoted words.  Intended for testing at small bounds;
+    ``bound`` must be at least 1.
     """
+    if bound < 1:
+        raise ValueError("plan trajectory bound must be at least 1")
     worlds, successors = plan._worlds, plan._successors
     found = set()
     walks = [(1,)]
@@ -335,8 +328,7 @@ def _violation(plan, automaton, valuation, accepting, inside=None):
                     parent.append(i)
                 if inner[t]:
                     row.append(k)
-        # a tuple of ints leaves the collector's view, a list does not
-        sub.append(tuple(row) if inner[x] else ())
+        sub.append(row if inner[x] else ())
     found = buchi._indexed_lasso(sub, [marks[x] for x in states], parent)
     if found is None:
         return None

@@ -7,7 +7,7 @@ import pytest
 
 from astra.core import AlternatingTransitionSystem, Valuation
 from astra.errors import UniquenessViolated
-from astra.plan import Controller, ReactivePlan, SCR, plan_to_dict
+from astra.plan import Controller, ReactivePlan, SCR, plan_from_dict, plan_to_dict
 
 
 @pytest.fixture(autouse=True)
@@ -129,8 +129,10 @@ def example_plan_file(tmp_path, example_plan):
 
 def assert_plan_routes_agree(plan, rng):
     """``plan``, the plan built from its lists (shuffled, one successor
-    repeated) and the plan built from its SCRs are equal, with equal
-    hashes, files, rules, lookups and controller runs."""
+    repeated), the plan built from its SCRs and the plan read back from its
+    file are equal, with equal hashes, files, rules, lookups and controller
+    runs; every route's rules are exact ``SCR`` objects with frozenset
+    successors."""
     scrs = plan.scrs
     successors = []
     for s in scrs:
@@ -139,7 +141,8 @@ def assert_plan_routes_agree(plan, rng):
         successors.append(js)
     by_rules = ReactivePlan(scrs)
     plans = (plan, ReactivePlan.from_columns([s.world for s in scrs],
-                                             [s.action for s in scrs], successors), by_rules)
+                                             [s.action for s in scrs], successors), by_rules,
+             plan_from_dict(plan_to_dict(plan)))
     ids = range(1, len(plan) + 1)
     # one observed history: mostly along the plan, sometimes off it
     observed, state = [plan.world_of(1)], 1
@@ -151,6 +154,8 @@ def assert_plan_routes_agree(plan, rng):
         assert other == by_rules and hash(other) == hash(by_rules)
         assert json.dumps(plan_to_dict(other)) == json.dumps(plan_to_dict(by_rules))
         assert other.scrs == by_rules.scrs and other.by_id == by_rules.by_id
+        assert all(type(s) is SCR and type(s.successors) is frozenset
+                   for s in (*other.scrs, *other.by_id.values()))
         assert ([(other.world_of(i), other.successor_ids(i)) for i in ids]
                 == [(by_rules.world_of(i), by_rules.successor_ids(i)) for i in ids])
         try:
@@ -163,4 +168,4 @@ def assert_plan_routes_agree(plan, rng):
             controller, action = controller.feed(world)
             run.append((controller.cursor, action))
         runs.append(run)
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -314,6 +315,15 @@ class TestGuards:
         guard = guard_from_text(" & ".join(reversed(atoms)))
         assert guard.atoms == tuple(atoms)
         assert guard.minterms == frozenset({(1 << 20) - 1})
+
+    def test_guard_past_the_atom_budget_fails_at_once(self):
+        # a 24-atom table would take seconds and about 100 MB to build
+        assert buchi.GUARD_ATOMS == 20
+        text = " & ".join(f"x{i:02}" for i in range(24))
+        start = time.perf_counter()
+        with pytest.raises(ExplosionGuard, match=r"reads 24 atoms \(at most 20\)$"):
+            guard_from_text(text)
+        assert time.perf_counter() - start < 0.5
 
     def test_equality_compares_atoms_minterms_and_text(self):
         rendered = guard_from_minterms(("p1",), [{"p1"}])

@@ -656,6 +656,21 @@ class TestExport:
         assert stderr == "error: a guard over 10 atoms is too large to write out (at most 7)\n"
         assert not out.exists()
 
+    def test_guard_past_the_atom_budget_is_an_input_error(self, tmp_path, capsys):
+        guard = " & ".join(f"x{i:02}" for i in range(24))
+        automaton = write_json(tmp_path / "a.json", {
+            "states": ["s"], "initial": ["s"], "accepting": ["s"],
+            "edges": [{"from": "s", "guard": guard, "to": "s"}],
+        })
+        out = tmp_path / "o.dot"
+        start = time.perf_counter()
+        code, stdout, stderr = run("export", "automaton", "--automaton", automaton,
+                                   "--out", str(out), capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert (code, stdout) == (3, "")
+        assert stderr == f"error: guard {guard!r} reads 24 atoms (at most 20)\n"
+        assert not out.exists()
+
     def test_missing_inputs_are_errors(self, tmp_path, capsys):
         code, _, _ = run("export", "plan", "--out", str(tmp_path / "x.dot"),
                          capsys=capsys)

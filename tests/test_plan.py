@@ -155,10 +155,13 @@ class TestWellFormedness:
         finished = SCR(1, "q", "a", frozenset({1, 2}))
         plan = ReactivePlan([TaggedSCR(3, "q", "a", frozenset({1})),
                              SCR(2, "q", "a", {1, 3}), finished])
-        assert plan.by_id[1] is finished
-        for rule in plan.scrs:
-            assert type(rule) is SCR
-            assert type(rule.successors) is frozenset
+        assert plan.scrs[0] == finished
+        for route in (plan, plan_from_dict(plan_to_dict(plan)),
+                      ReactivePlan.from_columns(["q"] * 3, ["a"] * 3, [[1, 2], {1, 3}, (1,)])):
+            assert route == plan and route.scrs == plan.scrs
+            for rule in (*route.scrs, *route.by_id.values()):
+                assert type(rule) is SCR
+                assert type(rule.successors) is frozenset
         assert [rule.successors for rule in plan.scrs] == [{1, 2}, {1, 3}, {1}]
         for rules in ([SCR(1, "q", "a", {1}), SCR(3, "q", "a", {1})],
                       [TaggedSCR(2, "q", "a", frozenset({2}))]):
@@ -216,6 +219,17 @@ class TestTrajectories:
             plan = random_plan(rng, max_rules=5)
             for lasso in plan_trajectories(plan, 5):
                 assert replayable_on_plan(plan, lasso)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_is_rejected(self, bound):
+        # the one-state lasso of the single loop already uses one plan state
+        with pytest.raises(ValueError, match="^plan trajectory bound must be at least 1$"):
+            plan_trajectories(single_loop_plan(), bound)
+        assert plan_trajectories(single_loop_plan(), 1) == {Lasso((), ("q",))}
+
+    def test_tuple_rules_are_not_rules(self):
+        with pytest.raises(AttributeError):
+            ReactivePlan([(1, "q", "a", frozenset({1}))])
 
     def test_explosion_guard(self):
         plan = ReactivePlan([
