@@ -12,20 +12,25 @@ proposition.  Inside the library a letter is an int mask (bit ``i`` is the
 ``i``-th proposition): a guard keeps its minterms as masks over its atoms,
 and an automaton steps on a successor table over masks of its ``props``.
 
-The translation's tableau runs on integers: a set of literals is a pair of
-atom masks, and obligation sets, fulfilled sets and acceptance marks are
-masks over the ranks of the formula's untils and their negations.
+The translation first numbers the formula's distinct subformulas in one
+walk, each as a shape over its operands' numbers kept in a unique table (the
+table behind hash-consing), so structurally equal subformulas share a
+number.  Its tableau then runs on integers: subformulas are numbers, a set
+of literals is a pair of atom masks, and obligation sets, fulfilled sets
+and acceptance marks are masks over the ranks of the formula's untils and
+their negations.  No formula node is hashed or compared, and no step of the
+translation recurses.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, cmp_to_key, partial
 
 from . import ltl
 from .core import Lasso
-from .errors import AutomatonError, ExplosionGuard, FormulaTooDeep
+from .errors import AutomatonError, ExplosionGuard
 
 # ---------------------------------------------------------------------------
 # guards
@@ -302,20 +307,75 @@ def load_automaton(path) -> BuchiAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# translation: obligation-set tableau -> transition-marked generalized
-# automaton -> nondeterministic Buchi automaton
+# translation: numbered subformulas -> obligation-set tableau ->
+# transition-marked generalized automaton -> nondeterministic Buchi automaton
 
 
-def _formula_key(node):
-    if isinstance(node, ltl.TrueF):
-        return (0,)
-    if isinstance(node, ltl.Atom):
-        return (1, node.name)
-    if isinstance(node, ltl.Not):
-        return (2, _formula_key(node.arg))
-    if isinstance(node, ltl.And):
-        return (3, _formula_key(node.left), _formula_key(node.right))
-    return (4, _formula_key(node.left), _formula_key(node.right))
+# subformula tags, in sort order: a subformula sorts by its tag, then by its
+# atom's name or its operands, left first
+_TRUE, _ATOM, _NOT, _AND, _UNTIL = range(5)
+_TAGS = {ltl.TrueF: _TRUE, ltl.Atom: _ATOM, ltl.Not: _NOT, ltl.And: _AND, ltl.Until: _UNTIL}
+
+
+def _number(shapes, table, shape) -> int:
+    """The number of ``shape``, added to ``shapes`` and ``table`` when new."""
+    n = table.setdefault(shape, len(shapes))
+    if n == len(shapes):
+        shapes.append(shape)
+    return n
+
+
+def _subformulas(formula):
+    """Number the distinct subformulas of ``formula`` in one walk.
+
+    Subformula ``n`` is ``shapes[n]``: ``(_TRUE,)``, ``(_ATOM, name)``,
+    ``(_NOT, i)``, ``(_AND, i, j)`` or ``(_UNTIL, i, j)`` over its operands'
+    numbers, and ``table`` maps a shape back to its number, so structurally
+    equal subformulas share one number however their nodes are shared.
+    Nodes are numbered by ``id``: the formula outlives the call, and no node
+    is hashed or compared.  Returns ``(shapes, table, root, untils)``:
+    ``root`` numbers the formula and ``untils`` lists the distinct untils in
+    first-visit preorder, left operand first."""
+    shapes, table, number, visited = [], {}, {}, []
+    # (node, ready): a node is numbered once its operands are
+    stack = [(formula, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in number:
+            continue
+        tag = _TAGS[node.__class__]
+        if tag == _ATOM:
+            shape = (_ATOM, node.name)
+        elif tag == _TRUE:
+            shape = (_TRUE,)
+        elif not ready:
+            if tag == _UNTIL:
+                visited.append(node)
+            stack.append((node, True))
+            if tag == _NOT:
+                stack.append((node.arg, False))
+            else:
+                stack += ((node.right, False), (node.left, False))
+            continue
+        elif tag == _NOT:
+            shape = (_NOT, number[id(node.arg)])
+        else:
+            shape = (tag, number[id(node.left)], number[id(node.right)])
+        number[id(node)] = _number(shapes, table, shape)
+    untils = list(dict.fromkeys(number[id(node)] for node in visited))
+    return shapes, table, number[id(formula)], untils
+
+
+def _shape_order(shapes, a, b) -> int:
+    """-1, 0 or 1 as subformula ``a`` sorts before, as or after ``b``.  Equal
+    shapes share a number, so the first operands that differ decide, and
+    the comparison walks down one path of both, without recursion."""
+    while a != b:
+        x, y = shapes[a], shapes[b]
+        if x[0] != y[0] or x[0] == _ATOM:
+            return -1 if x < y else 1
+        a, b = (x[1], y[1]) if x[1] != y[1] else (x[2], y[2])
+    return 0
 
 
 def _cross(combos1, combos2):
@@ -327,55 +387,55 @@ def _cross(combos1, combos2):
 _UNIT = frozenset({(0, 0, 0, 0)})
 
 
-def _expansions(node, memo, rank):
-    """Decompositions of an obligation: the set of (atoms true now, atoms
-    false now, obligations next, untils fulfilled now), each a bit mask.
-    ``memo`` starts with the decomposition of every literal, and ``rank``
-    gives the bit of each until and of its negation.  Any run step
-    discharging the obligation must match one decomposition; their order
-    does not matter (see :func:`ltl_to_buchi`)."""
-    if node in memo:
-        return memo[node]
-    if isinstance(node, ltl.TrueF):
-        result = _UNIT
-    elif isinstance(node, ltl.And):
-        result = _cross(_expansions(node.left, memo, rank),
-                        _expansions(node.right, memo, rank))
-    elif isinstance(node, ltl.Until):
-        u = rank[node]
-        result = ({(p, n, x, f | u) for p, n, x, f in _expansions(node.right, memo, rank)}
-                  | {(p, n, x | u, f) for p, n, x, f in _expansions(node.left, memo, rank)})
-    else:
-        arg = node.arg
-        if isinstance(arg, ltl.TrueF):
+def _expansions(root, memo, rank, shapes, table):
+    """Decompositions of obligation ``root``, a subformula number: the set
+    of (atoms true now, atoms false now, obligations next, untils fulfilled
+    now), each a bit mask.  ``memo`` starts with the decomposition of every
+    literal, and ``rank`` gives the bit of each until and of its negation.
+    A negation is pushed inward onto the numbers of its operands'
+    negations, which join ``shapes``.  Any run step discharging the
+    obligation must match one decomposition; their order does not matter
+    (see :func:`ltl_to_buchi`).
+
+    The walk keeps its own stack: ``(n, None)`` asks for subformula ``n``,
+    and ``(n, parts)`` builds it once the decompositions of its parts are in
+    ``memo``."""
+    stack = [(root, None)]
+    while stack:
+        n, parts = stack.pop()
+        if n in memo:
+            continue
+        shape = shapes[n]
+        if parts is None:
+            if shape[0] == _NOT:
+                arg = shapes[shape[1]]
+                # !!a needs a, !(a & b) and !(a U b) need !a and !b, !true nothing
+                parts = ([_number(shapes, table, (_NOT, i)) for i in arg[1:]]
+                         if arg[0] == _AND or arg[0] == _UNTIL else arg[1:])
+            else:
+                parts = shape[1:]
+            stack.append((n, parts))
+            stack += [(i, None) for i in parts if i not in memo]
+            continue
+        if shape[0] == _TRUE:
+            result = _UNIT
+        elif shape[0] == _AND:
+            result = _cross(memo[parts[0]], memo[parts[1]])
+        elif shape[0] == _UNTIL:
+            u = rank[n]
+            result = ({(p, q, x, f | u) for p, q, x, f in memo[parts[1]]}
+                      | {(p, q, x | u, f) for p, q, x, f in memo[parts[0]]})
+        elif not parts:
             result = set()
-        elif isinstance(arg, ltl.Not):
-            result = _expansions(arg.arg, memo, rank)
-        elif isinstance(arg, ltl.And):
-            result = (_expansions(ltl.Not(arg.left), memo, rank)
-                      | _expansions(ltl.Not(arg.right), memo, rank))
+        elif len(parts) == 1:
+            result = memo[parts[0]]
+        elif shapes[shape[1]][0] == _AND:
+            result = memo[parts[0]] | memo[parts[1]]
         else:
             # !(a U b)  ==  !b & (!a | next !(a U b))
-            result = _cross(_expansions(ltl.Not(arg.right), memo, rank),
-                            _expansions(ltl.Not(arg.left), memo, rank)
-                            | {(0, 0, rank[node], 0)})
-    memo[node] = result
-    return result
-
-
-def _initial_obligations(formula):
-    """The formula's conjuncts other than ``true``, each once."""
-    out = {}
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ltl.TrueF):
-            continue
-        if isinstance(node, ltl.And):
-            stack.extend((node.left, node.right))
-            continue
-        out[node] = None
-    return tuple(out)
+            result = _cross(memo[parts[1]], memo[parts[0]] | {(0, 0, rank[n], 0)})
+        memo[n] = result
+    return memo[root]
 
 
 def _bits(mask):
@@ -494,16 +554,20 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     against direct lasso evaluation in the test suite, not by matching any
     particular published automaton shape.
 
-    The tableau runs on bit masks.  Atom ``i`` of the sorted atoms is bit
+    The tableau runs on the numbers of the formula's distinct subformulas
+    (see ``_subformulas``) and on bit masks.  No formula node is hashed,
+    compared or walked after the numbering, and no step recurses, so
+    translation has no nesting limit.  Atom ``i`` of the sorted atoms is bit
     ``i`` of a literal mask and of a letter mask, and the guards keep those
     letter masks as their minterms.  After the first step a state holds only
-    untils and their negations; sorted once by ``_formula_key``, rank ``i``
-    is bit ``i`` of an obligation, fulfilled or mark mask, and the initial
-    state's other conjuncts take the bits after them.  A state's edges are
-    sorted by the ascending set bits of (next, fulfilled), which orders them
-    as their sorted formula keys would, so decompositions are crossed and
-    merged as unordered sets.  Each obligation set's edges are kept once,
-    in ``moves``, which is also the search's seen-set.
+    untils and their negations; sorted once, by tag, then atom name or
+    operands, left first (``_shape_order``), rank ``i`` is bit ``i`` of an
+    obligation, fulfilled or mark mask, and the initial state's other
+    conjuncts take the bits after them.  A state's edges are sorted by the
+    ascending set bits of (next, fulfilled), which orders them as their
+    sorted subformulas would, so decompositions are crossed and merged as
+    unordered sets.  Each obligation set's edges are kept once, in
+    ``moves``, which is also the search's seen-set.
 
     The degeneralized (obligation set, level) nodes are numbered in one
     dict as they are discovered, and their edges, acceptance and liveness
@@ -513,28 +577,31 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     ``props`` only orders the formula's atoms in the automaton's ``props``
     (and so in the guard text ``totalize`` renders); it does not widen the
     alphabet by propositions the formula does not read.
-
-    A formula nested past the interpreter's recursion limit raises
-    ``FormulaTooDeep``.
     """
-    try:
-        return _tableau(formula, props)
-    except RecursionError:
-        raise FormulaTooDeep("the formula nests too deeply") from None
-
-
-def _tableau(formula, props):
-    atoms = tuple(sorted(ltl.atoms(formula)))
+    shapes, table, root, untils = _subformulas(formula)
+    atoms = tuple(sorted(shape[1] for shape in shapes if shape[0] == _ATOM))
     memo = {}
     for i, a in enumerate(atoms):
-        memo[ltl.Atom(a)] = {(1 << i, 0, 0, 0)}
-        memo[ltl.Not(ltl.Atom(a))] = {(0, 1 << i, 0, 0)}
-    untils = ltl.until_subformulas(formula)
-    ranked = sorted(untils + tuple(ltl.Not(u) for u in untils), key=_formula_key)
-    rank = {node: 1 << i for i, node in enumerate(ranked)}
-    conjuncts = _initial_obligations(formula)
-    for node in conjuncts:
-        rank.setdefault(node, 1 << len(rank))
+        n = table[_ATOM, a]
+        memo[n] = {(1 << i, 0, 0, 0)}
+        memo[_number(shapes, table, (_NOT, n))] = {(0, 1 << i, 0, 0)}
+    # every negation sorts before every until, and in the untils' order
+    ranked = sorted(untils, key=cmp_to_key(partial(_shape_order, shapes)))
+    rank = {_number(shapes, table, (_NOT, u)): 1 << i for i, u in enumerate(ranked)}
+    for u in ranked:
+        rank[u] = 1 << len(rank)
+    # the formula's conjuncts other than true, each once, in the order a
+    # stack pops them, right operand first
+    seen, stack = {}, [root]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen[n] = None
+            if shapes[n][0] == _AND:
+                stack += shapes[n][1:]
+    conjuncts = [n for n in seen if shapes[n][0] != _AND and shapes[n][0] != _TRUE]
+    for n in conjuncts:
+        rank.setdefault(n, 1 << len(rank))
     obligations = list(rank)
     until_bits = [rank[u] for u in untils]
     until_mask = sum(until_bits)
@@ -542,14 +609,14 @@ def _tableau(formula, props):
     steps = {}
 
     # moves: obligation set -> its edges, and the set of those discovered
-    init = sum(rank[node] for node in conjuncts)
+    init = sum(rank[n] for n in conjuncts)
     moves = {init: None}
     order = [init]
     for state in order:
         combos = _UNIT
         for i in _bits(state):
             if i not in steps:
-                steps[i] = _expansions(obligations[i], memo, rank)
+                steps[i] = _expansions(obligations[i], memo, rank, shapes, table)
             combos = _cross(combos, steps[i])
         merged = {}
         for pos, neg, nexts, fulfilled in combos:

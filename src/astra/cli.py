@@ -294,6 +294,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
-        # deep formulas fail typed (FormulaTooDeep): this is a deeply nested file
+        # formulas take any depth; json.load recurses on a deeply nested file
         print("error: an input file nests too deeply", file=sys.stderr)
         return EXIT_ERROR

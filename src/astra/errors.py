@@ -53,7 +53,8 @@ class UnknownProposition(AstraError):
 
 
 class FormulaTooDeep(AstraError):
-    """A formula nests past the interpreter's recursion limit."""
+    """A formula nests past the interpreter's recursion limit in
+    :func:`astra.ltl.eval_lasso`, the recursive reference evaluator."""
 
 
 class AutomatonError(AstraError):

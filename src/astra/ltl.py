@@ -117,14 +117,6 @@ def atoms(formula: Formula) -> frozenset:
     return frozenset(node.name for node in _preorder(formula) if isinstance(node, Atom))
 
 
-def until_subformulas(formula: Formula) -> tuple:
-    """All until nodes, in first-visit depth-first order (deduplicated)."""
-    try:
-        return tuple(dict.fromkeys(n for n in _preorder(formula) if isinstance(n, Until)))
-    except RecursionError:  # the nodes hash recursively
-        raise FormulaTooDeep("the formula nests too deeply") from None
-
-
 def formula_to_str(formula: Formula) -> str:
     """Core-grammar rendering with minimal parentheses."""
     parts = []

@@ -24,6 +24,14 @@ def random_formula(rng, props, size):
             "until": ltl.Until}[op](left, right)
 
 
+def g_ladder(k):
+    """``!(G … G (p | q))`` with ``k`` nested ``G``."""
+    formula = ltl.or_(ltl.Atom("p"), ltl.Atom("q"))
+    for _ in range(k):
+        formula = ltl.always(formula)
+    return ltl.Not(formula)
+
+
 def random_letter_lasso(rng, props, max_classes=5):
     total = rng.randint(1, max_classes)
     cycle_len = rng.randint(1, total)

@@ -18,7 +18,7 @@ from astra.completeness import (
     pigeonhole_cap,
     plan_from_accepting_system,
 )
-from astra.core import Lasso, load_system
+from astra.core import AlternatingTransitionSystem, Lasso, Valuation, load_system
 from astra.plan import (
     ReactivePlan,
     SCR,
@@ -33,6 +33,7 @@ from astra.plan import (
 
 from conftest import assert_plan_routes_agree, system_file_dict, write_json
 from generators import (
+    g_ladder,
     random_formula,
     random_letter_lasso,
     random_plan,
@@ -271,6 +272,31 @@ def test_bulk_calls_leave_no_cyclic_garbage(corpus, tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_translation_hashes_no_formula_node(corpus, monkeypatch):
+    # the tableau numbers the subformulas by node identity in one walk and
+    # runs on those numbers, so neither translation nor synthesis runs a
+    # node's hash or equality, both of which walk the whole subtree
+    calls = []
+    for cls in (ltl.TrueF, ltl.Atom, ltl.Not, ltl.And, ltl.Until):
+        for name in ("__hash__", "__eq__"):
+            def counted(self, *args, _original=getattr(cls, name),
+                        _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    instances, _ = corpus
+    cases = [(inst.system, inst.formula, inst.valuation) for inst in instances]
+    # G^40 (p | q) is won, and its plan checked, where p holds
+    system = AlternatingTransitionSystem(["s"], ["c"], ["d"], [("s", "c", "d", "s")])
+    valuation = Valuation(["p", "q"], {"s": {"p"}})
+    cases += [(system, g_ladder(40), valuation), (system, ltl.Not(g_ladder(40)), valuation)]
+    for system, formula, valuation in cases:
+        buchi.ltl_to_buchi(formula, props=valuation.props)
+        planner.synthesize(system, formula, valuation)
+    assert calls == []
+    assert planner.synthesize(*cases[-1]).found
 
 
 def test_criterion_10_hand_written_total_automata():

@@ -27,7 +27,7 @@ from astra.errors import AutomatonError, ExplosionGuard
 from astra.ltl import Atom, Until
 from astra.planner import spec_automaton
 
-from generators import random_formula, random_letter_lasso, random_system
+from generators import g_ladder, random_formula, random_letter_lasso, random_system
 from oracles import (
     accepting_lasso_exists,
     all_letters,
@@ -47,14 +47,6 @@ PROPS = ("p1", "p2", "p3")
 
 def letters(*sets):
     return tuple(frozenset(s) for s in sets)
-
-
-def g_ladder(k):
-    """``!(G … G (p | q))`` with ``k`` nested ``G``."""
-    formula = ltl.or_(Atom("p"), Atom("q"))
-    for _ in range(k):
-        formula = ltl.always(formula)
-    return ltl.Not(formula)
 
 
 def gf_ladder(k):
@@ -379,27 +371,46 @@ class TestTranslation:
         assert sorted(actual) == sorted(expected)
         assert [k for k in expected if actual[k] != expected[k]] == []
 
-    def test_formula_keys_once_per_obligation(self, monkeypatch):
-        # the tableau sorts the untils and their negations once and runs on
-        # their ranks; no node is keyed again per state or per edge
-        original, depth, keyed = buchi._formula_key, [0], []
+    def test_translation_does_not_depend_on_node_sharing(self):
+        # the tableau numbers subformulas by shape, not by node object: a
+        # formula as parsed, a copy sharing no node and a copy whose equal
+        # subtrees are one node give the same automaton
+        def copied(node):
+            if isinstance(node, ltl.TrueF):
+                return ltl.TrueF()
+            if isinstance(node, Atom):
+                return Atom(node.name)
+            if isinstance(node, ltl.Not):
+                return ltl.Not(copied(node.arg))
+            return type(node)(copied(node.left), copied(node.right))
 
-        def counted(node):
-            if not depth[0]:
-                keyed.append(node)
-            depth[0] += 1
-            try:
-                return original(node)
-            finally:
-                depth[0] -= 1
+        def interned(node, table):
+            if isinstance(node, ltl.Not):
+                node = ltl.Not(interned(node.arg, table))
+            elif isinstance(node, (ltl.And, Until)):
+                node = type(node)(interned(node.left, table), interned(node.right, table))
+            return table.setdefault(node, node)
 
-        monkeypatch.setattr(buchi, "_formula_key", counted)
-        for formula, states in ((g_ladder(40), 42), (gf_ladder(6), 8)):
-            keyed.clear()
-            assert len(ltl_to_buchi(formula).states) == states
-            assert len(keyed) == len(set(keyed))
-            assert len(keyed) <= (2 * len(ltl.until_subformulas(formula))
-                                  + len(buchi._initial_obligations(formula)))
+        def shape(automaton):
+            return (automaton.states, automaton.initial, automaton.props,
+                    sorted(automaton.accepting),
+                    [(e.src, e.guard.atoms, sorted(e.guard.minterms), e.dst)
+                     for e in automaton.edges])
+
+        rng = random.Random(91)
+        for _ in range(150):
+            f = random_formula(rng, PROPS, rng.randint(1, 6))
+            for g in (f, ltl.And(f, copied(f)), Until(f, copied(f))):
+                parsed = ltl.parse_formula(ltl.formula_to_str(g), PROPS)
+                expected = shape(ltl_to_buchi(parsed, PROPS))
+                assert shape(ltl_to_buchi(copied(parsed), PROPS)) == expected
+                shared = interned(parsed, {})
+                assert shape(ltl_to_buchi(shared, PROPS)) == expected
+        # a conjunction of 2^60 conjuncts, one node per level, is G p
+        conjunction = ltl.always(Atom("p"))
+        for _ in range(60):
+            conjunction = ltl.And(conjunction, conjunction)
+        assert shape(ltl_to_buchi(conjunction)) == shape(ltl_to_buchi(ltl.always(Atom("p"))))
 
 
 class TestAlphabet:

@@ -12,7 +12,7 @@ import pytest
 from astra import ltl, planner
 from astra.cli import main
 from astra.core import load_system
-from astra.plan import dump_plan, load_plan, plan_to_dict
+from astra.plan import check_plan, dump_plan, load_plan, plan_to_dict
 
 from conftest import child_env, system_file_dict, write_json
 from generators import random_formula, random_system
@@ -134,16 +134,20 @@ class TestSynth:
             assert (code, stdout, stderr) == \
                 (3, "", "error: unknown initial state 'zz'\n"), spec
 
-    def test_deep_formula_is_input_error(self, tmp_path, agent_system_file, capsys):
-        # a formula nested past the translation's recursion limit is a typed
-        # input error, not a crash with the negative-verdict exit code
+    def test_deep_formula_is_synthesized(self, tmp_path, agent_system, agent_system_file,
+                                         capsys):
+        # translation keeps its own stacks, so a 2000-term chain gets a
+        # verdict, and its plan passes the independent check
+        system, valuation = agent_system
         out = tmp_path / "p.json"
+        spec = " & ".join(["p2"] * 2000)
         code, stdout, stderr = run(
-            "synth", "--system", agent_system_file, "--spec", " & ".join(["p2"] * 2000),
+            "synth", "--system", agent_system_file, "--spec", spec,
             "--out", str(out), capsys=capsys,
         )
-        assert (code, stdout, stderr) == (3, "", "error: the formula nests too deeply\n")
-        assert not out.exists()
+        assert (code, stdout, stderr) == (0, "initial: q1\nverified: true\n", "")
+        formula = ltl.parse_formula(spec, valuation.props)
+        assert check_plan(load_plan(out), valuation, formula) is None
 
     def test_deeply_nested_file_is_input_error(self, tmp_path, capsys):
         # the JSON reader recurses; a file nested past its limit is named

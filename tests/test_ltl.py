@@ -144,9 +144,9 @@ class TestParser:
         assert [k for k in expected if actual[k] != expected[k]] == []
 
     def test_deep_formulas_need_no_recursion(self):
-        # parsing, printing and both walks keep their own stacks, so a
+        # parsing, printing and the atom walk keep their own stacks, so a
         # 20,000-deep formula goes through them under a recursion limit of
-        # 200; the untils are shallow because hashing a node still recurses
+        # 200
         n = 20_000
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
@@ -156,7 +156,6 @@ class TestParser:
             assert text == "p1" + " & (true U p2)" * n
             assert ltl.formula_to_str(ltl.parse_formula(text)) == text
             assert ltl.atoms(chain) == {"p1", "p2"}
-            assert ltl.until_subformulas(chain) == (Until(TRUE, Atom("p2")),)
             for text in ("!" * n + "(p1 U p2)", "p1 U " * n + "!p2"):
                 assert ltl.formula_to_str(ltl.parse_formula(text, PROPS)) == text
             assert ltl.atoms(ltl.parse_formula("G " * n + "p3")) == {"p3"}
@@ -219,14 +218,6 @@ class TestEvalLasso:
                     and ltl.eval_lasso(w, u, w.successor(i))
                 )
                 assert ltl.eval_lasso(w, u, i) == expanded
-
-    def test_deep_until_subformulas_is_a_typed_error(self):
-        # parsing takes any depth, but the until nodes hash recursively
-        chain = ltl.parse_formula(" U ".join(["p1"] * 2000), PROPS)
-        with pytest.raises(FormulaTooDeep, match="^the formula nests too deeply$"):
-            ltl.until_subformulas(chain)
-        shallow = ltl.parse_formula(" U ".join(["p1"] * 50), PROPS)
-        assert len(ltl.until_subformulas(shallow)) == 49
 
     def test_deep_formula_is_a_typed_error(self):
         # the evaluator recurses as the reference semantics, and says so
