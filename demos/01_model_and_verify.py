@@ -9,15 +9,12 @@ and may land in room 1 or room 3; room 3 only lets it idle.  We want
 
 from astra import (
     AlternatingTransitionSystem,
-    Controller,
     Lasso,
     ReactivePlan,
     SCR,
     Valuation,
-    outcomes_prefixes,
     parse_formula,
     plan_satisfies,
-    plan_trajectories,
     plan_violation,
     trajectory_satisfies,
 )
@@ -53,16 +50,6 @@ plan = ReactivePlan([
 
 spec = parse_formula("p2 U p3", valuation.props)
 print("plan satisfies p2 U p3:", plan_satisfies(plan, spec, valuation))
-
-print("\nbounded trajectory lassos:")
-for lasso in sorted(plan_trajectories(plan, 4), key=str):
-    word = " ".join(lasso.prefix) + " (" + " ".join(lasso.cycle) + ")^w"
-    print("  " + word)
-
-print("\nclosed-loop outcome prefixes of length 3 from q1:")
-for seq in sorted(outcomes_prefixes(system, "q1", Controller(plan), 3),
-                  key=lambda s: s.items):
-    print("  " + " ".join(seq.items))
 
 # a spec this plan cannot meet, with a counterexample loop
 always_p2 = parse_formula("G p2", valuation.props)

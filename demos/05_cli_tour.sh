@@ -59,8 +59,6 @@ echo "== export DOT renderings"
 $ASTRA export system --system "$workdir/patrol.json" --out "$workdir/system.dot"
 $ASTRA export product --system "$workdir/patrol.json" --spec "p2 U p3" \
       --initial q1 --out "$workdir/product.dot"
-$ASTRA export tfin --system "$workdir/patrol.json" --spec "p2 U p3" \
-      --plan "$workdir/plan.json" --out "$workdir/tfin.dot"
-head -4 "$workdir/system.dot" "$workdir/product.dot" "$workdir/tfin.dot"
+head -4 "$workdir/system.dot" "$workdir/product.dot"
 
 echo "== done"

@@ -2,17 +2,14 @@
 
 Synthesis of situation-control-rule plans enforcing next-free temporal
 specifications under disturbance, plan simplification and strategy
-extraction, independent verification of any plan, and the constructive
-round trip from winning controllers back to plans.
+extraction, and independent verification of any plan.
 """
 
 from .core import (
     AlternatingTransitionSystem,
     Lasso,
-    StateSequence,
     Valuation,
     load_system,
-    outcomes_prefixes,
     parse_valuation,
     validate_ats,
 )
@@ -61,7 +58,6 @@ from .plan import (
     plan_from_dict,
     plan_satisfies,
     plan_to_dict,
-    plan_trajectories,
     plan_violation,
     plan_violation_total,
     simplify_plan,
@@ -73,12 +69,6 @@ from .planner import (
     UNKNOWN,
     solve_buchi_game,
     synthesize,
-)
-from .completeness import (
-    AcceptingTransitionSystem,
-    build_accepting_system,
-    pigeonhole_cap,
-    plan_from_accepting_system,
 )
 from . import errors
 

@@ -386,6 +386,28 @@ def _cross(combos1, combos2):
 
 _UNIT = frozenset({(0, 0, 0, 0)})
 
+# The most decompositions one tableau set may hold: an obligation's, from
+# ``_expansions``, or a state's after each cross.  Their number sets the
+# cost, as ``_prune_subsumed`` compares a state's edges pairwise, and it can
+# double per operator: !(p1 U p1 U ... U p1) over n atoms needs 2^(n-1).
+# On a 2-vCPU virtual machine that chain translates in 0.6 s at 12 atoms
+# (2048) and 2.3 s at 13 (4096), and at 300 atoms it ran out of memory;
+# (G F)^8 p needs 1830 (1.9 s) and (G F)^9 p 4791 (15 s), while the test
+# corpora and the benchmark workloads stay at or below 267.  2048 keeps
+# (G F)^8 p and the 12-atom chain and stops the next step of both.  The
+# chain itself needs one per atom; 3000 atoms took 21.5 s and 3.8 GB.
+TABLEAU_DECOMPOSITIONS = 2048
+
+
+def _bounded(decompositions):
+    """``decompositions``, once it is checked to hold at most
+    ``TABLEAU_DECOMPOSITIONS``."""
+    if len(decompositions) > TABLEAU_DECOMPOSITIONS:
+        raise ExplosionGuard(
+            f"a tableau set holds {len(decompositions)} decompositions "
+            f"(at most {TABLEAU_DECOMPOSITIONS})")
+    return decompositions
+
 
 def _expansions(root, memo, rank, shapes, table):
     """Decompositions of obligation ``root``, a subformula number: the set
@@ -434,7 +456,7 @@ def _expansions(root, memo, rank, shapes, table):
         else:
             # !(a U b)  ==  !b & (!a | next !(a U b))
             result = _cross(memo[parts[1]], memo[parts[0]] | {(0, 0, rank[n], 0)})
-        memo[n] = result
+        memo[n] = _bounded(result)
     return memo[root]
 
 
@@ -557,17 +579,18 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     The tableau runs on the numbers of the formula's distinct subformulas
     (see ``_subformulas``) and on bit masks.  No formula node is hashed,
     compared or walked after the numbering, and no step recurses, so
-    translation has no nesting limit.  Atom ``i`` of the sorted atoms is bit
-    ``i`` of a literal mask and of a letter mask, and the guards keep those
-    letter masks as their minterms.  After the first step a state holds only
-    untils and their negations; sorted once, by tag, then atom name or
-    operands, left first (``_shape_order``), rank ``i`` is bit ``i`` of an
-    obligation, fulfilled or mark mask, and the initial state's other
-    conjuncts take the bits after them.  A state's edges are sorted by the
-    ascending set bits of (next, fulfilled), which orders them as their
-    sorted subformulas would, so decompositions are crossed and merged as
-    unordered sets.  Each obligation set's edges are kept once, in
-    ``moves``, which is also the search's seen-set.
+    translation has no nesting limit; a set of decompositions past
+    ``TABLEAU_DECOMPOSITIONS`` raises ``ExplosionGuard`` instead.  Atom ``i``
+    of the sorted atoms is bit ``i`` of a literal mask and of a letter mask,
+    and the guards keep those letter masks as their minterms.  After the
+    first step a state holds only untils and their negations; sorted once,
+    by tag, then atom name or operands, left first (``_shape_order``), rank
+    ``i`` is bit ``i`` of an obligation, fulfilled or mark mask, and the
+    initial state's other conjuncts take the bits after them.  A state's
+    edges are sorted by the ascending set bits of (next, fulfilled), which
+    orders them as their sorted subformulas would, so decompositions are
+    crossed and merged as unordered sets.  Each obligation set's edges are
+    kept once, in ``moves``, which is also the search's seen-set.
 
     The degeneralized (obligation set, level) nodes are numbered in one
     dict as they are discovered, and their edges, acceptance and liveness
@@ -617,7 +640,7 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
         for i in _bits(state):
             if i not in steps:
                 steps[i] = _expansions(obligations[i], memo, rank, shapes, table)
-            combos = _cross(combos, steps[i])
+            combos = _bounded(_cross(combos, steps[i]))
         merged = {}
         for pos, neg, nexts, fulfilled in combos:
             merged.setdefault((nexts, fulfilled), set()).update(

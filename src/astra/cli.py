@@ -23,7 +23,6 @@ from .core import load_system
 from .errors import AstraError
 from .ltl import parse_formula
 from .plan import Controller, check_plan, dump_plan, load_plan
-from .completeness import build_accepting_system
 
 logger = logging.getLogger(__name__)
 
@@ -85,8 +84,6 @@ def build_parser():
     automaton.add_argument("--out", required=True, help="output path")
     _add_spec_arguments(kinds.add_parser("product", help="the game product"),
                         out=True, initial=True)
-    _add_spec_arguments(kinds.add_parser("tfin", help="a plan's accepting system"),
-                        plan_file=True, out=True, initial=True)
     return parser
 
 
@@ -251,21 +248,11 @@ def cmd_export(args) -> int:
             props = None if args.system is None else load_system(args.system)[1].props
             formula = parse_formula(args.spec, props=props)
             content = dot.automaton_dot(buchi.ltl_to_buchi(formula, props=props))
-    elif args.kind == "product":
+    else:  # product
         system, valuation = load_system(args.system)
         spec = _total_spec(*_load_spec(args, valuation), valuation)
         root = args.initial if args.initial is not None else system.states[0]
         content = dot.product_dot(buchi.product(system, [root], spec, valuation))
-    else:  # tfin
-        system, valuation = load_system(args.system)
-        spec = _total_spec(*_load_spec(args, valuation), valuation)
-        plan = load_plan(args.plan)
-        plan.validate_against(system)
-        root = args.initial if args.initial is not None else plan.world_of(1)
-        prod = buchi.product(system, [root], spec, valuation)
-        content = dot.accepting_system_dot(
-            build_accepting_system(prod, Controller(plan))
-        )
     dot.write_dot(args.out, content)
     return EXIT_OK
 

@@ -3,11 +3,10 @@
 An alternating transition system splits its transition labels into a
 controllable part (controls) and an uncontrollable part (disturbances).
 This module holds the system model itself, valuation functions mapping
-states to proposition sets, finite state sequences, closed-loop outcome
-prefixes, and the lasso representation of ultimately periodic infinite
-words.
+states to proposition sets, and the lasso representation of ultimately
+periodic infinite words.
 
-Indexing on sequences and lassos is 1-based everywhere user-visible.
+Lasso positions are 1-based everywhere user-visible.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from itertools import chain
 from .errors import (
     BlockedState,
     EmptyAlphabet,
-    ExplosionGuard,
     InvalidDuration,
     SystemValidationError,
     UndeclaredSymbol,
@@ -95,60 +93,6 @@ class Lasso:
 
     def map(self, fn) -> "Lasso":
         return Lasso(tuple(fn(x) for x in self.prefix), tuple(fn(x) for x in self.cycle))
-
-    def canonical(self) -> "Lasso":
-        """Unique minimal representation of the denoted word.
-
-        The cycle is reduced to its primitive period and the prefix is
-        shortened while its last element equals the cycle's last element.
-        Two lassos denote the same word iff their canonical forms are equal.
-        """
-        cycle = list(self.cycle)
-        for d in range(1, len(cycle) + 1):
-            if len(cycle) % d == 0 and cycle == cycle[:d] * (len(cycle) // d):
-                cycle = cycle[:d]
-                break
-        prefix = list(self.prefix)
-        while prefix and prefix[-1] == cycle[-1]:
-            prefix.pop()
-            cycle = [cycle[-1]] + cycle[:-1]
-        return Lasso(tuple(prefix), tuple(cycle))
-
-
-@dataclass(frozen=True)
-class StateSequence:
-    """Non-empty finite sequence of states with 1-based accessors."""
-
-    items: tuple
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValueError("state sequences are non-empty")
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def at(self, i: int):
-        if not 1 <= i <= len(self.items):
-            raise IndexError(f"position {i} out of range 1..{len(self.items)}")
-        return self.items[i - 1]
-
-    @property
-    def first(self):
-        return self.items[0]
-
-    @property
-    def last(self):
-        return self.items[-1]
-
-    def slice(self, i: int, j: int) -> "StateSequence":
-        """The subsequence from position ``i`` to ``j``, both inclusive."""
-        if not (1 <= i <= j <= len(self.items)):
-            raise IndexError(f"slice {i}..{j} out of range 1..{len(self.items)}")
-        return StateSequence(self.items[i - 1 : j])
 
 
 class Valuation:
@@ -387,24 +331,3 @@ def load_system(path) -> tuple:
     system = validate_ats(raw)
     return system, parse_valuation(raw, system)
 
-
-def outcomes_prefixes(system, q, controller, n, cap=10**6) -> frozenset:
-    """All length-``n`` closed-loop state sequences from ``q``.
-
-    ``controller`` is anything with a functional ``feed(state) -> (controller,
-    action)`` step.  Step ``i+1`` extends a sequence by every successor the
-    disturbances allow under the controller's action after seeing the first
-    ``i`` states.
-    """
-    if n < 1:
-        raise ValueError("outcome length must be at least 1")
-    current = {(q,): controller.feed(q)}
-    for _ in range(n - 1):
-        grown = {}
-        for seq, (ctrl, action) in current.items():
-            for q2 in system.successors(seq[-1], action):
-                grown[seq + (q2,)] = ctrl.feed(q2)
-        if len(grown) > cap:
-            raise ExplosionGuard(f"more than {cap} outcome prefixes")
-        current = grown
-    return frozenset(StateSequence(seq) for seq in current)

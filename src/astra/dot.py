@@ -1,6 +1,6 @@
-"""Deterministic DOT renderings of systems, plans, automata, products, and
-accepting transition systems.  Node ordering follows declaration/discovery
-order so identical inputs yield identical bytes."""
+"""Deterministic DOT renderings of systems, plans, automata and products.
+Node ordering follows declaration/discovery order so identical inputs
+yield identical bytes."""
 
 from __future__ import annotations
 
@@ -84,24 +84,6 @@ def product_dot(prod) -> str:
                     lines.append(f"{source} -> {_quote(_product_name((q2, x2)))} "
                                  f"[label={_quote(f'{a},{b}')}];")
     return _digraph("product", lines)
-
-
-def accepting_system_dot(system) -> str:
-    """Nodes named by index and labelled by their last product state;
-    accepting-labelled nodes are bold."""
-    accepting = system.product.accepting
-    lines = ["rankdir=LR;", "node [shape=circle];"]
-    for index, node in enumerate(system.nodes):
-        q, x = system.label(index)
-        label = f"{index + 1}: ({q},{x}) / {system.actions[index]}"
-        style = ', style=bold' if accepting[node[-1]] else ""
-        lines.append(f"{index + 1} [label={_quote(label)}{style}];")
-    lines.append("__start [shape=point];")
-    lines.append("__start -> 1;")
-    for index in range(len(system)):
-        for target in system.edges[index]:
-            lines.append(f"{index + 1} -> {target + 1};")
-    return _digraph("accepting_system", lines)
 
 
 def write_dot(path, content):

@@ -76,7 +76,3 @@ class UniquenessViolated(PlanValidationError):
 class VerificationFailure(AstraError):
     """Internal guard: a synthesized plan failed independent verification."""
 
-
-class CapExceeded(AstraError):
-    """Outcome-prefix growth exceeded its pigeonhole bound; the supplied
-    controller cannot be winning."""

@@ -8,8 +8,7 @@ A plan keeps its rules as three lists indexed by plan id (world states,
 actions and sorted successor tuples), which every function here reads
 directly; every way of building one stores these lists, and the rules as
 ``SCR`` objects are a view built on first read.
-This module covers plan well-formedness, generated trajectories,
-reachable-cycle search, plan simplification, and the strategy obtained
+This module covers plan well-formedness, reachable-cycle search, plan simplification, and the strategy obtained
 by walking a simplified plan along an observed state history.
 :func:`check_plan` is the one verification entry: it decides whether a
 plan meets a formula or a total automaton, and says why not when it does
@@ -30,7 +29,7 @@ from operator import attrgetter, itemgetter
 
 from . import buchi, ltl
 from .core import Lasso, _collector_paused, _require_encodable
-from .errors import AstraError, ExplosionGuard, PlanValidationError, UniquenessViolated
+from .errors import AstraError, PlanValidationError, UniquenessViolated
 
 
 @dataclass(frozen=True)
@@ -252,38 +251,7 @@ def dump_plan(plan: ReactivePlan, path, initial=None):
 
 
 # ---------------------------------------------------------------------------
-# trajectories
-
-
-def plan_trajectories(plan: ReactivePlan, bound: int, cap=10**6) -> frozenset:
-    """All world-state lassos of plan trajectories whose plan-state lasso
-    uses at most ``bound`` plan states in prefix plus cycle.
-
-    Lassos are returned in canonical form, so set comparisons are
-    comparisons of the denoted words.  Intended for testing at small bounds;
-    ``bound`` must be at least 1.
-    """
-    if bound < 1:
-        raise ValueError("plan trajectory bound must be at least 1")
-    worlds, successors = plan._worlds, plan._successors
-    found = set()
-    walks = [(1,)]
-    examined = 0
-    while walks:
-        walk = walks.pop()
-        examined += 1
-        if examined > cap:
-            raise ExplosionGuard(f"more than {cap} plan walks at bound {bound}")
-        last = walk[-1]
-        for nxt in successors[last]:
-            for t, state in enumerate(walk):
-                if state == nxt:
-                    prefix = tuple(worlds[i] for i in walk[:t])
-                    cycle = tuple(worlds[i] for i in walk[t:])
-                    found.add(Lasso(prefix, cycle).canonical())
-            if len(walk) < bound:
-                walks.append(walk + (nxt,))
-    return frozenset(found)
+# verification
 
 
 def _violation(plan, automaton, valuation, accepting, inside=None):

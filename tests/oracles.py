@@ -14,6 +14,16 @@ compiled successor table), guard text read by evaluating it per letter
 outcome prefixes found by rescanning every extension.  These stay
 independent of the code paths they check.
 
+Some references here are constructions the library does not run.  The
+completeness round trip reads a plan off the recurrence-free outcome
+prefixes of a winning controller (``build_accepting_system`` keeps each
+accepting state's position, and ``rescanning_accepting_system`` pins its
+output).  The bounded enumerators list the canonical lassos of walks from
+a root by one loop, ``bounded_lassos``, on the plan graph
+(``plan_trajectories``) or on the closed loop of a controller stepped
+against the system (``closed_loop_lassos``), and ``outcomes_prefixes``
+lists closed-loop state sequences of one length.
+
 The lasso, reachable-cycle and simplification references at the end are
 the earlier quadratic implementations, kept to pin the exact outputs of
 the linear ones: a cycle search confined to an explicit component map,
@@ -30,12 +40,15 @@ through its state names for the oracles that walk product states.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 import networkx as nx
 
 from astra import buchi, ltl
 from astra.core import Lasso
+from astra.errors import ExplosionGuard, UndeclaredSymbol
 from astra.plan import SCR, Controller, ReactivePlan
 
 
@@ -365,6 +378,106 @@ def per_candidate_synthesis(system, spec, valuation, initial_hint=None):
     return "not-found", None, None
 
 
+class CapExceeded(Exception):
+    """Outcome-prefix growth exceeded its pigeonhole bound; the supplied
+    controller cannot be winning."""
+
+
+@dataclass(frozen=True)
+class AcceptingTransitionSystem:
+    """Finite system over recurrence-free outcome prefixes.
+
+    ``nodes`` are sequences of product state numbers in discovery order,
+    with node 0 the one-element prefix at product state 0.  ``actions`` and
+    ``edges`` are per node index; ``label`` of a node is the name, a
+    ``(world, automaton state)`` pair, of its last product state.
+    """
+
+    nodes: tuple
+    actions: tuple
+    edges: tuple
+    product: object
+
+    def label(self, index):
+        return self.product.states[self.nodes[index][-1]]
+
+    def __len__(self):
+        return len(self.nodes)
+
+
+def pigeonhole_cap(product):
+    """Upper bound on recurrence-free outcome-prefix length for winning
+    controllers: anything longer must repeat an accepting state."""
+    return len(product.states) * (sum(product.accepting) + 1) + 1
+
+
+def build_accepting_system(product, controller):
+    """Enumerate the recurrence-free outcome prefixes of the controller.
+
+    Given a product automaton and a controller all of whose closed-loop
+    outcomes are accepted, these prefixes form a finite transition system,
+    which is how existence of a winning strategy implies existence of a
+    plan (see ``plan_from_accepting_system``).
+
+    The controller is lifted to product-state sequences by acting on their
+    world projections; each node keeps the controller fed with its world
+    states, so extending it costs one ``feed``.  Each node extends by every
+    target under its action in the row ``product.rows[product.pair[i]]``
+    of its last state ``i``, which it only reads, in state number order;
+    an extension whose accepting state recurs folds back to the unique
+    recurrence-free prefix ending in that state.  Every accepting state
+    occurs at most once in a node, so each node keeps their positions, and
+    both the recurrence test and the fold-back target cost one lookup.
+    A prefix longer than the pigeonhole bound means the controller is not
+    actually winning.
+    """
+    cap = pigeonhole_cap(product)
+    states, rows, pair, accepting = product.states, product.rows, product.pair, product.accepting
+    column = {a: c for c, a in enumerate(product.system.controls)}
+    root = (0,)
+    nodes = [root]
+    ids = {root: 0}
+    stepped = [controller.feed(states[0][0])]
+    positions = [{0: 0} if accepting[0] else {}]
+    actions = []
+    edges = []
+    for index, node in enumerate(nodes):
+        fed, action = stepped[index]
+        actions.append(action)
+        if action not in column:
+            raise UndeclaredSymbol(f"unknown control {action!r}")
+        targets = []
+        for j in sorted(rows[pair[node[-1]]][column[action]]):
+            at = positions[index].get(j)
+            if at is not None:
+                targets.append(ids[node[: at + 1]])
+                continue
+            extension = node + (j,)
+            if len(extension) > cap:
+                raise CapExceeded(
+                    f"outcome prefix grew past {cap}; controller is not winning"
+                )
+            ids[extension] = len(nodes)
+            targets.append(len(nodes))
+            nodes.append(extension)
+            stepped.append(fed.feed(states[j][0]))
+            positions.append(
+                {**positions[index], j: len(node)} if accepting[j] else positions[index]
+            )
+        edges.append(tuple(targets))
+    return AcceptingTransitionSystem(tuple(nodes), tuple(actions), tuple(edges), product)
+
+
+def plan_from_accepting_system(system):
+    """One plan state per node: its world label, its lifted action, and its edge
+    targets as successor plan states.  Node 0 becomes plan state 1."""
+    return ReactivePlan.from_columns(
+        [system.label(index)[0] for index in range(len(system))],
+        system.actions,
+        [[t + 1 for t in targets] for targets in system.edges],
+    )
+
+
 def recurrence_index(sequence, accepting):
     """The first position whose accepting state already occurred earlier,
     or infinity when no accepting state recurs.  Positions are 1-based."""
@@ -425,29 +538,30 @@ def matching_paths(plan, history):
     return found
 
 
-def closed_loop_lassos(system, controller, start, bound, cap=10**6):
-    """Lassos of the closed loop built by stepping the controller against
-    the system, independently of the plan-graph enumeration."""
-    from astra.errors import ExplosionGuard
-    from astra.plan import Controller
+def canonical_lasso(lasso):
+    """The unique minimal lasso denoting the same word as ``lasso``.
 
-    first, _ = controller.feed(start)
-    root = (first.cursor, start)
+    The cycle is reduced to its primitive period and the prefix is
+    shortened while its last element equals the cycle's last element.
+    Two lassos denote the same word iff their canonical forms are equal.
+    """
+    cycle = list(lasso.cycle)
+    for d in range(1, len(cycle) + 1):
+        if len(cycle) % d == 0 and cycle == cycle[:d] * (len(cycle) // d):
+            cycle = cycle[:d]
+            break
+    prefix = list(lasso.prefix)
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix.pop()
+        cycle = [cycle[-1]] + cycle[:-1]
+    return Lasso(tuple(prefix), tuple(cycle))
 
-    def successors(node):
-        cursor, state = node
-        ctrl = Controller(controller.plan, cursor)
-        action = (
-            ctrl.default_action
-            if ctrl.detached
-            else controller.plan.by_id[cursor].action
-        )
-        out = []
-        for q2 in system.successors(state, action):
-            stepped, _ = ctrl.feed(q2)
-            out.append((stepped.cursor, q2))
-        return out
 
+def bounded_lassos(root, successors, label, bound, cap):
+    """The canonical lassos of ``label`` over every walk from ``root`` of at
+    most ``bound`` nodes that closes a cycle: a walk closes one whenever a
+    successor of its last node is a node already on it.  More than ``cap``
+    walks raise ``ExplosionGuard``."""
     found = set()
     walks = [(root,)]
     examined = 0
@@ -455,16 +569,65 @@ def closed_loop_lassos(system, controller, start, bound, cap=10**6):
         walk = walks.pop()
         examined += 1
         if examined > cap:
-            raise ExplosionGuard(f"more than {cap} closed-loop walks")
+            raise ExplosionGuard(f"more than {cap} walks at bound {bound}")
         for nxt in successors(walk[-1]):
             for t, node in enumerate(walk):
                 if node == nxt:
-                    prefix = tuple(s for _, s in walk[:t])
-                    cycle = tuple(s for _, s in walk[t:])
-                    found.add(Lasso(prefix, cycle).canonical())
+                    prefix = tuple(map(label, walk[:t]))
+                    cycle = tuple(map(label, walk[t:]))
+                    found.add(canonical_lasso(Lasso(prefix, cycle)))
             if len(walk) < bound:
                 walks.append(walk + (nxt,))
     return frozenset(found)
+
+
+def plan_trajectories(plan, bound, cap=10**6):
+    """All world-state lassos of plan trajectories whose plan-state lasso
+    uses at most ``bound`` plan states in prefix plus cycle, walked on the
+    plan graph; ``bound`` must be at least 1."""
+    if bound < 1:
+        raise ValueError("plan trajectory bound must be at least 1")
+    return bounded_lassos(1, plan._successors.__getitem__, plan._worlds.__getitem__,
+                          bound, cap)
+
+
+def closed_loop_lassos(system, controller, start, bound, cap=10**6):
+    """Lassos of the closed loop built by stepping the controller against
+    the system: the walks of ``bounded_lassos`` over (controller cursor,
+    world state) nodes, whose successors never read the plan graph's
+    successor lists."""
+    plan = controller.plan
+    first, _ = controller.feed(start)
+
+    def successors(node):
+        cursor, state = node
+        ctrl = Controller(plan, cursor)
+        action = ctrl.default_action if ctrl.detached else plan.by_id[cursor].action
+        return [(ctrl.feed(q2)[0].cursor, q2) for q2 in system.successors(state, action)]
+
+    return bounded_lassos((first.cursor, start), successors, itemgetter(1), bound, cap)
+
+
+def outcomes_prefixes(system, q, controller, n, cap=10**6):
+    """All length-``n`` closed-loop state sequences from ``q``, as tuples.
+
+    ``controller`` is anything with a functional ``feed(state) -> (controller,
+    action)`` step.  Step ``i+1`` extends a sequence by every successor the
+    disturbances allow under the controller's action after seeing the first
+    ``i`` states.
+    """
+    if n < 1:
+        raise ValueError("outcome length must be at least 1")
+    current = {(q,): controller.feed(q)}
+    for _ in range(n - 1):
+        grown = {}
+        for seq, (ctrl, action) in current.items():
+            for q2 in system.successors(seq[-1], action):
+                grown[seq + (q2,)] = ctrl.feed(q2)
+        if len(grown) > cap:
+            raise ExplosionGuard(f"more than {cap} outcome prefixes")
+        current = grown
+    return frozenset(current)
 
 
 def replayable_on_plan(plan, lasso):

@@ -371,6 +371,25 @@ class TestTranslation:
         assert sorted(actual) == sorted(expected)
         assert [k for k in expected if actual[k] != expected[k]] == []
 
+    def test_tableau_sets_are_bounded(self):
+        # the negation of an n-atom until chain needs 2^(n-1) decompositions
+        # of its one obligation: 2048 at 12 atoms, the budget, translates;
+        # 13 atoms and 300 atoms both stop at the first set past it, 4096
+        def negated_chain(n):
+            return ltl.Not(ltl.parse_formula(" U ".join(["p1"] * n)))
+
+        assert len(ltl_to_buchi(negated_chain(12)).states) == 2
+        message = r"^a tableau set holds 4096 decompositions \(at most 2048\)$"
+        for n in (13, 300):
+            with pytest.raises(ExplosionGuard, match=message):
+                ltl_to_buchi(negated_chain(n))
+
+    def test_gf_ladder_stops_past_the_budget(self):
+        # a state's combined decompositions: 1830 for (G F)^8 p, 4791 for (G F)^9 p
+        assert len(ltl_to_buchi(gf_ladder(8)).states) == 10
+        with pytest.raises(ExplosionGuard, match=r"\(at most 2048\)$"):
+            ltl_to_buchi(gf_ladder(9))
+
     def test_translation_does_not_depend_on_node_sharing(self):
         # the tableau numbers subformulas by shape, not by node object: a
         # formula as parsed, a copy sharing no node and a copy whose equal

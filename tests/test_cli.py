@@ -149,6 +149,20 @@ class TestSynth:
         formula = ltl.parse_formula(spec, valuation.props)
         assert check_plan(load_plan(out), valuation, formula) is None
 
+    def test_tableau_past_its_budget_is_input_error(self, tmp_path, agent_system_file,
+                                                    capsys):
+        # the negation of a 300-atom until chain would need 2^299
+        # decompositions of its one obligation
+        out = tmp_path / "p.json"
+        spec = "!(" + " U ".join(["p1"] * 300) + ")"
+        code, stdout, stderr = run(
+            "synth", "--system", agent_system_file, "--spec", spec,
+            "--out", str(out), capsys=capsys,
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: a tableau set holds 4096 decompositions (at most 2048)\n"
+        assert not out.exists()
+
     def test_deeply_nested_file_is_input_error(self, tmp_path, capsys):
         # the JSON reader recurses; a file nested past its limit is named
         # as the input at fault, not as a formula
@@ -590,19 +604,8 @@ class TestExport:
             ("automaton", ["--system", agent_system_file, "--spec", "p2 U p3"]),
             ("product", ["--system", agent_system_file, "--spec", "p2 U p3",
                          "--initial", "q1"]),
-            ("tfin", ["--system", agent_system_file, "--spec", "G p3",
-                      "--plan", None]),
         ):
             out = tmp_path / f"{kind}.dot"
-            if kind == "tfin":
-                plan_path = tmp_path / "synth.json"
-                code, _, _ = run(
-                    "synth", "--system", agent_system_file, "--spec", "G p3",
-                    "--out", str(plan_path), capsys=capsys,
-                )
-                assert code == 0
-                extra = ["--system", agent_system_file, "--spec", "G p3",
-                         "--plan", str(plan_path)]
             code, _, _ = run("export", kind, *extra, "--out", str(out),
                              capsys=capsys)
             assert code == 0
@@ -619,17 +622,28 @@ class TestExport:
             assert "unrecognized arguments: --initial zz" in stderr
             assert not out.exists()
 
-    def test_untotalizable_spec_is_an_error(self, tmp_path, agent_system_file,
-                                            example_plan_file, capsys):
+    def test_untotalizable_spec_is_an_error(self, tmp_path, agent_system_file, capsys):
         out = tmp_path / "o.dot"
-        for kind, extra in (("product", ()), ("tfin", ("--plan", example_plan_file))):
-            code, stdout, stderr = run(
-                "export", kind, "--system", agent_system_file, "--spec", "F G p2",
-                *extra, "--out", str(out), capsys=capsys,
-            )
-            assert code == 3 and stdout == "", kind
-            assert stderr == "error: the specification automaton is not totalizable\n"
-            assert not out.exists()
+        code, stdout, stderr = run(
+            "export", "product", "--system", agent_system_file, "--spec", "F G p2",
+            "--out", str(out), capsys=capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert stderr == "error: the specification automaton is not totalizable\n"
+        assert not out.exists()
+
+    def test_tfin_is_an_unknown_kind(self, tmp_path, agent_system_file,
+                                     example_plan_file, capsys):
+        # the accepting-system rendering of a plan is no longer a kind
+        out = tmp_path / "o.dot"
+        code, stdout, stderr = run(
+            "export", "tfin", "--system", agent_system_file, "--spec", "G p3",
+            "--plan", example_plan_file, "--out", str(out), capsys=capsys,
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("usage: astra export ")
+        assert "invalid choice: 'tfin'" in stderr
+        assert not out.exists()
 
     def test_automaton_file_takes_no_system(self, tmp_path, capsys):
         automaton = write_json(tmp_path / "a.json", UNTIL_AUTOMATON)
@@ -697,8 +711,7 @@ class TestUsage:
         out = ("--out", str(tmp_path / "p.json"))
         for argv in (("synth", *system, *out), ("verify", *system, *plan),
                      ("simulate", *system, *plan), ("export", "automaton", *out),
-                     ("export", "product", *system, *out),
-                     ("export", "tfin", *system, *plan, *out)):
+                     ("export", "product", *system, *out)):
             code, stdout, stderr = run(*argv, capsys=capsys)
             assert code == 3 and stdout == "", argv
             assert stderr.startswith("usage: astra ")
@@ -881,8 +894,8 @@ def _cli_stdout(*argv):
 
 def pinned_outputs(workdir):
     """``{name: text}``: the synthesized plan, ``export product`` from the
-    first and the last state, ``export tfin`` and adversarial simulation
-    for every case of ``PIN_CASES``, run in ``workdir``."""
+    first and the last state and adversarial simulation for every case of
+    ``PIN_CASES``, run in ``workdir``."""
     workdir = pathlib.Path(workdir)
     texts = {}
     for name, seed, spec in PIN_CASES:
@@ -900,9 +913,6 @@ def pinned_outputs(workdir):
             texts[f"{name} product {root}"] = _cli_stdout(
                 "export", "product", *common, "--initial", root, "--out", str(dot)
             ) + dot.read_text(encoding="utf-8")
-        texts[f"{name} tfin"] = _cli_stdout(
-            "export", "tfin", *common, "--plan", str(plan), "--out", str(dot)
-        ) + dot.read_text(encoding="utf-8")
         texts[f"{name} adversarial"] = _cli_stdout(
             "simulate", *common, "--plan", str(plan), "--policy", "adversarial",
             "--steps", "16")
@@ -910,7 +920,7 @@ def pinned_outputs(workdir):
 
 
 class TestPinnedOutputs:
-    def test_product_tfin_and_adversarial_bytes(self, tmp_path):
+    def test_product_and_adversarial_bytes(self, tmp_path):
         # recorded by pinned_outputs into tests/data/cli_pins.json; record
         # again only for an intended output change
         expected = json.loads(PINS.read_text(encoding="utf-8"))

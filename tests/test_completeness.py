@@ -4,17 +4,20 @@ import random
 import pytest
 
 from astra import buchi, ltl, planner
-from astra.completeness import (
-    build_accepting_system,
-    pigeonhole_cap,
-    plan_from_accepting_system,
-)
 from astra.core import Valuation, validate_ats
-from astra.errors import CapExceeded, UndeclaredSymbol
+from astra.errors import UndeclaredSymbol
 from astra.plan import SCR, Controller, ReactivePlan, plan_satisfies
 
 from generators import random_formula, random_system
-from oracles import TupleProduct, recurrence_index, rescanning_accepting_system
+from oracles import (
+    CapExceeded,
+    TupleProduct,
+    build_accepting_system,
+    pigeonhole_cap,
+    plan_from_accepting_system,
+    recurrence_index,
+    rescanning_accepting_system,
+)
 
 INF = math.inf
 

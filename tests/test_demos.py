@@ -26,6 +26,12 @@ def test_python_demos_run(script):
     assert proc.stdout == expected
 
 
+def test_every_recorded_output_has_a_demo():
+    # an output left behind by a deleted demo would otherwise go unchecked
+    scripts = {p.stem for p in DEMOS.iterdir() if p.suffix in (".py", ".sh")}
+    assert [p.name for p in sorted(EXPECTED.glob("*.out")) if p.stem not in scripts] == []
+
+
 def test_cli_tour_runs(tmp_path):
     # drive the tour with the interpreter running the tests; the script
     # expands $ASTRA unquoted, so an interpreter path with a space would split.

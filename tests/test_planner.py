@@ -6,7 +6,6 @@ import pytest
 
 from astra import buchi, ltl, planner
 from astra.cli import main
-from astra.completeness import build_accepting_system
 from astra.core import Valuation, load_system, parse_valuation, validate_ats
 from astra.dot import product_dot
 from astra.errors import AstraError, AutomatonError
@@ -18,7 +17,6 @@ from astra.plan import (
     dump_plan,
     plan_satisfies,
     plan_to_dict,
-    plan_trajectories,
     simplify_plan,
 )
 from astra.planner import (
@@ -35,9 +33,11 @@ from conftest import system_file_dict, write_json
 from generators import random_formula, random_system
 from oracles import (
     TaggedArena,
+    build_accepting_system,
     layered_buchi_solution,
     per_candidate_synthesis,
     per_state_buchi_game,
+    plan_trajectories,
     positional_winner_exists,
 )
 
