@@ -9,8 +9,14 @@ Edges carry symbolic guards: boolean constraints over atomic propositions
 standing for every letter (proposition subset) that satisfies them.  The
 alphabet is the subsets of the atoms the guards read, not of every declared
 proposition.  Inside the library a letter is an int mask (bit ``i`` is the
-``i``-th proposition): a guard keeps its minterms as masks over its atoms,
-and an automaton steps on a successor table over masks of its ``props``.
+``i``-th proposition), and a guard keeps its minterms as masks over its
+atoms.  An automaton keeps its edges as integer rows: per state, in edge
+order, a target number and the frozenset of the letter masks over its
+``props`` that take the edge.  Translation, ``is_total`` and ``totalize``
+work on rows and build no ``Guard`` or ``Edge``.  An automaton's ``edges``
+and its successor ``table``, which ``product`` steps on, are views built
+from the rows when first read; one built from ``Edge`` objects keeps them
+and lifts their guards into rows when first needed.
 
 The translation first numbers the formula's distinct subformulas in one
 walk, each as a shape over its operands' numbers kept in a unique table (the
@@ -201,20 +207,52 @@ class Edge:
 
 
 class BuchiAutomaton:
-    """(states, initial, alphabet 2^props as guards, edges, accepting).
+    """(states, initial, alphabet 2^props, edges, accepting).
 
     ``props`` are the atoms the guards read: the given ``props`` that some
     guard reads, each once in the given order, then any other guard atom in
     order of appearance.  A proposition no guard reads cannot change a run.
 
-    ``index[s]`` numbers state ``s``.  The edges are compiled into ``table``
-    on its first read: ``table[i][m]`` lists the numbers of state ``i``'s
-    successors on letter mask ``m`` (bit ``j`` is ``props[j]``), each once,
-    in edge order.  A minterm fixes the bits of its guard's atoms, as
-    ``Guard.matches`` projects a letter onto them, and each submask of the
-    others is added.  An undeclared state raises ``AutomatonError``."""
+    ``index[s]`` numbers state ``s``.  The automaton keeps its edges as
+    rows: ``_rows[i]`` lists state ``i``'s edges in edge order, each as
+    ``(target number, frozenset of letter masks)``, a letter mask having bit
+    ``j`` set when ``props[j]`` is true.  ``edges``, ``edges_from`` and
+    ``table`` are views built from the rows on their first read:
+    ``table[i][m]`` lists the numbers of state ``i``'s successors on letter
+    mask ``m``, each once, in edge order.
+
+    Built from ``Edge`` objects, the automaton keeps them as its ``edges``
+    and turns each guard into its row on the first read of the rows: a
+    minterm fixes the bits of its guard's atoms, as ``Guard.matches``
+    projects a letter onto them, and each submask of the others is added.
+    An undeclared state raises ``AutomatonError``.  Translation and
+    ``totalize`` build automata from rows (``_from_rows``)."""
 
     def __init__(self, states, initial, props, edges, accepting):
+        self._declare(states, initial, accepting)
+        self.edges = tuple(edges)
+        index, read = self.index, {}
+        for edge in self.edges:
+            if edge.src not in index or edge.dst not in index:
+                raise AutomatonError(
+                    f"edge {edge.src!r} -> {edge.dst!r} references an undeclared state")
+            read.update(dict.fromkeys(edge.guard.atoms))
+        declared = [p for p in dict.fromkeys(props) if p in read]
+        self.props = tuple(declared + [a for a in read if a not in declared])
+
+    @classmethod
+    def _from_rows(cls, states, initial, props, rows, accepting, atoms, sink=-1):
+        """The automaton whose state ``i`` is ``states[i]`` with the edges
+        ``rows[i]`` over ``props``.  Its ``edges`` view has guards over
+        ``atoms``, which must hold every prop, and lists the rows into state
+        number ``sink`` after all others, the sink's own as ``guard_true()``."""
+        automaton = cls.__new__(cls)
+        automaton._declare(states, initial, accepting)
+        automaton.props, automaton._rows = tuple(props), rows
+        automaton._atoms, automaton._sink = atoms, sink
+        return automaton
+
+    def _declare(self, states, initial, accepting):
         self.states = tuple(states)
         self.index = index = {s: i for i, s in enumerate(self.states)}
         if len(index) != len(self.states):
@@ -225,23 +263,12 @@ class BuchiAutomaton:
         self.accepting = frozenset(accepting)
         if not index.keys() >= {*self.initial, *self.accepting}:
             raise AutomatonError("initial/accepting states must be declared states")
-        self.edges = tuple(edges)
-        self._out = [[] for _ in self.states]
-        read = {}
-        for edge in self.edges:
-            if edge.src not in index or edge.dst not in index:
-                raise AutomatonError(
-                    f"edge {edge.src!r} -> {edge.dst!r} references an undeclared state")
-            self._out[index[edge.src]].append(edge)
-            read.update(dict.fromkeys(edge.guard.atoms))
-        declared = [p for p in dict.fromkeys(props) if p in read]
-        self.props = tuple(declared + [a for a in read if a not in declared])
 
     @cached_property
-    def table(self) -> list:
+    def _rows(self) -> list:
         bit = {p: 1 << i for i, p in enumerate(self.props)}
         full = (1 << len(self.props)) - 1
-        table = [[()] * (full + 1) for _ in self.states]
+        rows = [[] for _ in self.states]
         # lifts[atoms][m]: the props mask of the mask m over atoms
         lifts = {}
         for edge in self.edges:
@@ -250,14 +277,38 @@ class BuchiAutomaton:
                 lift = lifts[edge.guard.atoms] = [0]
                 for a in edge.guard.atoms:
                     lift += [m | bit[a] for m in lift]
-            row, t = table[self.index[edge.src]], self.index[edge.dst]
             subs = list(_submasks(full & ~lift[-1]))
-            for minterm in edge.guard.minterms:
-                base = lift[minterm]
-                for sub in subs:
-                    cell = row[base | sub]
+            rows[self.index[edge.src]].append((self.index[edge.dst], frozenset(
+                lift[m] | sub for m in edge.guard.minterms for sub in subs)))
+        return rows
+
+    @cached_property
+    def edges(self) -> tuple:
+        atoms, sink, names = self._atoms, self._sink, self.states
+        # to_atoms[m]: the mask over atoms of the props mask m
+        to_atoms = [0]
+        for p in self.props:
+            to_atoms += [m | 1 << atoms.index(p) for m in to_atoms]
+        edges, last = [], []
+        for i, row in enumerate(self._rows):
+            for j, letters in row:
+                guard = guard_true() if i == sink else Guard(
+                    atoms, frozenset(to_atoms[m] for m in letters))
+                (last if j == sink else edges).append(Edge(names[i], guard, names[j]))
+        return tuple(edges + last)
+
+    @cached_property
+    def table(self) -> list:
+        size = 1 << len(self.props)
+        table = []
+        for row in self._rows:
+            cells = [()] * size
+            for t, letters in row:
+                for m in letters:
+                    cell = cells[m]
                     if t not in cell:
-                        row[base | sub] = cell + (t,)
+                        cells[m] = cell + (t,)
+            table.append(cells)
         return table
 
     def _number(self, state) -> int:
@@ -267,7 +318,8 @@ class BuchiAutomaton:
         return i
 
     def edges_from(self, state) -> tuple:
-        return tuple(self._out[self._number(state)])
+        name = self.states[self._number(state)]
+        return tuple(edge for edge in self.edges if edge.src == name)
 
     def letter_mask(self, letter) -> int:
         """The mask of ``letter``, any container of propositions."""
@@ -379,17 +431,30 @@ def _shape_order(shapes, a, b) -> int:
 
 
 def _cross(combos1, combos2):
-    return {(p1 | p2, n1 | n2, x1 | x2, f1 | f2)
-            for p1, n1, x1, f1 in combos1 for p2, n2, x2, f2 in combos2
-            if not (p1 | p2) & (n1 | n2)}
+    """The consistent unions of a decomposition of each set.  Past
+    ``TABLEAU_DECOMPOSITIONS`` it raises ``ExplosionGuard`` at the first row
+    of the smaller set that takes the result there, so the whole cross of
+    two large sets is never built."""
+    if len(combos2) < len(combos1):
+        combos1, combos2 = combos2, combos1
+    if len(combos1) * len(combos2) <= TABLEAU_DECOMPOSITIONS:
+        return {(p1 | p2, n1 | n2, x1 | x2, f1 | f2)
+                for p1, n1, x1, f1 in combos1 for p2, n2, x2, f2 in combos2
+                if not (p1 | p2) & (n1 | n2)}
+    result = set()
+    for p1, n1, x1, f1 in combos1:
+        result.update((p1 | p2, n1 | n2, x1 | x2, f1 | f2) for p2, n2, x2, f2 in combos2
+                      if not (p1 | p2) & (n1 | n2))
+        _bounded(result)
+    return result
 
 
 _UNIT = frozenset({(0, 0, 0, 0)})
 
 # The most decompositions one tableau set may hold: an obligation's, from
-# ``_expansions``, or a state's after each cross.  Their number sets the
-# cost, as ``_prune_subsumed`` compares a state's edges pairwise, and it can
-# double per operator: !(p1 U p1 U ... U p1) over n atoms needs 2^(n-1).
+# ``_expansions``, or a state's after each cross, which ``_cross`` checks as
+# it builds.  Their number sets the cost, as ``_prune_subsumed`` compares a
+# state's edges pairwise, and it can double per operator: !(p1 U p1 U ... U p1) over n atoms needs 2^(n-1).
 # On a 2-vCPU virtual machine that chain translates in 0.6 s at 12 atoms
 # (2048) and 2.3 s at 13 (4096), and at 300 atoms it ran out of memory;
 # (G F)^8 p needs 1830 (1.9 s) and (G F)^9 p 4791 (15 s), while the test
@@ -580,9 +645,10 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     (see ``_subformulas``) and on bit masks.  No formula node is hashed,
     compared or walked after the numbering, and no step recurses, so
     translation has no nesting limit; a set of decompositions past
-    ``TABLEAU_DECOMPOSITIONS`` raises ``ExplosionGuard`` instead.  Atom ``i``
-    of the sorted atoms is bit ``i`` of a literal mask and of a letter mask,
-    and the guards keep those letter masks as their minterms.  After the
+    ``TABLEAU_DECOMPOSITIONS`` raises ``ExplosionGuard`` instead.  The
+    atoms are ordered as the automaton's ``props`` will be, and atom ``i``
+    is bit ``i`` of a literal mask and of a letter mask, so each edge's
+    letter set is its row as it is.  After the
     first step a state holds only untils and their negations; sorted once,
     by tag, then atom name or operands, left first (``_shape_order``), rank
     ``i`` is bit ``i`` of an obligation, fulfilled or mark mask, and the
@@ -595,7 +661,8 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     The degeneralized (obligation set, level) nodes are numbered in one
     dict as they are discovered, and their edges, acceptance and liveness
     are kept by number.  Names come last: the live nodes, in number order,
-    become ``s0``, ``s1``, ... as the automaton's edges are emitted.
+    become ``s0``, ``s1``, ... as the automaton's rows are emitted.  The
+    ``edges`` view reads them over the sorted atoms.
 
     ``props`` only orders the formula's atoms in the automaton's ``props``
     (and so in the guard text ``totalize`` renders); it does not widen the
@@ -603,8 +670,9 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     """
     shapes, table, root, untils = _subformulas(formula)
     atoms = tuple(sorted(shape[1] for shape in shapes if shape[0] == _ATOM))
+    alphabet = tuple(dict.fromkeys([*(p for p in props or () if p in atoms), *atoms]))
     memo = {}
-    for i, a in enumerate(atoms):
+    for i, a in enumerate(alphabet):
         n = table[_ATOM, a]
         memo[n] = {(1 << i, 0, 0, 0)}
         memo[_number(shapes, table, (_NOT, n))] = {(0, 1 << i, 0, 0)}
@@ -640,7 +708,7 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
         for i in _bits(state):
             if i not in steps:
                 steps[i] = _expansions(obligations[i], memo, rank, shapes, table)
-            combos = _bounded(_cross(combos, steps[i]))
+            combos = _cross(combos, steps[i])
         merged = {}
         for pos, neg, nexts, fulfilled in combos:
             merged.setdefault((nexts, fulfilled), set()).update(
@@ -684,14 +752,15 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
     accepting = [i for i, (_, level) in enumerate(nodes) if level == k]
     live = _live_states([[j for j, _ in row] for row in rows], accepting)
     live.add(0)
-    names = {i: f"s{n}" for n, i in enumerate(sorted(live))}
-    return BuchiAutomaton(
-        states=names.values(),
-        initial=(names[0],),
-        props=atoms if props is None else props,
-        edges=[Edge(names[i], Guard(atoms, minterms), names[j])
-               for i in names for j, minterms in rows[i] if j in names],
-        accepting=[names[i] for i in accepting if i in names],
+    kept = {i: n for n, i in enumerate(sorted(live))}
+    rows = [[(kept[j], minterms) for j, minterms in rows[i] if j in kept] for i in kept]
+    return BuchiAutomaton._from_rows(
+        states=[f"s{n}" for n in kept.values()],
+        initial=("s0",),
+        props=alphabet if any(rows) else (),
+        rows=rows,
+        accepting=[f"s{kept[i]}" for i in accepting if i in kept],
+        atoms=atoms,
     )
 
 
@@ -699,11 +768,33 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
 # totality
 
 
+def _targets(row):
+    """Per target of ``row``, a state's edge rows, in row order: the union
+    of its rows' letter sets, kept even when it is empty.  Returns
+    ``(merged, covered)``, ``covered`` being the letters some row holds, or
+    ``None`` when two targets share a letter, so the state is
+    nondeterministic."""
+    merged = {}
+    for t, letters in row:
+        merged[t] = merged[t] | letters if t in merged else letters
+    covered = frozenset().union(*merged.values())
+    if len(covered) != sum(map(len, merged.values())):
+        return None
+    return merged, covered
+
+
 def is_total(automaton: BuchiAutomaton) -> bool:
     """Exactly one initial state and, for every state and letter, exactly one
-    successor: every cell of the automaton's ``table`` holds one target."""
-    return len(automaton.initial) == 1 and all(
-        len(cell) == 1 for row in automaton.table for cell in row)
+    successor: each state's targets (see ``_targets``) share no letter and
+    together hold all of them."""
+    if len(automaton.initial) != 1:
+        return False
+    size = 1 << len(automaton.props)
+    for row in automaton._rows:
+        found = _targets(row)
+        if found is None or len(found[1]) != size:
+            return False
+    return True
 
 
 def _fresh_name(base, taken):
@@ -724,37 +815,38 @@ def totalize(automaton: BuchiAutomaton):
     the automaton is properly nondeterministic and out of scope for this
     completion (a value, not a failure).
 
-    The search runs on state numbers (``index``): each reachable state's
-    ``table`` row is grouped by target number, a cell with two targets
-    gives ``None``, and a state is named only when its edges are emitted.
+    The search runs on state numbers (``index``) and rows: each reachable
+    state's letter sets are merged per target (``_targets``), in the order
+    the search discovered the targets, and the letters none of them holds
+    make the state's row into the sink.  The edges view renders every guard
+    over ``props``.
     """
     if len(automaton.initial) > 1:
         return None
-    index, names, universe = automaton.index, automaton.states, automaton.props
+    index, rows = automaton.index, automaton._rows
     reachable, place = _discovery([index[s] for s in automaton.initial],
-                                  lambda i: (index[e.dst] for e in automaton._out[i]))
-    states = [names[i] for i in reachable]
-    accepting = automaton.accepting.intersection(states)
-    sink = _fresh_name("sink", set(states))
-    edges, to_sink = [], []
+                                  lambda i: (j for j, _ in rows[i]))
+    props = automaton.props if reachable else ()
+    size, sink = 1 << len(props), len(reachable)
+    total, gapped = [], False
     for i in reachable:
-        # every target keeps an edge, even one whose guard no letter meets
-        merged = {index[e.dst]: [] for e in automaton._out[i]}
-        gaps = []
-        for mask, cell in enumerate(automaton.table[i]):
-            if len(cell) > 1:
-                return None
-            (merged[cell[0]] if cell else gaps).append(mask)
-        for j in sorted(merged, key=place.__getitem__):
-            edges.append(Edge(names[i], Guard(universe, frozenset(merged[j])), names[j]))
-        if gaps:
-            to_sink.append(Edge(names[i], Guard(universe, frozenset(gaps)), sink))
+        found = _targets(rows[i])
+        if found is None:
+            return None
+        merged, covered = found
+        row = [(place[j], merged[j]) for j in sorted(merged, key=place.__getitem__)]
+        if len(covered) < size:
+            row.append((sink, frozenset(range(size)).difference(covered)))
+            gapped = True
+        total.append(row)
+    states = [automaton.states[i] for i in reachable]
+    accepting = automaton.accepting.intersection(states)
     initial = automaton.initial
-    if to_sink or not initial:
-        states.append(sink)
-        edges += to_sink + [Edge(sink, guard_true(), sink)]
-        initial = initial or (sink,)
-    return BuchiAutomaton(states, initial, universe, edges, accepting)
+    if gapped or not initial:
+        states.append(_fresh_name("sink", set(states)))
+        total.append([(sink, frozenset(range(size)))])
+        initial = initial or (states[-1],)
+    return BuchiAutomaton._from_rows(states, initial, props, total, accepting, props, sink)
 
 
 # ---------------------------------------------------------------------------

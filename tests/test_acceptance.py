@@ -298,6 +298,33 @@ def test_translation_hashes_no_formula_node(corpus, monkeypatch):
     assert planner.synthesize(*cases[-1]).found
 
 
+def test_hot_paths_build_no_guard_objects(corpus, monkeypatch, tmp_path):
+    # automata keep integer edge rows: synthesis (found, not-found and
+    # unknown) and the plan checks build no Guard or Edge, which only the
+    # edges view of an exported automaton builds
+    built = []
+    for cls in (buchi.Guard, buchi.Edge):
+        def counted(self, *args, _original=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    instances, _ = corpus
+    cases = [(inst.system, inst.formula, inst.valuation) for inst in instances]
+    cases += [(system, ltl.eventually(ltl.always(ltl.Atom(valuation.props[0]))), valuation)
+              for system, _, valuation in cases[:40]]
+    statuses = set()
+    for system, formula, valuation in cases:
+        result = planner.synthesize(system, formula, valuation)
+        statuses.add(result.status)
+        if result.found:
+            assert plan_satisfies(result.plan, formula, valuation)
+    assert statuses == {planner.FOUND, planner.NOT_FOUND, planner.UNKNOWN}
+    assert built == []
+    out = tmp_path / "automaton.dot"
+    assert cli_main(["export", "automaton", "--spec", "p1 U p2", "--out", str(out)]) == 0
+    assert "Guard" in built and "Edge" in built
+
+
 def test_criterion_10_hand_written_total_automata():
     cases = [
         ("aut_until.json", "p1 U p2"),

@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -139,6 +140,14 @@ def random_guarded_automaton(rng, atoms):
     rng.shuffle(props)
     return BuchiAutomaton(states, states[:1], props, edges,
                           [s for s in states if rng.random() < 0.5])
+
+
+def edge_scan_is_total(automaton):
+    """Totality by the edge scan: one initial state, and one successor per
+    state and letter."""
+    return len(automaton.initial) == 1 and all(
+        len(edge_successors(automaton, state, letter)) == 1
+        for state in automaton.states for letter in all_letters(automaton.props))
 
 
 def assert_table_is_edge_scan(automaton):
@@ -384,6 +393,24 @@ class TestTranslation:
             with pytest.raises(ExplosionGuard, match=message):
                 ltl_to_buchi(negated_chain(n))
 
+    def test_cross_of_two_large_sets_stops_at_its_first_row_past_the_budget(self):
+        # each negated 10-atom chain needs 512 decompositions; their
+        # conjunction's cross would hold 262,144, but it stops after five
+        # rows of 512, at 2560, holding little memory
+        def negated_chain(atom, n):
+            return ltl.Not(ltl.parse_formula(" U ".join([atom] * n)))
+
+        formula = ltl.And(negated_chain("p1", 10), negated_chain("p2", 10))
+        message = r"^a tableau set holds 2560 decompositions \(at most 2048\)$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExplosionGuard, match=message):
+                ltl_to_buchi(formula)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_gf_ladder_stops_past_the_budget(self):
         # a state's combined decompositions: 1830 for (G F)^8 p, 4791 for (G F)^9 p
         assert len(ltl_to_buchi(gf_ladder(8)).states) == 10
@@ -442,6 +469,10 @@ class TestAlphabet:
         assert wider.props == ("p2", "p1")
         assert BuchiAutomaton(["s"], ["s"], ("p1",), [Edge("s", guard_from_text("q"), "s")],
                               ()).props == ("q",)
+        # a translation's letters follow props; its guards read the sorted atoms
+        translated = ltl_to_buchi(Until(Atom("p2"), Atom("p1")), props=("p2", "p1"))
+        assert translated.props == ("p2", "p1")
+        assert {e.guard.atoms for e in translated.edges} == {("p1", "p2")}
 
     def test_repeated_props_are_kept_once(self):
         automaton = ltl_to_buchi(ltl.always(Atom("p")), props=("p", "p"))
@@ -451,7 +482,31 @@ class TestAlphabet:
         assert [e.guard.text for e in total.edges] == ["p", "!p", "true"]
 
     def test_totalize_matches_lift_then_render_reference(self):
+        """``totalize`` against ``reference_totalize`` and ``is_total``
+        against the cell check of ``edge_scan_is_total``: translations over
+        declared props they partly read, hand-guarded automata whose guards
+        read different atoms, the automaton files, and an automaton with no
+        initial state, whose sink becomes initial."""
         rng = random.Random(88)
+
+        def compare(automaton, declared, formula=None):
+            assert is_total(automaton) == edge_scan_is_total(automaton)
+            expected = reference_totalize(automaton, declared)
+            total = totalize(automaton)
+            if expected is None:
+                assert total is None
+                return False
+            assert is_total(total) and edge_scan_is_total(total)
+            assert total.props == (automaton.props if automaton.initial else ())
+            assert (total.states, total.initial, total.accepting,
+                    [(e.src, e.guard.text, e.dst) for e in total.edges]) == expected
+            for _ in range(6):
+                w = random_letter_lasso(rng, declared)
+                assert nba_accepts(total, w) == nba_accepts(automaton, w)
+                if formula is not None:
+                    assert nba_accepts(total, w) == ltl.eval_lasso(w, formula, 1)
+            return True
+
         compared = 0
         for _ in range(60):
             f = random_formula(rng, PROPS, rng.randint(1, 6))
@@ -460,20 +515,14 @@ class TestAlphabet:
             automaton = ltl_to_buchi(f, props=declared)
             read = tuple(p for p in declared if p in ltl.atoms(f))
             assert automaton.props in (read, ())
-            expected = reference_totalize(automaton, declared)
-            total = totalize(automaton)
-            if expected is None:
-                assert total is None
-                continue
-            compared += 1
-            assert total.props == automaton.props
-            assert (total.states, total.initial, total.accepting,
-                    [(e.src, e.guard.text, e.dst) for e in total.edges]) == expected
-            for _ in range(6):
-                w = random_letter_lasso(rng, declared)
-                assert nba_accepts(total, w) == nba_accepts(automaton, w) \
-                    == ltl.eval_lasso(w, f, 1)
+            compared += compare(automaton, declared, f)
         assert compared >= 45
+        atoms = ["p1", "p2", "p3", "p4"]
+        hand = [random_guarded_automaton(rng, atoms) for _ in range(120)]
+        hand += [load_automaton(path) for path in sorted(DATA.glob("aut_*.json"))]
+        hand.append(BuchiAutomaton(["s", "t"], [], ("p1",),
+                                   [Edge("s", guard_from_text("p1"), "t")], {"s"}))
+        assert sum(compare(automaton, [*automaton.props, "z0"]) for automaton in hand) >= 60
 
 
 class TestSuccessorTable:
