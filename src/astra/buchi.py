@@ -226,7 +226,8 @@ class BuchiAutomaton:
     minterm fixes the bits of its guard's atoms, as ``Guard.matches``
     projects a letter onto them, and each submask of the others is added.
     An undeclared state raises ``AutomatonError``.  Translation and
-    ``totalize`` build automata from rows (``_from_rows``)."""
+    ``totalize`` build automata from rows (``_from_rows``).  An automaton
+    does not change, so ``is_total`` decides once and keeps the answer."""
 
     def __init__(self, states, initial, props, edges, accepting):
         self._declare(states, initial, accepting)
@@ -310,6 +311,18 @@ class BuchiAutomaton:
                         cells[m] = cell + (t,)
             table.append(cells)
         return table
+
+    @cached_property
+    def _total(self) -> bool:
+        """``is_total``'s answer, kept: an automaton does not change."""
+        if len(self.initial) != 1:
+            return False
+        size = 1 << len(self.props)
+        for row in self._rows:
+            found = _targets(row)
+            if found is None or len(found[1]) != size:
+                return False
+        return True
 
     def _number(self, state) -> int:
         i = self.index.get(state)
@@ -437,10 +450,6 @@ def _cross(combos1, combos2):
     two large sets is never built."""
     if len(combos2) < len(combos1):
         combos1, combos2 = combos2, combos1
-    if len(combos1) * len(combos2) <= TABLEAU_DECOMPOSITIONS:
-        return {(p1 | p2, n1 | n2, x1 | x2, f1 | f2)
-                for p1, n1, x1, f1 in combos1 for p2, n2, x2, f2 in combos2
-                if not (p1 | p2) & (n1 | n2)}
     result = set()
     for p1, n1, x1, f1 in combos1:
         result.update((p1 | p2, n1 | n2, x1 | x2, f1 | f2) for p2, n2, x2, f2 in combos2
@@ -786,15 +795,8 @@ def _targets(row):
 def is_total(automaton: BuchiAutomaton) -> bool:
     """Exactly one initial state and, for every state and letter, exactly one
     successor: each state's targets (see ``_targets``) share no letter and
-    together hold all of them."""
-    if len(automaton.initial) != 1:
-        return False
-    size = 1 << len(automaton.props)
-    for row in automaton._rows:
-        found = _targets(row)
-        if found is None or len(found[1]) != size:
-            return False
-    return True
+    together hold all of them.  Decided once per automaton (``_total``)."""
+    return automaton._total
 
 
 def _fresh_name(base, taken):
