@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import gc
 import json
+from array import array
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     BlockedState,
@@ -96,7 +98,11 @@ class Lasso:
 
 
 class Valuation:
-    """Assignment of a proposition subset to every state."""
+    """Assignment of a proposition subset to every state.
+
+    States that carry the same propositions share one frozenset, so a
+    valuation holds one set per distinct label, however many states it has.
+    """
 
     def __init__(self, props, mapping):
         self.props = tuple(props)
@@ -104,6 +110,7 @@ class Valuation:
         if len(prop_set) != len(self.props):
             raise SystemValidationError("duplicate entries in propositions")
         self._map = {}
+        labels = {}
         for state, assigned in mapping.items():
             assigned = frozenset(assigned)
             extra = assigned - prop_set
@@ -112,7 +119,7 @@ class Valuation:
                     f"valuation of state {state!r} uses undeclared propositions "
                     f"{sorted(extra)}"
                 )
-            self._map[state] = assigned
+            self._map[state] = labels.setdefault(assigned, assigned)
 
     def states(self):
         return self._map.keys()
@@ -136,12 +143,18 @@ class AlternatingTransitionSystem:
     Declaration order of states and labels is preserved and drives all
     deterministic iteration in this library.
 
-    The successor relation is compiled once, at construction, into an
-    integer form: ``index[q]`` is the position of state ``q`` in ``states``,
-    and ``rows[i][c]`` lists the positions of the successors of state ``i``
-    under the ``c``-th control, in ``successors`` order.  ``successors``
-    answers from these rows, ``successors_under`` from the same positions
-    kept per disturbance, and ``buchi.product`` reads the rows directly.
+    ``transitions`` may be any iterable of ``(state, control, disturbance,
+    target)`` sequences; it is read once.  The system keeps no name from
+    it, only integers: ``index[q]`` is the position of state ``q`` in
+    ``states``, and ``rows[i][c]`` lists the positions of the successors of
+    state ``i`` under the ``c``-th control, in ``successors`` order.
+    ``successors`` answers from these rows, and ``buchi.product`` reads them
+    directly.  The listed transitions are kept as one array of (slot,
+    target position) pairs, in listed order with repeats, where slot
+    ``(i * len(controls) + c) * len(disturbances) + d`` stands for state
+    ``i``, control ``c`` and disturbance ``d``.  ``transitions`` rebuilds
+    the listed tuples from it on every read, and ``successors_under``
+    answers from per-slot target lists built from it on first use.
     """
 
     def __init__(self, states, controls, disturbances, transitions, obs_map=None):
@@ -156,33 +169,43 @@ class AlternatingTransitionSystem:
                 raise SystemValidationError(f"duplicate entries in {name}")
 
         self.index = index = {q: i for i, q in enumerate(self.states)}
-        self._control_index = {a: c for c, a in enumerate(self.controls)}
-        self._disturbance_index = {b: d for d, b in enumerate(self.disturbances)}
+        self._control_index = control_index = {a: c for c, a in enumerate(self.controls)}
+        self._disturbance_index = disturbance_index = {
+            b: d for d, b in enumerate(self.disturbances)}
         k, nd = len(self.controls), len(self.disturbances)
-        # slot (i * k + c) * nd + d: the successors of state i under the
-        # c-th control and the d-th disturbance
         under = [[] for _ in range(len(self.states) * k * nd)]
-        self.transitions = tuple(tuple(t) for t in transitions)
-        for q, a, b, q2 in self.transitions:
-            i, j = index.get(q), index.get(q2)
+        # A slot is below len(under), so a C int holds it: a list of more
+        # than 2**31 slots would not fit in memory.
+        self._listed = listed = array("i")
+        append = listed.append
+        for t in transitions:
+            try:
+                q, a, b, q2 = t
+                i, j = index.get(q), index.get(q2)
+                c, d = control_index.get(a), disturbance_index.get(b)
+            except (TypeError, ValueError):
+                raise SystemValidationError(
+                    f"transition {t!r} is not a (state, control, disturbance, target) "
+                    "sequence of names") from None
             if i is None or j is None:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared state")
-            c = self._control_index.get(a)
             if c is None:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared control {a!r}")
-            d = self._disturbance_index.get(b)
             if d is None:
                 raise UndeclaredSymbol(f"transition {(q, a, b, q2)} references an undeclared disturbance {b!r}")
-            under[(i * k + c) * nd + d].append(j)
+            slot = (i * k + c) * nd + d
+            under[slot].append(j)
+            append(slot)
+            append(j)
         for slot, targets in enumerate(under):
             if not targets:
                 i, c = divmod(slot // nd, k)
                 raise BlockedState(self.states[i], self.controls[c],
                                    self.disturbances[slot % nd])
 
-        self._under = [tuple(sorted(set(targets))) for targets in under]
+        under = [sorted(set(targets)) for targets in under]
         self.rows = tuple(
-            tuple(tuple(dict.fromkeys(chain.from_iterable(self._under[s : s + nd])))
+            tuple(tuple(dict.fromkeys(chain.from_iterable(under[s : s + nd])))
                   for s in range(i * k * nd, (i + 1) * k * nd, nd))
             for i in range(len(self.states)))
 
@@ -195,6 +218,32 @@ class AlternatingTransitionSystem:
         if extra:
             raise UndeclaredSymbol(f"observation map references undeclared states {extra}")
         self.obs_map = dict(obs_map)
+
+    def _pairs(self):
+        """The (slot, target position) pair of each listed transition."""
+        listed = iter(self._listed)
+        return zip(listed, listed)
+
+    @property
+    def transitions(self) -> tuple:
+        """The listed ``(state, control, disturbance, target)`` tuples, in
+        listed order with repeats, rebuilt on every read."""
+        states, controls, disturbances = self.states, self.controls, self.disturbances
+        k, nd = len(controls), len(disturbances)
+        out = []
+        for slot, j in self._pairs():
+            i, c = divmod(slot // nd, k)
+            out.append((states[i], controls[c], disturbances[slot % nd], states[j]))
+        return tuple(out)
+
+    @cached_property
+    def _under(self) -> list:
+        """Per slot, the positions of its distinct targets in ascending order."""
+        under = [set() for _ in range(len(self.states) * len(self.controls)
+                                      * len(self.disturbances))]
+        for slot, j in self._pairs():
+            under[slot].add(j)
+        return [tuple(sorted(targets)) for targets in under]
 
     def _position(self, q, a):
         i = self.index.get(q)
@@ -245,9 +294,14 @@ def _string_list(raw, key):
 def validate_ats(raw: dict) -> AlternatingTransitionSystem:
     """Build a validated system from a parsed description (see ``load_system``).
 
-    Unknown keys are rejected.  A ``durations`` map, if present, must pin
-    declared controls to the integer 1.  Runs with the cyclic garbage
-    collector paused (see ``_collector_paused``).
+    Unknown and missing keys are rejected first.  Every transition entry is
+    checked next, before durations, controls and the constructor, so a
+    malformed entry is reported even when a declared list is wrong too.  A
+    ``durations`` map, if present, must pin declared controls to the
+    integer 1.  The entries' values then go to the constructor one entry at
+    a time, with no list of them built, and the system keeps none of their
+    strings.  Runs with the cyclic garbage collector paused (see
+    ``_collector_paused``).
     """
     if not isinstance(raw, dict):
         raise SystemValidationError("system description must be a JSON object")
@@ -260,10 +314,10 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
         if key not in raw:
             raise SystemValidationError(f"system description is missing {key!r}")
 
-    if not isinstance(raw["transitions"], list):
+    entries = raw["transitions"]
+    if not isinstance(entries, list):
         raise SystemValidationError("'transitions' must be a list")
-    transitions = []
-    for entry in raw["transitions"]:
+    for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"from", "control", "disturbance", "to"}:
             raise SystemValidationError(
                 "each transition must be an object with exactly the keys "
@@ -271,7 +325,6 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
             )
         if not all(isinstance(value, str) for value in entry.values()):
             raise SystemValidationError("transition fields must be strings")
-        transitions.append((entry["from"], entry["control"], entry["disturbance"], entry["to"]))
 
     durations = raw.get("durations", {})
     if not isinstance(durations, dict):
@@ -292,7 +345,8 @@ def validate_ats(raw: dict) -> AlternatingTransitionSystem:
         _require_encodable(obs_map.values(), "'observations'")
     return AlternatingTransitionSystem(
         _string_list(raw, "states"), controls,
-        _string_list(raw, "disturbances"), transitions,
+        _string_list(raw, "disturbances"),
+        map(itemgetter("from", "control", "disturbance", "to"), entries),
         obs_map=dict(obs_map) if obs_map is not None else None,
     )
 

@@ -37,6 +37,8 @@ the library did before it kept one move list per (state, control); the
 adversary reference after it plays ``astra simulate --policy adversarial``
 on those tuples.  ``TupleProduct`` reads the library's numbered product
 through its state names for the oracles that walk product states.
+``listed_relation``, last, builds a system's successor relation from its
+listed transition tuples, as the library did before it kept integers.
 """
 
 import math
@@ -1042,3 +1044,20 @@ def tuple_adversary_run(system, valuation, spec, plan, steps, verified):
         lines.append("satisfied (lasso detected)" if verified
                      else "lasso detected (plan not verified)")
     return "".join(f"{line}\n" for line in lines)
+
+
+def listed_relation(states, controls, disturbances, transitions):
+    """``(under, rows)`` built from the listed ``(state, control,
+    disturbance, target)`` tuples: ``under[q, a, b]`` holds the sorted
+    distinct positions of the targets of that triple, and ``rows[i][c]`` those
+    of each disturbance in turn, each once."""
+    index = {q: i for i, q in enumerate(states)}
+    under = {(q, a, b): set() for q in states for a in controls for b in disturbances}
+    for q, a, b, t in transitions:
+        under[q, a, b].add(index[t])
+    under = {key: tuple(sorted(targets)) for key, targets in under.items()}
+    rows = tuple(
+        tuple(tuple(dict.fromkeys(j for b in disturbances for j in under[q, a, b]))
+              for a in controls)
+        for q in states)
+    return under, rows

@@ -1,11 +1,16 @@
+import gc
 import itertools
 import json
+import pathlib
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from astra import core
+from astra import core, dot
 from astra.core import (
+    AlternatingTransitionSystem,
     Lasso,
     load_system,
     validate_ats,
@@ -22,7 +27,8 @@ from astra.plan import Controller
 
 from conftest import system_file_dict, write_json
 from generators import random_system
-from oracles import canonical_lasso, outcomes_prefixes
+from oracles import canonical_lasso, listed_relation, outcomes_prefixes
+from test_cli import PIN_CASES
 
 
 def minimal_raw():
@@ -82,6 +88,32 @@ class TestValidate:
         )
         with pytest.raises(UndeclaredSymbol):
             validate_ats(raw)
+
+    def test_malformed_transition_in_constructor_is_typed(self):
+        for item in (("q", "a", "b"), 5, (["q"], "a", "b", "q")):
+            with pytest.raises(SystemValidationError) as err:
+                AlternatingTransitionSystem(["q"], ["a"], ["b"], [("q", "a", "b", "q"), item])
+            assert type(err.value) is SystemValidationError
+            assert str(err.value) == (
+                f"transition {item!r} is not a (state, control, disturbance, "
+                "target) sequence of names")
+
+    def test_transition_entries_checked_before_the_alphabets(self):
+        # validate_ats checks every transition entry before the constructor
+        # sees the empty controls list
+        for entry, message in (
+            ({"from": "q"}, "each transition must be an object with exactly the keys "
+                            "from/control/disturbance/to"),
+            ({"from": "q", "control": "a", "disturbance": "b", "to": 1},
+             "transition fields must be strings"),
+        ):
+            raw = minimal_raw()
+            raw["controls"] = []
+            raw["transitions"].append(entry)
+            with pytest.raises(SystemValidationError) as err:
+                validate_ats(raw)
+            assert type(err.value) is SystemValidationError
+            assert str(err.value) == message
 
     def test_unknown_keys_rejected(self):
         raw = minimal_raw()
@@ -173,6 +205,113 @@ class TestSuccessors:
         system, _ = agent_system
         with pytest.raises(UndeclaredSymbol, match="unknown disturbance 'zz'"):
             system.successors_under("q1", "a1", "zz")
+
+
+def listed_cases():
+    """``(name, system, valuation, listed)`` for systems built from known
+    listed transitions: seeded random systems listed with repeats and out of
+    slot order, once from a list and once from a generator; the systems of
+    the pinned command outputs and of the command-line demo, loaded from
+    their file form; and the agent of ``conftest``."""
+    rng = random.Random(35)
+    for k in range(40):
+        base, valuation = random_system(rng, max_states=6, max_controls=3,
+                                        max_disturbances=3, double_successor_p=0.4)
+        listed = list(base.transitions)
+        listed += rng.choices(listed, k=rng.randint(1, 4))
+        rng.shuffle(listed)
+        alphabets = base.states, base.controls, base.disturbances
+        yield (f"random {k}", AlternatingTransitionSystem(*alphabets, listed),
+               valuation, listed)
+        yield (f"random {k} generator",
+               AlternatingTransitionSystem(*alphabets, (t for t in listed)),
+               valuation, listed)
+    for name, seed, _ in PIN_CASES:
+        system, valuation = random_system(
+            random.Random(seed), max_states=8, max_controls=3,
+            max_disturbances=3, max_props=2, double_successor_p=0.3)
+        raw = system_file_dict(system, valuation)
+        yield (name, validate_ats(raw), valuation,
+               [tuple(t.values()) for t in raw["transitions"]])
+    tour = pathlib.Path(__file__).resolve().parent.parent / "demos" / "05_cli_tour.sh"
+    raw = json.loads(tour.read_text(encoding="utf-8")
+                     .split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
+    system = validate_ats(raw)
+    yield ("patrol", system, core.parse_valuation(raw, system),
+           [tuple(t.values()) for t in raw["transitions"]])
+
+
+class TestListedViews:
+    def test_views_are_the_relation_as_listed(self, agent_system):
+        system, valuation = agent_system
+        agent = ("agent", system, valuation, list(system.transitions))
+        for name, system, valuation, listed in itertools.chain(listed_cases(), [agent]):
+            assert system.transitions == tuple(listed), name
+            under, rows = listed_relation(system.states, system.controls,
+                                          system.disturbances, listed)
+            assert system.rows == rows, name
+            for i, q in enumerate(system.states):
+                for c, a in enumerate(system.controls):
+                    assert system.successors(q, a) == tuple(
+                        system.states[j] for j in rows[i][c]), name
+                    for b in system.disturbances:
+                        assert system.successors_under(q, a, b) == tuple(
+                            system.states[j] for j in under[q, a, b]), name
+            as_listed = SimpleNamespace(states=system.states, obs_map=system.obs_map,
+                                        transitions=tuple(listed))
+            assert dot.system_dot(system, valuation) == dot.system_dot(
+                as_listed, valuation), name
+
+
+def retained_bytes(build):
+    """``(result, bytes)``: what ``build()`` returns, and the bytes of the
+    allocations made during the call that are still alive after it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestRetainedMemory:
+    # A system keeps its listed transitions as integers and none of their
+    # strings.  On this 3000-state ring (18,000 listed transitions, 64-bit
+    # CPython 3.11), a loaded system and its valuation retain 80 B per listed
+    # transition, and a constructed system 65 B.  When the system kept a
+    # 4-tuple of the given strings for each listed transition, and one tuple
+    # per slot, they retained 455 B and 403 B.
+    BOUND = 160
+    N = 3000
+
+    def ring(self):
+        """The ring's listed transitions, each built with new strings, as a
+        file's parse builds them."""
+        return ((f"q{i}", f"a{c}", f"b{d}", f"q{(i + 1 + c + 3 * d) % self.N}")
+                for i in range(self.N) for c in range(3) for d in range(2))
+
+    def test_loaded_system_keeps_no_file_strings(self, tmp_path):
+        raw = {"states": [f"q{i}" for i in range(self.N)],
+               "controls": ["a0", "a1", "a2"], "disturbances": ["b0", "b1"],
+               "transitions": [dict(zip(("from", "control", "disturbance", "to"), t))
+                               for t in self.ring()],
+               "valuation": {f"q{i}": ["goal"] if i % 7 == 0 else []
+                             for i in range(self.N)}}
+        path = write_json(tmp_path / "ring.json", raw)
+        (system, valuation), size = retained_bytes(lambda: load_system(path))
+        assert len(system.transitions) == 6 * self.N >= 18_000
+        assert valuation.label("q0") is valuation.label("q7")
+        assert size / (6 * self.N) < self.BOUND
+
+    def test_constructed_system_keeps_no_listed_strings(self):
+        states = [f"q{i}" for i in range(self.N)]
+        system, size = retained_bytes(lambda: AlternatingTransitionSystem(
+            states, ["a0", "a1", "a2"], ["b0", "b1"], self.ring()))
+        assert len(system.transitions) == 6 * self.N
+        assert size / (6 * self.N) < self.BOUND
 
 
 class TestOutcomes:
