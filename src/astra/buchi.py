@@ -459,6 +459,7 @@ def _cross(combos1, combos2):
 
 
 _UNIT = frozenset({(0, 0, 0, 0)})
+_FLIP = str.maketrans("01", "10")
 
 # The most decompositions one tableau set may hold: an obligation's, from
 # ``_expansions``, or a state's after each cross, which ``_cross`` checks as
@@ -539,6 +540,12 @@ def _bits(mask):
     lowest first, so this is linear in the mask's length (a shift per bit
     would copy the mask once per bit)."""
     return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+
+
+def _bits_key(mask):
+    """Sorts masks as their ``_bits`` lists do: binary digits lowest first,
+    0 and 1 swapped, so a lower set bit and a prefix sort first."""
+    return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
 
 
 def _prune_subsumed(edges):
@@ -724,7 +731,7 @@ def ltl_to_buchi(formula: ltl.Formula, props=None) -> BuchiAutomaton:
                 pos | sub for sub in _submasks(full & ~(pos | neg)))
         moves[state] = _prune_subsumed([
             (nexts, until_mask & ~nexts | fulfilled, merged[nexts, fulfilled])
-            for nexts, fulfilled in sorted(merged, key=lambda k: (_bits(k[0]), _bits(k[1])))
+            for nexts, fulfilled in sorted(merged, key=lambda k: (_bits_key(k[0]), _bits_key(k[1])))
         ])
         for dst, _, _ in moves[state]:
             if dst not in moves:

@@ -44,9 +44,9 @@ class SynthesisResult:
 
 
 def _attractor(target, predecessors, unranked, k, members):
-    """Control attractor of the product states ``target``, as three lists:
-    each state's entry layer (-1 outside), the states in the order they
-    entered, and the layer at which each choice completes (0 if never).
+    """Control attractor of the product states ``target``, as two lists:
+    each state's entry layer (-1 outside), and each pair's strategy
+    control (-1 if the pair never enters).
 
     Choice ``p*k + c`` is control's move ``c`` at the states of pair ``p``,
     ``members[p]``, which read one move row; ``predecessors[j]`` lists the
@@ -54,14 +54,15 @@ def _attractor(target, predecessors, unranked, k, members):
     not yet ranked.  Breadth-first in rank order: a choice completes one
     layer after its highest-ranked target, and the first complete choice
     of a pair enters every unranked state of the pair at that layer, so
-    ranks do not depend on the order in which states enter a layer.  Each
-    entry of a pair's row is looked at once, so this costs O(|rows|).
+    ranks do not depend on the order in which states enter a layer.  Its
+    pick is that choice's control, or a smaller one completing at the same
+    layer, as layers complete in non-decreasing order.  Each entry of a
+    pair's row is looked at once, so this costs O(|rows|).
     """
     rank = [-1] * len(predecessors)
     for j in target:
         rank[j] = 0
-    complete = [0] * len(unranked)
-    entered = [False] * len(members)
+    pick, entry = [-1] * len(members), [0] * len(members)
     queue = list(target)
     for j in queue:
         layer = rank[j] + 1
@@ -69,16 +70,17 @@ def _attractor(target, predecessors, unranked, k, members):
             unranked[choice] -= 1
             if unranked[choice]:
                 continue
-            complete[choice] = layer
-            p = choice // k
-            if entered[p]:
+            p, c = divmod(choice, k)
+            if entry[p]:
+                if entry[p] == layer and c < pick[p]:
+                    pick[p] = c
                 continue
-            entered[p] = True
+            entry[p], pick[p] = layer, c
             for i in members[p]:
                 if rank[i] < 0:
                     rank[i] = layer
                     queue.append(i)
-    return rank, queue, complete
+    return rank, pick
 
 
 def solve_buchi_game(product):
@@ -95,12 +97,13 @@ def solve_buchi_game(product):
     attractor of those accepting states from which control can step back
     into the region, until that set of accepting states repeats.  The
     strategy picks the choice completed at the lowest layer, then the first
-    in declared control order.  A state's status and rank depend only on the part of the game
-    reachable from it, so every root of the product is solved at once.
+    in declared control order.  A state's status and rank depend only on
+    the part of the game reachable from it, so every root of the product
+    is solved at once.
 
-    The game keeps its predecessor lists, unranked counters and
-    completion layers per (pair, control) choice, one per entry of
-    ``product.rows``, and every state reads its pair's layers.
+    The game keeps its predecessor lists and unranked counters per (pair,
+    control) choice, one per entry of ``product.rows``, and one control
+    per pair, recorded when the pair enters, that its states all take.
     """
     n, k = len(product.states), len(product.system.controls)
     pair = product.pair
@@ -113,29 +116,17 @@ def solve_buchi_game(product):
                 predecessors[j].append(len(sizes))
             sizes.append(len(targets))
     accepting = [i for i, flag in enumerate(product.accepting) if flag]
-    # at first every state is in the region, so every choice stays in it
-    rank, complete, target = [0] * n, [1] * len(sizes), None
+    # at first every state is in the region, so every pair stays in it
+    rank, pick, target = [0] * n, [0] * len(members), None
     while True:
-        recurrent = [i for i in accepting
-                     if rank[i] >= 0 and any(complete[pair[i] * k:pair[i] * k + k])]
+        # an entered pair ranks all its states
+        recurrent = [i for i in accepting if pick[pair[i]] >= 0]
         # the same target gives the same attractor: a fixpoint
         if recurrent == target:
             break
         target = recurrent
-        rank, won, complete = _attractor(target, predecessors, sizes[:], k, members)
-    strategy = [-1] * n
-    # per pair: its strategy's control, -1 until a won state reads it
-    picks = [-1] * len(members)
-    for i in won:
-        p = pair[i]
-        if picks[p] < 0:
-            best = picks[p] = 0
-            for c in range(k):
-                layer = complete[p * k + c]
-                if layer and (not best or layer < best):
-                    best, picks[p] = layer, c
-        strategy[i] = picks[p]
-    return strategy, rank
+        rank, pick = _attractor(target, predecessors, sizes[:], k, members)
+    return [pick[p] for p in pair], rank
 
 
 def spec_automaton(formula=None, valuation=None, automaton=None):

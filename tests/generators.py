@@ -64,6 +64,38 @@ def random_system(rng, max_states=5, max_controls=2, max_disturbances=2,
     return system, Valuation(props, mapping)
 
 
+GRID_MOVES = {"stay": (0, 0), "north": (0, 2), "south": (0, -2),
+              "east": (2, 0), "west": (-2, 0)}
+GRID_DRIFTS = {"up": (0, 1), "down": (0, -1), "right": (1, 0), "left": (-1, 0)}
+
+
+def grid_system(n, stripe=2):
+    """A Pola–Tabuada-style finite abstraction of ``x' = x + u + w`` on the
+    ``n`` × ``n`` grid of unit cells, plus valuation.  Control ``u`` stays
+    or moves two cells along an axis, clamped to the grid; each drift ``w``
+    of 0.4 cell along an axis takes the moved cell to every grid cell its
+    image overlaps: itself and the neighbour it drifts towards.  So a move
+    row reaches up to 5 cells.  ``obst`` holds every ``stripe``-th column,
+    starting at column ``stripe - 1``, and ``home`` the 2 × 2 corner at the
+    origin."""
+    name = "c{}_{}".format
+    cells = [(x, y) for x in range(n) for y in range(n)]
+    transitions = []
+    for x, y in cells:
+        for control, (dx, dy) in GRID_MOVES.items():
+            cx, cy = min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1)
+            for drift, (ex, ey) in GRID_DRIFTS.items():
+                transitions.append((name(x, y), control, drift, name(cx, cy)))
+                if 0 <= cx + ex < n and 0 <= cy + ey < n:
+                    transitions.append((name(x, y), control, drift, name(cx + ex, cy + ey)))
+    mapping = {name(x, y): frozenset(
+        ["obst"] * (x % stripe == stripe - 1) + ["home"] * (x < 2 and y < 2))
+        for x, y in cells}
+    system = AlternatingTransitionSystem([name(x, y) for x, y in cells], list(GRID_MOVES),
+                                         list(GRID_DRIFTS), transitions)
+    return system, Valuation(["obst", "home"], mapping)
+
+
 def random_plan(rng, max_rules=8, max_worlds=4, max_actions=3, min_rules=1):
     """A structurally well-formed plan; every rule has successors, so a
     cycle is always reachable from plan state 1."""

@@ -309,6 +309,28 @@ class TestGuards:
             assert buchi._bits(mask) == [i for i in range(mask.bit_length())
                                          if mask >> i & 1]
 
+    def test_bits_key_sorts_as_the_bit_lists(self):
+        # the string key orders masks as their ascending set-bit lists do,
+        # a list before its extensions; random pairs are mixed with subset
+        # pairs, which share set bits, and with prefix pairs
+        rng = random.Random(44)
+        pairs = [(0, 0), (0, 1), (1, 3), (2, 1), (5, 3), (4, 6)]
+        for _ in range(3000):
+            a = rng.getrandbits(rng.randint(1, 80))
+            roll = rng.random()
+            if roll < 0.3:
+                b = a & rng.getrandbits(80)
+            elif roll < 0.6:
+                b = a | rng.getrandbits(rng.randint(1, 90)) << a.bit_length()
+            else:
+                b = rng.getrandbits(rng.randint(1, 80))
+            pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+        for a, b in pairs:
+            bits_a, bits_b = buchi._bits(a), buchi._bits(b)
+            key_a, key_b = buchi._bits_key(a), buchi._bits_key(b)
+            assert (key_a < key_b) == (bits_a < bits_b)
+            assert (key_a == key_b) == (bits_a == bits_b)
+
     def test_wide_conjunction_has_one_minterm(self):
         # a conjunction of 20 atoms is a truth table of 2**20 bits with one
         # set; reading its set bit one shift per position took 20 s
@@ -416,6 +438,22 @@ class TestTranslation:
         assert len(ltl_to_buchi(gf_ladder(8)).states) == 10
         with pytest.raises(ExplosionGuard, match=r"\(at most 2048\)$"):
             ltl_to_buchi(gf_ladder(9))
+
+    def test_deep_g_sorts_edges_without_listing_bits(self, monkeypatch):
+        # !G^n p2 has n + 2 states; sorting their edges by listed bits called
+        # _bits about n^2 times (41206 at n = 200), and with the string key
+        # only the walk over each state's obligations calls it
+        n, calls = 200, collections.Counter()
+        bits = buchi._bits
+
+        def counted(mask):
+            calls["bits"] += 1
+            return bits(mask)
+
+        monkeypatch.setattr(buchi, "_bits", counted)
+        automaton = ltl_to_buchi(ltl.parse_formula("!" + "G " * n + "p2"))
+        assert len(automaton.states) == n + 2
+        assert calls["bits"] < 3 * n
 
     def test_translation_does_not_depend_on_node_sharing(self):
         # the tableau numbers subformulas by shape, not by node object: a

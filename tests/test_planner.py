@@ -30,7 +30,7 @@ from astra.planner import (
 )
 
 from conftest import system_file_dict, write_json
-from generators import random_formula, random_system
+from generators import grid_system, random_formula, random_system
 from oracles import (
     TaggedArena,
     build_accepting_system,
@@ -590,6 +590,32 @@ class TestSynthesize:
             assert (result.status, result.initial, result.plan) == expected
             later += result.found and result.initial != system.states[0]
         assert later >= 40
+
+    def test_grid_abstractions_match_references(self):
+        # the paper's system class: on Pola–Tabuada grids, whose move rows
+        # reach up to 5 cells, the pair game equals the per-state game and
+        # synthesis equals one game per candidate
+        specs = ["G !obst", "G F home", "G F home & G F obst",
+                 "G (obst -> F home)", "home U obst", "G (home -> F obst)"]
+        statuses, partial, deep = set(), 0, 0
+        for n in (4, 5, 6):
+            for stripe in (2, 3):
+                system, valuation = grid_system(n, stripe)
+                for text in specs:
+                    formula = ltl.parse_formula(text, valuation.props)
+                    spec = planner.spec_automaton(formula, valuation)
+                    prod = buchi.product(system, system.states, spec, valuation)
+                    strategy, rank = solve_buchi_game(prod)
+                    assert (strategy, rank) == per_state_buchi_game(prod)
+                    result = synthesize(system, formula, valuation)
+                    expected = per_candidate_synthesis(system, spec, valuation)
+                    assert (result.status, result.initial, result.plan) == expected
+                    statuses.add(result.status)
+                    partial += 0 < sum(c >= 0 for c in strategy) < len(strategy)
+                    deep += max(rank) >= 2
+        # both verdicts occur, some games are won only in part, and some
+        # attractors are several layers deep
+        assert statuses == {FOUND, NOT_FOUND} and partial >= 10 and deep >= 10
 
 
 class TestInputErrors:
